@@ -10,7 +10,7 @@ verified instance by instance; validators return reports naming every
 violated axiom rather than raising.
 """
 
-from .config import DEFAULT_MORPHISM_LIMIT, morphism_limit, worker_count
+from .config import DEFAULT_MORPHISM_LIMIT, morphism_limit
 from .core import (
     Category,
     Mor,

@@ -1,25 +1,23 @@
 """Runtime knobs read from the environment.
 
 CATMN_MAX_MORPHISMS bounds how large a category any operation will build or
-accept (default 10000).  CATMN_JOBS sets the worker count for the heavier
-verification sweeps; results are aggregated deterministically, so output is
-byte-identical whatever the setting.
+accept (default 10000).
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import SizeLimitError
 
 DEFAULT_MORPHISM_LIMIT = 10_000
 
 
-def _int_env(name: str, default: int) -> int:
+def morphism_limit() -> int:
+    name = "CATMN_MAX_MORPHISMS"
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return DEFAULT_MORPHISM_LIMIT
     try:
         value = int(raw)
     except ValueError:
@@ -27,25 +25,3 @@ def _int_env(name: str, default: int) -> int:
     if value < 1:
         raise SizeLimitError(f"{name} must be positive, got {value}")
     return value
-
-
-def morphism_limit() -> int:
-    return _int_env("CATMN_MAX_MORPHISMS", DEFAULT_MORPHISM_LIMIT)
-
-
-def worker_count() -> int:
-    return _int_env("CATMN_JOBS", 1)
-
-
-def pmap(fn, items):
-    """Order-preserving map, threaded when CATMN_JOBS > 1.
-
-    Safe for pure functions only; callers sort or otherwise canonicalize
-    aggregated results, so the worker count never changes what is returned.
-    """
-    items = list(items)
-    jobs = worker_count()
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .config import morphism_limit, pmap
+from .config import morphism_limit
 from .errors import (
     InvalidArtifactError,
     MismatchError,
@@ -43,7 +43,7 @@ class Category:
     the job of :func:`validate_category`.
     """
 
-    __slots__ = ("name", "objects", "morphisms", "identity", "compose", "_hom")
+    __slots__ = ("name", "objects", "morphisms", "identity", "compose", "_hom", "_op")
 
     def __init__(
         self,
@@ -80,6 +80,7 @@ class Category:
         for m in self.morphisms.values():
             hom.setdefault((m.src, m.dst), []).append(m.name)
         self._hom = {pair: tuple(sorted(names)) for pair, names in hom.items()}
+        self._op = None  # filled by opposite()
 
     # ---- lookups ----
 
@@ -90,8 +91,7 @@ class Category:
             )
 
     def _objset(self):
-        # objects is a small sorted tuple; membership via set would need a
-        # cache slot, and linear scan is fine at this scale
+        # objects is a small sorted tuple; a linear scan is fine at this scale
         return self.objects
 
     def mor(self, name: str) -> Mor:
@@ -210,7 +210,9 @@ def validate_category(c: Category) -> ValidationReport:
                 Violation("identity-extra", (x,), "identity assigned to a non-object")
             )
 
-    for (g, f), h in sorted(table.items()):
+    # each table entry yields at most one violation here and the report sorts
+    # its violations, so the table is walked in its own order
+    for (g, f), h in table.items():
         if g not in mors or f not in mors:
             violations.append(
                 Violation("compose-unknown", (g, f), "table entry for unknown morphism(s)")
@@ -242,15 +244,13 @@ def validate_category(c: Category) -> ValidationReport:
                 )
             )
 
+    # morphisms are stored in name order, so every out-list comes out sorted
     out_of: dict[str, list[str]] = {x: [] for x in c.objects}
     for m in mors.values():
         if m.src in out_of:
             out_of[m.src].append(m.name)
-    for x in out_of:
-        out_of[x].sort()
 
-    sorted_names = sorted(mors)
-    for f in sorted_names:
+    for f in mors:
         mf = mors[f]
         for g in out_of.get(mf.dst, ()):
             if (g, f) not in table:
@@ -258,7 +258,7 @@ def validate_category(c: Category) -> ValidationReport:
                     Violation("compose-missing", (g, f), "composable pair has no table entry")
                 )
 
-    for f in sorted_names:
+    for f in mors:
         mf = mors[f]
         id_src = c.identity.get(mf.src)
         id_dst = c.identity.get(mf.dst)
@@ -283,22 +283,19 @@ def validate_category(c: Category) -> ValidationReport:
                     )
                 )
 
-    def assoc_for(f: str) -> list[Violation]:
-        found = []
-        mf = mors[f]
+    for f, mf in mors.items():
         for g in out_of.get(mf.dst, ()):
             gf = table.get((g, f))
             if gf is None or gf not in mors:
                 continue
-            mg = mors[g]
-            for h in out_of.get(mg.dst, ()):
+            for h in out_of.get(mors[g].dst, ()):
                 hg = table.get((h, g))
                 if hg is None or hg not in mors:
                     continue
                 left = table.get((h, gf))
                 right = table.get((hg, f))
                 if left != right:
-                    found.append(
+                    violations.append(
                         Violation(
                             "associativity",
                             (h, g, f),
@@ -306,10 +303,6 @@ def validate_category(c: Category) -> ValidationReport:
                             f"({hg!r} after {f!r}) = {right!r}",
                         )
                     )
-        return found
-
-    for chunk in pmap(assoc_for, sorted_names):
-        violations.extend(chunk)
 
     return ValidationReport(violations)
 
@@ -355,11 +348,16 @@ def opposite(c: Category) -> Category:
     """The opposite category: endpoints swapped, composition transposed.
 
     Names are preserved, so applying this twice gives back a category equal
-    to the original.
+    to the original.  The result is built once per category and cached on
+    it, so ``opposite(c) is opposite(c)``.  The opposite keeps no link back
+    to ``c``: a cycle would hold both tables until a full garbage collection.
     """
-    mors = [Mor(m.name, m.dst, m.src) for m in c.morphisms.values()]
-    compose = {(g, f): h for (f, g), h in c.compose.items()}
-    return Category(f"op({c.name})", c.objects, mors, c.identity, compose)
+    op = c._op
+    if op is None:
+        mors = [Mor(m.name, m.dst, m.src) for m in c.morphisms.values()]
+        compose = {(g, f): h for (f, g), h in c.compose.items()}
+        op = c._op = Category(f"op({c.name})", c.objects, mors, c.identity, compose)
+    return op
 
 
 def full_subcategory(c: Category, objs: Iterable[str]):

@@ -11,7 +11,7 @@ counit, triangle identities, and the two factorization isomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import Category, inverse_of
 from .errors import InvalidArtifactError, MismatchError
@@ -115,10 +115,14 @@ def build_mn_equivalence(p: MNPair) -> EquivalenceResult:
     N, M = p.monad.functor, p.comonad.functor
     eta, psi = p.monad.unit.components, p.comonad.counit.components
 
-    forward = compose_functors(p.reflection.reflector, p.coreflection.inclusion)
-    forward.name = "forward"
-    backward = compose_functors(p.coreflection.coreflector, p.reflection.inclusion)
-    backward.name = "backward"
+    forward = replace(
+        compose_functors(p.reflection.reflector, p.coreflection.inclusion),
+        name="forward",
+    )
+    backward = replace(
+        compose_functors(p.coreflection.coreflector, p.reflection.inclusion),
+        name="backward",
+    )
 
     msub = p.coreflection.subcategory
     nsub = p.reflection.subcategory

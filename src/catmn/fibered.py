@@ -30,7 +30,7 @@ from .errors import (
 from .core import Category, Mor, validate_category
 from .functors import Functor, NaturalTransformation, identity_functor
 from .monads import ComonadDatum, MonadDatum
-from .report import ValidationReport, Violation
+from .report import ValidationReport, Violation, remembered, report_field
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def chain_poset(names) -> FiberPoset:
 # specs
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiberedSpec:
     """Base category + fibers + monotone actions."""
 
@@ -113,6 +113,7 @@ class FiberedSpec:
     base: Category
     fibers: dict[str, FiberPoset]
     actions: dict[str, dict[str, str]]
+    _report: ValidationReport | None = report_field()
 
 
 def _validate_fiber(label: str, p: FiberPoset) -> list[Violation]:
@@ -179,10 +180,11 @@ def _validate_fiber(label: str, p: FiberPoset) -> list[Violation]:
     return violations
 
 
+@remembered
 def validate_spec(s: FiberedSpec) -> ValidationReport:
     """Check the base axioms, every fiber poset, and every action: totality,
     monotonicity, identities acting as identities, and functoriality along
-    the base composition table."""
+    the base composition table.  Computed once per spec."""
     report = validate_category(s.base)
     violations: list[Violation] = list(report.violations)
 

@@ -20,7 +20,7 @@ from .errors import (
 from .report import ValidationReport, Violation
 
 
-@dataclass
+@dataclass(frozen=True)
 class Functor:
     """A functor as explicit object and morphism tables."""
 
@@ -61,21 +61,22 @@ def validate_functor(F: Functor) -> ValidationReport:
     """Check totality, typing, identity and composition preservation."""
     violations: list[Violation] = []
     src, tgt = F.source, F.target
+    src_objects, tgt_objects = set(src.objects), set(tgt.objects)
 
     for x in src.objects:
         if x not in F.obj_map:
             violations.append(Violation("functor-object-missing", (x,), "no image assigned"))
-        elif F.obj_map[x] not in set(tgt.objects):
+        elif F.obj_map[x] not in tgt_objects:
             violations.append(
                 Violation("functor-object-image", (x,), f"image {F.obj_map[x]!r} is not a target object")
             )
     for x in F.obj_map:
-        if x not in set(src.objects):
+        if x not in src_objects:
             violations.append(
                 Violation("functor-object-extra", (x,), "image assigned to a non-object")
             )
 
-    for f in sorted(src.morphisms):
+    for f in src.morphisms:
         if f not in F.mor_map:
             violations.append(Violation("functor-morphism-missing", (f,), "no image assigned"))
             continue
@@ -125,11 +126,15 @@ def validate_functor(F: Functor) -> ValidationReport:
                 )
             )
 
-    for (g, f), h in sorted(F.source.compose.items()):
-        Fg, Ff, Fh = F.mor_map.get(g), F.mor_map.get(f), F.mor_map.get(h)
+    # each table entry yields at most one violation and the report sorts its
+    # violations, so the table is walked in its own order
+    image = F.mor_map.get
+    tgt_comp = tgt.compose.get
+    for (g, f), h in src.compose.items():
+        Fg, Ff, Fh = image(g), image(f), image(h)
         if Fg is None or Ff is None or Fh is None:
             continue
-        got = tgt.comp_or_none(Fg, Ff)
+        got = tgt_comp((Fg, Ff))
         if got != Fh:
             violations.append(
                 Violation(
@@ -157,7 +162,7 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContravariantFunctor:
     """A contravariant functor, carried covariantly out of the opposite.
 
@@ -205,7 +210,7 @@ def validate_contravariant(F: ContravariantFunctor) -> ValidationReport:
     return ValidationReport(violations).merged(validate_functor(F.functor))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NaturalTransformation:
     """A transformation between two parallel functors, one component per
     source object."""
@@ -263,14 +268,14 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
                 )
             )
             bad_at.add(x)
+    dom_objects = set(dom.objects)
     for x in alpha.components:
-        if x not in set(dom.objects):
+        if x not in dom_objects:
             violations.append(
                 Violation("component-extra", (x,), "component assigned to a non-object")
             )
 
-    for f in sorted(dom.morphisms):
-        mf = dom.morphisms[f]
+    for f, mf in dom.morphisms.items():
         if mf.src in bad_at or mf.dst in bad_at:
             continue
         Ff, Gf = F.mor_map.get(f), G.mor_map.get(f)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import pmap
 from .core import Category, full_subcategory, inverse_of
 from .errors import InvalidArtifactError
 from .functors import (
@@ -26,29 +25,31 @@ from .functors import (
     whisker_left,
     whisker_right,
 )
-from .report import ValidationReport, Violation
+from .report import ValidationReport, Violation, remembered, report_field
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonadDatum:
     """An endofunctor with a unit ``1 => functor``."""
 
     functor: Functor
     unit: NaturalTransformation
     name: str = field(default="", compare=False)
+    _report: ValidationReport | None = report_field()
 
     @property
     def category(self) -> Category:
         return self.functor.source
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComonadDatum:
     """An endofunctor with a counit ``functor => 1``."""
 
     functor: Functor
     counit: NaturalTransformation
     name: str = field(default="", compare=False)
+    _report: ValidationReport | None = report_field()
 
     @property
     def category(self) -> Category:
@@ -91,10 +92,11 @@ def _check_shape_monad(d: MonadDatum) -> ValidationReport:
     return report.merged(validate_nat(unit))
 
 
+@remembered
 def check_idempotent_monad(d: MonadDatum) -> ValidationReport:
     """Empty iff the datum is a well-formed idempotent monad: valid
     endofunctor, valid unit, and both whiskerings of the unit against the
-    functor are natural isomorphisms."""
+    functor are natural isomorphisms.  Computed once per datum."""
     report = _check_shape_monad(d)
     if not report.ok:
         return report
@@ -146,8 +148,9 @@ def _check_shape_comonad(d: ComonadDatum) -> ValidationReport:
     return report.merged(validate_nat(counit))
 
 
+@remembered
 def check_idempotent_comonad(d: ComonadDatum) -> ValidationReport:
-    """Dual of :func:`check_idempotent_monad`."""
+    """Dual of :func:`check_idempotent_monad`.  Computed once per datum."""
     report = _check_shape_comonad(d)
     if not report.ok:
         return report
@@ -173,7 +176,7 @@ def check_idempotent_comonad(d: ComonadDatum) -> ValidationReport:
     return ValidationReport(violations)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReflectionPackage:
     """A reflective subcategory presentation derived from an idempotent monad.
 
@@ -190,7 +193,7 @@ class ReflectionPackage:
     unit_inverses: dict[str, str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoreflectionPackage:
     """Dual of :class:`ReflectionPackage`, derived from an idempotent
     comonad."""
@@ -332,10 +335,7 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
                     )
         return found
 
-    violations: list[Violation] = []
-    for chunk in pmap(sweep, cat.objects):
-        violations.extend(chunk)
-    return ValidationReport(violations)
+    return ValidationReport([v for x in cat.objects for v in sweep(x)])
 
 
 def verify_coreflection(p: CoreflectionPackage) -> ValidationReport:
@@ -396,7 +396,4 @@ def verify_coreflection(p: CoreflectionPackage) -> ValidationReport:
                     )
         return found
 
-    violations: list[Violation] = []
-    for chunk in pmap(sweep, cat.objects):
-        violations.extend(chunk)
-    return ValidationReport(violations)
+    return ValidationReport([v for x in cat.objects for v in sweep(x)])

@@ -8,7 +8,8 @@ rendered text is byte-identical run to run regardless of discovery order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True, order=True)
@@ -65,3 +66,35 @@ class ValidationReport:
 
     def __repr__(self):
         return f"ValidationReport(violations={len(self.violations)}, notes={len(self.notes)})"
+
+
+def report_field():
+    """The private field a frozen artifact keeps its validation report in.
+
+    It is left out of ``__init__``, equality and ``repr``, so a
+    ``dataclasses.replace`` copy is a new value that starts without one.
+    """
+    return field(default=None, init=False, compare=False, repr=False)
+
+
+def remembered(validator):
+    """Make ``validator`` prove each frozen value once.
+
+    The first call stores the report in the value's ``_report`` field (see
+    :func:`report_field`); later calls on the same value return it.  The
+    value's fields cannot be reassigned, but ``frozen`` is shallow: the dicts
+    and categories they hold could still be edited in place, and the stored
+    report would then be stale.  So a value must not be changed in place once
+    it has been validated; ``dataclasses.replace`` makes a changed copy, which
+    is checked afresh.
+    """
+
+    @functools.wraps(validator)
+    def check(value) -> ValidationReport:
+        report = value._report
+        if report is None:
+            report = validator(value)
+            object.__setattr__(value, "_report", report)
+        return report
+
+    return check

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .core import Category, Mor, validate_category
 from .errors import InvalidArtifactError, ParseError
@@ -661,6 +662,69 @@ def parse_text(text: str, filename: str = "<input>", namespace: dict | None = No
     return _build_all(docs, namespace or {}, filename)
 
 
+# The shape of each JSON artifact, as ``artifact_doc`` writes it.  ``str`` is
+# a string, ``[x]`` a list of x, ``(x, y, ...)`` a list of exactly those, a
+# dict with the key ``"*"`` an object mapping strings to its value, and any
+# other dict an object that must carry every listed field.
+_CATEGORY_SHAPE = {
+    "objects": [str],
+    "morphisms": [{"name": str, "src": str, "dst": str}],
+    "identities": {"*": str},
+    "compose": [(str, str, str)],
+}
+_JSON_SHAPES = {
+    "category": _CATEGORY_SHAPE,
+    "spec": {
+        "base": _CATEGORY_SHAPE,
+        "fibers": {"*": {"elements": [str], "bottom": str, "top": str, "leq": [(str, str)]}},
+        "actions": {"*": {"*": str}},
+    },
+    "functor": {"source": str, "target": str, "objmap": {"*": str}, "mormap": {"*": str}},
+    "nat": {"source": str, "target": str, "components": {"*": str}},
+}
+
+
+def _misfit(value, shape):
+    """None when ``value`` fits ``shape``; otherwise ``(path, problem)``,
+    with the path's keys and indices innermost first."""
+    if shape is str:
+        return None if isinstance(value, str) else ([], "must be a string")
+    if isinstance(shape, (list, tuple)):
+        if not isinstance(value, list):
+            return [], "must be a list"
+        if isinstance(shape, tuple) and len(value) != len(shape):
+            return [], f"must be a list of length {len(shape)}"
+        items = enumerate(value)
+        shapes = shape if isinstance(shape, tuple) else repeat(shape[0])
+    elif not isinstance(value, dict):
+        return [], "must be an object"
+    elif "*" in shape:
+        items, shapes = value.items(), repeat(shape["*"])
+    else:
+        for key in shape:
+            if key not in value:
+                return [key], "is missing"
+        items, shapes = ((k, value[k]) for k in shape), shape.values()
+    for (key, item), item_shape in zip(items, shapes):
+        found = _misfit(item, item_shape)
+        if found:
+            found[0].append(key)
+            return found
+    return None
+
+
+def _shape_error(doc: dict, shape: dict):
+    """A message naming the first field of ``doc`` that does not fit
+    ``shape``, or None."""
+    found = _misfit(doc, shape)
+    if found is None:
+        return None
+    path, problem = found
+    # the outermost step is always a field name, so the text starts with "."
+    text = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in reversed(path))
+    return f"field {text[1:]} {problem}"
+
+
 def parse_json_text(text: str, filename: str = "<input>", namespace: dict | None = None):
     try:
         data = json.loads(text)
@@ -669,9 +733,14 @@ def parse_json_text(text: str, filename: str = "<input>", namespace: dict | None
     if not isinstance(data, dict) or not isinstance(data.get("artifacts"), list):
         raise ParseError('expected an object with an "artifacts" list', filename, 1)
     docs = data["artifacts"]
-    for doc in docs:
+    for i, doc in enumerate(docs):
         if not isinstance(doc, dict) or "kind" not in doc or "name" not in doc:
             raise ParseError("every artifact needs a kind and a name", filename, 1)
+        err = _shape_error(doc, {"kind": str, "name": str})
+        if err is None and doc["kind"] in _JSON_SHAPES:
+            err = _shape_error(doc, _JSON_SHAPES[doc["kind"]])
+        if err:
+            raise ParseError(f"artifact {i}: {err}", filename, 1)
     return _build_all(docs, namespace or {}, filename)
 
 

@@ -38,10 +38,10 @@ from .monads import (
     check_idempotent_comonad,
     check_idempotent_monad,
 )
-from .report import ValidationReport, Violation
+from .report import ValidationReport, Violation, remembered, report_field
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContravariantEquivalence:
     """Contravariant functors both ways plus the two comparison
     isomorphisms."""
@@ -51,6 +51,7 @@ class ContravariantEquivalence:
     theta: NaturalTransformation  # 1_D => F.G
     theta_bar: NaturalTransformation  # 1_C => G.F
     name: str = field(default="", compare=False)
+    _report: ValidationReport | None = report_field()
 
     @property
     def source(self) -> Category:
@@ -78,10 +79,11 @@ def covariant_composite(
     )
 
 
+@remembered
 def validate_equivalence(e: ContravariantEquivalence) -> ValidationReport:
     """Functor laws for both directions (through the opposites), shape and
     naturality of both comparison transformations, and that every
-    comparison component is invertible."""
+    comparison component is invertible.  Computed once per equivalence."""
     report = validate_contravariant(e.forward).merged(
         validate_contravariant(e.backward)
     )

@@ -228,7 +228,7 @@ def test_criterion_6_negative_controls_all_caught():
     conclude(6, ok, detail)
 
 
-def test_criterion_7_byte_determinism(tmp_path, capsys, monkeypatch):
+def test_criterion_7_byte_determinism(tmp_path, capsys):
     spec_file = tmp_path / "c2.cm"
     spec_file.write_text(render_spec(canonical_c2()))
     bad_file = tmp_path / "bad.cm"
@@ -241,8 +241,7 @@ def test_criterion_7_byte_determinism(tmp_path, capsys, monkeypatch):
         return capsys.readouterr().out
 
     dots, checks, transports, validations = [], [], [], []
-    for jobs in ("1", "3", "3"):
-        monkeypatch.setenv("CATMN_JOBS", jobs)
+    for _ in range(3):
         dot = tmp_path / "out.dot"
         run(["export-dot", str(spec_file), "--out", str(dot)])
         dots.append(dot.read_bytes())
@@ -256,9 +255,9 @@ def test_criterion_7_byte_determinism(tmp_path, capsys, monkeypatch):
         and render_spec(random_spec(s, LIMITS)) == render_spec(random_spec(s, LIMITS))
         for s in (0, 7, 199)
     ) and random_spec(7, LIMITS) != random_spec(8, LIMITS)
-    detail = "export-dot, mn-check, transport, validate byte-identical across reruns and worker counts; seeded generation reproducible"
+    detail = "export-dot, mn-check, transport, validate byte-identical across reruns; seeded generation reproducible"
     if not stable:
-        detail = "outputs differ between runs or worker counts"
+        detail = "outputs differ between runs"
     if not seeds_stable:
         detail += "; random_spec not reproducible"
     conclude(7, stable and seeds_stable, detail)

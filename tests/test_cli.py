@@ -1,6 +1,7 @@
 """The catmn command line: stage reports, exit codes, file output."""
 
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -229,3 +230,33 @@ def test_module_entry_point(c2_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.decode().endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "validate",
+            {"kind": "category", "name": "x", "objects": 5},
+            "artifact 0: field morphisms is missing",
+        ),
+        (
+            "validate",
+            {"kind": "category", "name": "x", "objects": 5, "morphisms": [],
+             "identities": {}, "compose": []},
+            "artifact 0: field objects must be a list",
+        ),
+        ("mn-check", {"kind": "spec", "name": "s"}, "artifact 0: field base is missing"),
+    ],
+)
+def test_json_artifact_with_bad_field_is_a_parse_error(tmp_path, command, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"artifacts": [doc]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "catmn.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""  # no traceback
+    assert proc.stdout == f"error: {path}:1:1: {message}\n"

@@ -25,7 +25,6 @@ from catmn import (
     validate_category,
     validate_functor,
 )
-from catmn.config import pmap, worker_count
 from helpers import idem_endo, orbit, parallel_pair, three_chain, walking_arrow
 
 
@@ -98,17 +97,9 @@ def test_bad_environment_values_rejected(monkeypatch):
     monkeypatch.setenv("CATMN_MAX_MORPHISMS", "many")
     with pytest.raises(SizeLimitError):
         morphism_limit()
-    monkeypatch.setenv("CATMN_JOBS", "-1")
-    with pytest.raises(SizeLimitError):
-        worker_count()
-
-
-def test_pmap_preserves_order_when_threaded(monkeypatch):
-    items = list(range(50))
-    expected = [i * i for i in items]
-    assert pmap(lambda i: i * i, items) == expected
-    monkeypatch.setenv("CATMN_JOBS", "3")
-    assert pmap(lambda i: i * i, items) == expected
+    monkeypatch.setenv("CATMN_MAX_MORPHISMS", "-1")
+    with pytest.raises(SizeLimitError, match="must be positive"):
+        morphism_limit()
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +312,7 @@ def test_opposite_is_an_involution():
     for build in (walking_arrow, orbit, three_chain):
         c = build()
         op = opposite(c)
+        assert opposite(c) is op  # built once, then cached on c
         assert validate_category(op).ok
         assert op.hom("b", "a") if c.hom("a", "b") else True
         assert opposite(op) == c

@@ -79,11 +79,9 @@ def test_spec_dot_falls_back_when_a_builder_fails():
     assert "style=filled" not in text
 
 
-def test_dot_output_is_deterministic(c2_spec, monkeypatch):
+def test_dot_output_is_deterministic(c2_spec):
     first = render_spec_dot(c2_spec)
-    monkeypatch.setenv("CATMN_JOBS", "3")
     second = render_spec_dot(c2_spec)
-    monkeypatch.setenv("CATMN_JOBS", "1")
     third = render_spec_dot(c2_spec)
     assert first == second == third
     t = build_total_category(c2_spec)

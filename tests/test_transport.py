@@ -1,13 +1,16 @@
 """Contravariant equivalences and transport of (co)monads across them."""
 
 import dataclasses
+import sys
 
 import pytest
 
+import catmn.functors
 from catmn import (
     InvalidArtifactError,
     MismatchError,
     NaturalTransformation,
+    canonical_c2,
     check_idempotent_comonad,
     check_idempotent_monad,
     covariant_composite,
@@ -21,11 +24,13 @@ from catmn import (
     induce_monad,
     powerset_duality_demo,
     relabeled_opposite_equivalence,
+    render_spec,
     transport_pair,
     validate_category,
     validate_equivalence,
     verify_transfer,
 )
+from catmn.cli import main
 from helpers import collapse_monad, idem_endo, orbit, successor_monad, three_chain
 
 
@@ -225,3 +230,63 @@ def test_induce_rejects_invalid_equivalence():
         induce_monad(crooked, identity_comonad(orbit()))
 
 
+
+
+# ---------------------------------------------------------------------------
+# each fact is proved once per value
+
+
+def test_checked_values_still_reject_crooked_copies():
+    c = orbit()
+    e = relabeled_opposite_equivalence(c)
+    monad, comonad = identity_monad(c), identity_comonad(c)
+    assert validate_equivalence(e) is validate_equivalence(e)
+    assert check_idempotent_monad(monad) is check_idempotent_monad(monad)
+    assert check_idempotent_comonad(comonad).ok
+    transport_pair(e, monad, comonad)
+
+    # a component at a that leaves a is mistyped, so neither copy is valid
+    bent = {"a": "f", "b": "id_b"}
+    crooked_monad = dataclasses.replace(
+        monad,
+        unit=NaturalTransformation(monad.unit.source_functor, monad.functor, bent),
+    )
+    crooked_comonad = dataclasses.replace(
+        comonad,
+        counit=NaturalTransformation(comonad.functor, comonad.counit.target_functor, bent),
+    )
+    with pytest.raises(InvalidArtifactError, match="idempotent monad"):
+        induce_comonad(e, crooked_monad)
+    with pytest.raises(InvalidArtifactError, match="idempotent comonad"):
+        induce_monad(e, crooked_comonad)
+    crooked = dataclasses.replace(e, theta=e.theta_bar)
+    with pytest.raises(InvalidArtifactError, match="invalid contravariant"):
+        induce_comonad(crooked, monad)
+    assert validate_equivalence(e).ok
+
+
+def test_transport_proves_each_functor_once(tmp_path, monkeypatch, capsys):
+    original = catmn.functors.validate_functor
+    checked = []
+
+    def counted(F):
+        checked.append(F.name)
+        return original(F)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("catmn") and getattr(module, "validate_functor", None) is original:
+            monkeypatch.setattr(module, "validate_functor", counted)
+    spec = tmp_path / "c2.cm"
+    spec.write_text(render_spec(canonical_c2()))
+    assert main(["transport", str(spec)]) == 0
+    # the duality's two directions, the source (co)monad and the induced
+    # (co)monad: each proved once, although the pipeline asks for the
+    # equivalence three times and for every (co)monad twice
+    assert sorted(checked) == [
+        "fiber-bottom-comonad",
+        "fiber-top-monad",
+        "induced[fiber-bottom-comonad]",
+        "induced[fiber-top-monad]",
+        "relabel",
+        "unrelabel",
+    ]
