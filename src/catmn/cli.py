@@ -129,36 +129,18 @@ class _Run:
 
 def _mn_pipeline(run: _Run, monad, comonad, prefix: str = ""):
     """The shared theorem chain: idempotence, reflections, hypotheses,
-    equivalence, factorizations.  Returns (pair, equivalence) or None."""
-    if not run.check(prefix + "monad-laws", lambda: check_idempotent_monad(monad)):
-        return None
-    if not run.check(prefix + "comonad-laws", lambda: check_idempotent_comonad(comonad)):
-        return None
-    pair = run.build(
-        prefix + "fixed-subcategories", lambda: make_mn_pair(monad, comonad)
-    )
-    if pair is None:
-        return None
-    if not run.check(prefix + "reflection", lambda: verify_reflection(pair.reflection)):
-        return None
-    if not run.check(
-        prefix + "coreflection", lambda: verify_coreflection(pair.coreflection)
-    ):
-        return None
-    if not run.check(prefix + "hypotheses", lambda: check_mn_hypotheses(pair)):
-        return None
+    equivalence, factorizations.  Returns (pair, equivalence) or None.
+    Stages after a failed one do not run (see :class:`_Run`)."""
+    run.check(prefix + "monad-laws", lambda: check_idempotent_monad(monad))
+    run.check(prefix + "comonad-laws", lambda: check_idempotent_comonad(comonad))
+    pair = run.build(prefix + "fixed-subcategories", lambda: make_mn_pair(monad, comonad))
+    run.check(prefix + "reflection", lambda: verify_reflection(pair.reflection))
+    run.check(prefix + "coreflection", lambda: verify_coreflection(pair.coreflection))
+    run.check(prefix + "hypotheses", lambda: check_mn_hypotheses(pair))
     eq = run.build(prefix + "equivalence-build", lambda: build_mn_equivalence(pair))
-    if eq is None:
-        return None
-    if not run.check(
-        prefix + "adjoint-equivalence", lambda: verify_adjoint_equivalence(eq)
-    ):
-        return None
-    if not run.check(
-        prefix + "factorizations", lambda: verify_factorizations(pair, eq)
-    ):
-        return None
-    return pair, eq
+    run.check(prefix + "adjoint-equivalence", lambda: verify_adjoint_equivalence(eq))
+    run.check(prefix + "factorizations", lambda: verify_factorizations(pair, eq))
+    return (pair, eq) if run.ok else None
 
 
 def _load_first_spec(path):
@@ -169,21 +151,26 @@ def _load_first_spec(path):
     raise ParseError("file contains no SPEC artifact", str(path))
 
 
+def _build_stages(run: _Run, spec):
+    """build-total, then both collapse builders; a failed build appends the
+    extension diagnosis.  Returns (total, monad, comonad)."""
+    t = run.build("build-total", lambda: build_total_category(spec))
+
+    def collapse(label, build):
+        return run.build(
+            label, lambda: build(t), diagnose=lambda: check_extension_property(t)
+        )
+
+    monad = collapse("build-monad", build_final_monad)
+    comonad = collapse("build-comonad", build_initial_comonad)
+    return t, monad, comonad
+
+
 def _spec_pipeline(out, spec) -> int:
     out.write(f"spec {spec.name}\n")
     run = _Run(out)
     run.check("validate-spec", lambda: validate_spec(spec))
-    t = run.build("build-total", lambda: build_total_category(spec))
-    monad = run.build(
-        "build-monad",
-        lambda: build_final_monad(t),
-        diagnose=lambda: check_extension_property(t),
-    )
-    comonad = run.build(
-        "build-comonad",
-        lambda: build_initial_comonad(t),
-        diagnose=lambda: check_extension_property(t),
-    )
+    t, monad, comonad = _build_stages(run, spec)
     result = None
     if run.ok:
         result = _mn_pipeline(run, monad, comonad)
@@ -200,29 +187,20 @@ def _spec_pipeline(out, spec) -> int:
     return run.finish()
 
 
-def _transport_pipeline(out, spec, mode: str) -> int:
+def _transport_pipeline(out, spec, mode: str = "relabel-opposite") -> int:
+    """Transport across the relabeled opposite of the spec's total category.
+    ``demo`` also runs the ``powerset-duality-demo`` mode, which transports
+    identity (co)monads across the built-in powerset duality; the spec is
+    then only validated and size-gated."""
     out.write(f"spec {spec.name}\n")
     out.write(f"mode {mode}\n")
     run = _Run(out)
     run.check("validate-spec", lambda: validate_spec(spec))
     if mode == "relabel-opposite":
-        t = run.build("build-total", lambda: build_total_category(spec))
-        monad = run.build(
-            "build-monad",
-            lambda: build_final_monad(t),
-            diagnose=lambda: check_extension_property(t),
-        )
-        comonad = run.build(
-            "build-comonad",
-            lambda: build_initial_comonad(t),
-            diagnose=lambda: check_extension_property(t),
-        )
+        t, source_monad, source_comonad = _build_stages(run, spec)
         eq = run.build("build-duality", lambda: relabeled_opposite_equivalence(t.total))
         run.check("duality", lambda: validate_equivalence(eq))
-        source_monad, source_comonad = monad, comonad
     else:
-        # the duality is built in; the spec is only parsed, validated, and
-        # size-gated so the command stays uniform across modes
         run.build("size-gate", lambda: build_total_category(spec))
         demo = run.build("build-duality", lambda: powerset_duality_demo())
         eq = demo.equivalence if demo is not None else None
@@ -240,16 +218,11 @@ def _transport_pipeline(out, spec, mode: str) -> int:
     if run.ok:
         _mn_pipeline(run, r.induced_monad, r.induced_comonad, prefix="induced-")
     if run.ok:
-        out.write(
-            "induced-monad-fixed: "
-            + " ".join(sorted(monad_fixed_objects(r.induced_monad)))
-            + "\n"
-        )
-        out.write(
-            "induced-comonad-fixed: "
-            + " ".join(sorted(comonad_fixed_objects(r.induced_comonad)))
-            + "\n"
-        )
+        for kind, fixed in (
+            ("monad", monad_fixed_objects(r.induced_monad)),
+            ("comonad", comonad_fixed_objects(r.induced_comonad)),
+        ):
+            out.write(f"induced-{kind}-fixed: " + " ".join(sorted(fixed)) + "\n")
     return run.finish()
 
 
@@ -279,7 +252,7 @@ def cmd_mn_check(args, out) -> int:
 
 
 def cmd_transport(args, out) -> int:
-    return _transport_pipeline(out, _load_first_spec(args.path), args.mode)
+    return _transport_pipeline(out, _load_first_spec(args.path))
 
 
 def cmd_export_dot(args, out) -> int:
@@ -322,7 +295,7 @@ def cmd_demo(args, out) -> int:
     out.write("\n")
     codes.append(_spec_pipeline(out, canonical_c2()))
     out.write("\n")
-    codes.append(_transport_pipeline(out, canonical_c2(), "relabel-opposite"))
+    codes.append(_transport_pipeline(out, canonical_c2()))
     out.write("\n")
     codes.append(_transport_pipeline(out, terminal_spec(), "powerset-duality-demo"))
     out.write("\n")
@@ -366,12 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="carry the spec's monads across a contravariant equivalence",
     )
     p.add_argument("path", help="spec file")
-    p.add_argument(
-        "--mode",
-        choices=("relabel-opposite", "powerset-duality-demo"),
-        default="relabel-opposite",
-        help="which contravariant equivalence to use",
-    )
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("export-dot", help="write a Graphviz DOT rendering")

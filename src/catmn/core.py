@@ -13,7 +13,8 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .config import morphism_limit
 from .errors import (
@@ -85,14 +86,11 @@ class Category:
     # ---- lookups ----
 
     def require_object(self, x: str) -> None:
-        if x not in self._objset():
+        # objects is a small sorted tuple; a linear scan is fine at this scale
+        if x not in self.objects:
             raise UnknownObjectError(
                 f"category {self.name!r} has no object {x!r}"
             )
-
-    def _objset(self):
-        # objects is a small sorted tuple; a linear scan is fine at this scale
-        return self.objects
 
     def mor(self, name: str) -> Mor:
         try:
@@ -358,6 +356,33 @@ def opposite(c: Category) -> Category:
         compose = {(g, f): h for (f, g), h in c.compose.items()}
         op = c._op = Category(f"op({c.name})", c.objects, mors, c.identity, compose)
     return op
+
+
+class View(NamedTuple):
+    """How a sweep reads a category: hom-sets, composition (``after(g, f)``
+    is g after f, or None) and the endpoints ``(src, dst)`` of a :class:`Mor`."""
+
+    hom: Callable[[str, str], tuple[str, ...]]
+    after: Callable[[str, str], str | None]
+    ends: Callable[[Mor], tuple[str, str]]
+
+
+def oriented(c: Category, flip: bool = False) -> View:
+    """``c`` as it is, or with ``flip`` read as its opposite.
+
+    The flipped view reads ``c``'s own tables: ``hom(a, b)`` is
+    ``c.hom(b, a)``, ``after(g, f)`` is ``c.compose[(f, g)]`` and each
+    morphism's endpoints are swapped.  No opposite category is built, and a
+    lookup costs one call either way.
+    """
+    if not flip:
+        return View(c.hom, c.comp_or_none, attrgetter("src", "dst"))
+    homs, table = c._hom.get, c.compose.get
+    return View(
+        lambda a, b: homs((b, a), ()),
+        lambda g, f: table((f, g)),
+        attrgetter("dst", "src"),
+    )
 
 
 def full_subcategory(c: Category, objs: Iterable[str]):

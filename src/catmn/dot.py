@@ -78,14 +78,14 @@ def render_spec_dot(s: FiberedSpec) -> str:
     a builder needs; the graph is still worth looking at then.
     """
     t = build_total_category(s)
-    rings: set[str] = set()
-    fills: set[str] = set()
-    try:
-        rings = monad_fixed_objects(build_final_monad(t))
-    except EngineError:
-        pass
-    try:
-        fills = comonad_fixed_objects(build_initial_comonad(t))
-    except EngineError:
-        pass
+    styles: list[set[str]] = []
+    for build, fixed in (
+        (build_final_monad, monad_fixed_objects),
+        (build_initial_comonad, comonad_fixed_objects),
+    ):
+        try:
+            styles.append(fixed(build(t)))
+        except EngineError:
+            styles.append(set())
+    rings, fills = styles
     return render_dot(t.total, double_ring=rings, filled=fills)

@@ -13,13 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core import Category, inverse_of
-from .errors import InvalidArtifactError, MismatchError
+from .core import Category, inverse_of, oriented
+from .errors import (
+    InvalidArtifactError,
+    MismatchError,
+    UnknownMorphismError,
+    UnknownObjectError,
+)
 from .functors import (
     Functor,
     NaturalTransformation,
     compose_functors,
     identity_functor,
+    iso_violations,
     validate_nat,
     whisker_left,
 )
@@ -30,6 +36,7 @@ from .monads import (
     ReflectionPackage,
     fixed_subcategory_comonad,
     fixed_subcategory_monad,
+    _whiskered_iso_violations,
 )
 from .report import ValidationReport, Violation
 
@@ -66,25 +73,11 @@ def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     """
     N, M = p.monad.functor, p.comonad.functor
     eta, psi = p.monad.unit, p.comonad.counit
-    cat = p.category
-    violations: list[Violation] = []
-    for label, whiskered in (
+    labelled = (
         ("monad-of-counit", whisker_left(N, psi)),  # N(psi_x): NMx -> Nx
         ("comonad-of-unit", whisker_left(M, eta)),  # M(eta_x): Mx -> MNx
-    ):
-        sub = validate_nat(whiskered)
-        violations.extend(sub.violations)
-        for x in cat.objects:
-            m = whiskered.components.get(x)
-            if m is not None and inverse_of(cat, m) is None:
-                violations.append(
-                    Violation(
-                        "mn-hypothesis",
-                        (label, x),
-                        f"whiskered component {m!r} is not invertible",
-                    )
-                )
-    return ValidationReport(violations)
+    )
+    return ValidationReport(_whiskered_iso_violations("mn-hypothesis", p.category, labelled))
 
 
 @dataclass
@@ -155,57 +148,26 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
     natural isomorphisms and both triangle identities hold."""
     violations: list[Violation] = []
     for label, nat in (("unit", e.unit), ("counit", e.counit)):
-        sub = validate_nat(nat)
-        violations.extend(sub.violations)
-        if sub.ok:
-            cod = nat.source_functor.target
-            for x in nat.source_functor.source.objects:
-                if inverse_of(cod, nat.components[x]) is None:
-                    violations.append(
-                        Violation(
-                            "equivalence-not-iso",
-                            (label, x),
-                            f"component {nat.components[x]!r} is not invertible",
-                        )
-                    )
+        violations.extend(iso_violations(nat, "equivalence-not-iso", label))
 
-    F, G = e.forward, e.backward
-    nsub = F.target
-    msub = G.target
-    # counit_{Fx} after F(unit_x) = id_{Fx}
-    for x in F.source.objects:
-        try:
-            lhs = nsub.comp_or_none(
-                e.counit.components[F.on_obj(x)], F.on_mor(e.unit.components[x])
-            )
-        except Exception:
-            lhs = None
-        want = nsub.identity.get(F.on_obj(x))
-        if lhs != want:
-            violations.append(
-                Violation(
-                    "triangle-forward",
-                    (x,),
-                    f"counit . forward(unit) is {lhs!r}, expected identity {want!r}",
+    # counit_{Fx} after F(unit_x) = id_{Fx}, and G(counit_y) after unit_{Gy}
+    # = id_{Gy}: the same equation read on the flipped view of the target
+    for rule, H, outer, inner, flip, text in (
+        ("triangle-forward", e.forward, e.counit, e.unit, False, "counit . forward(unit)"),
+        ("triangle-backward", e.backward, e.unit, e.counit, True, "backward(counit) . unit"),
+    ):
+        cod = H.target
+        after = oriented(cod, flip).after
+        for x in H.source.objects:
+            try:
+                got = after(outer.components[H.on_obj(x)], H.on_mor(inner.components[x]))
+            except (KeyError, UnknownObjectError, UnknownMorphismError):
+                got = None
+            want = cod.identity.get(H.on_obj(x))
+            if got != want:
+                violations.append(
+                    Violation(rule, (x,), f"{text} is {got!r}, expected identity {want!r}")
                 )
-            )
-    # G(counit_y) after unit_{Gy} = id_{Gy}
-    for y in G.source.objects:
-        try:
-            rhs = msub.comp_or_none(
-                G.on_mor(e.counit.components[y]), e.unit.components[G.on_obj(y)]
-            )
-        except Exception:
-            rhs = None
-        want = msub.identity.get(G.on_obj(y))
-        if rhs != want:
-            violations.append(
-                Violation(
-                    "triangle-backward",
-                    (y,),
-                    f"backward(counit) . unit is {rhs!r}, expected identity {want!r}",
-                )
-            )
     return ValidationReport(violations)
 
 
@@ -299,39 +261,28 @@ def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
     eta, psi = p.monad.unit, p.comonad.counit
     violations: list[Violation] = []
 
-    def try_family(lhs: Functor, rhs: Functor, components: dict[str, str], tag: str):
+    # reflector => forward . coreflector with canonical component the inverse
+    # of N(psi_x); coreflector => backward . reflector with M(eta_x) itself
+    R, Q = p.reflection.reflector, p.coreflection.coreflector
+    for tag, lhs, rhs, whiskered, invert in (
+        ("factorization-reflector", R, (e.forward, Q), (N, psi), True),
+        ("factorization-coreflector", Q, (e.backward, R), (M, eta), False),
+    ):
+        rhs = compose_functors(*rhs)
+        whiskered = whisker_left(*whiskered)
+        components = {x: whiskered.components[x] for x in cat.objects}
+        if invert:  # a component without an inverse stays, and the candidate fails
+            for x, m in components.items():
+                inv = inverse_of(cat, m)
+                components[x] = m if inv is None else inv
         candidate = NaturalTransformation(lhs, rhs, components, name=tag)
-        rep = validate_nat(candidate)
-        cod = lhs.target
-        if rep.ok and all(
-            inverse_of(cod, components[x]) is not None for x in lhs.source.objects
+        if validate_nat(candidate).ok and all(
+            inverse_of(lhs.target, components[x]) is not None for x in lhs.source.objects
         ):
-            return
+            continue
         found, errs = _find_natural_iso(lhs, rhs)
         if found is None:
             for v in errs:
-                violations.append(
-                    Violation(f"{tag}-{v.rule}", v.subject, v.detail)
-                )
-
-    # reflector => forward . coreflector, canonical component: inverse of N(psi_x)
-    lhs1 = p.reflection.reflector
-    rhs1 = compose_functors(e.forward, p.coreflection.coreflector)
-    npsi = whisker_left(N, psi)
-    comp1 = {}
-    for x in cat.objects:
-        inv = inverse_of(cat, npsi.components[x])
-        if inv is None:
-            comp1[x] = npsi.components[x]  # not invertible; candidate will fail
-        else:
-            comp1[x] = inv
-    try_family(lhs1, rhs1, comp1, "factorization-reflector")
-
-    # coreflector => backward . reflector, canonical component: M(eta_x)
-    lhs2 = p.coreflection.coreflector
-    rhs2 = compose_functors(e.backward, p.reflection.reflector)
-    meta = whisker_left(M, eta)
-    comp2 = {x: meta.components[x] for x in cat.objects}
-    try_family(lhs2, rhs2, comp2, "factorization-coreflector")
+                violations.append(Violation(f"{tag}-{v.rule}", v.subject, v.detail))
 
     return ValidationReport(violations)

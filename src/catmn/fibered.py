@@ -9,8 +9,9 @@ thin category of its poset.
 
 Collapsing every fiber onto its top gives an idempotent monad whose unit is
 the in-fiber morphism up to the top; collapsing onto bottoms gives the dual
-comonad.  Both functors are defined on morphisms by a unique-lift search,
-and :func:`check_extension_property` is the diagnostic that explains any
+comonad, built by the same code reading the total category flipped.  Both
+functors are defined on morphisms by a unique-lift search, and
+:func:`check_extension_property` is the diagnostic that explains any
 failure of those searches.  :func:`random_spec` produces seeded random
 instances inside configurable size limits.
 """
@@ -27,9 +28,9 @@ from .errors import (
     LiftError,
     SizeLimitError,
 )
-from .core import Category, Mor, validate_category
+from .core import Category, Mor, oriented, validate_category
 from .functors import Functor, NaturalTransformation, identity_functor
-from .monads import ComonadDatum, MonadDatum
+from .monads import COMONAD, MONAD, ComonadDatum, MonadDatum, Side
 from .report import ValidationReport, Violation, remembered, report_field
 
 
@@ -90,7 +91,8 @@ def poset_from_pairs(elements, pairs, bottom, top) -> FiberPoset:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-    leq = frozenset((a, b) for a in elems for b in reach[a] if b in set(elems))
+    elemset = set(elems)
+    leq = frozenset((a, b) for a in elems for b in reach[a] if b in elemset)
     return FiberPoset(elems, leq, bottom, top)
 
 
@@ -157,26 +159,17 @@ def _validate_fiber(label: str, p: FiberPoset) -> list[Violation]:
                     f"{a!r} and {b!r} are below each other",
                 )
             )
-    if p.bottom in elems:
-        for x in sorted(elems):
-            if (p.bottom, x) not in p.leq:
-                violations.append(
-                    Violation(
-                        "fiber-bottom",
-                        (label, x),
-                        f"designated bottom {p.bottom!r} is not below {x!r}",
+    for who, val, where in (("bottom", p.bottom, "below"), ("top", p.top, "above")):
+        if val in elems:
+            for x in sorted(elems):
+                if ((val, x) if who == "bottom" else (x, val)) not in p.leq:
+                    violations.append(
+                        Violation(
+                            f"fiber-{who}",
+                            (label, x),
+                            f"designated {who} {val!r} is not {where} {x!r}",
+                        )
                     )
-                )
-    if p.top in elems:
-        for x in sorted(elems):
-            if (x, p.top) not in p.leq:
-                violations.append(
-                    Violation(
-                        "fiber-top",
-                        (label, x),
-                        f"designated top {p.top!r} is not above {x!r}",
-                    )
-                )
     return violations
 
 
@@ -391,29 +384,113 @@ def fiber_objects(t: TotalCategory, b: str) -> list[str]:
     return sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
 
 
-def _in_fiber_hom(t: TotalCategory, x: str, y: str, idb: str) -> list[str]:
-    return [u for u in t.total.hom(x, y) if t.projection.mor_map.get(u) == idb]
+def _in_fiber_hom(t: TotalCategory, hom, x: str, y: str, idb: str) -> list[str]:
+    return [u for u in hom(x, y) if t.projection.mor_map.get(u) == idb]
+
+
+def _fiber_extremum(t: TotalCategory, b: str, hom):
+    idb = t.projection.target.identity.get(b)
+    objs = fiber_objects(t, b)
+    for cand in objs:
+        if all(len(_in_fiber_hom(t, hom, y, cand, idb)) == 1 for y in objs):
+            return cand
+    return None
 
 
 def fiber_final(t: TotalCategory, b: str):
     """The object of the fiber over b that every fiber object reaches by
     exactly one in-fiber morphism, or None.  Ties broken lexicographically
     (impossible for genuine posets)."""
-    idb = t.projection.target.identity.get(b)
-    objs = fiber_objects(t, b)
-    for cand in objs:
-        if all(len(_in_fiber_hom(t, y, cand, idb)) == 1 for y in objs):
-            return cand
-    return None
+    return _fiber_extremum(t, b, t.total.hom)
 
 
 def fiber_initial(t: TotalCategory, b: str):
-    idb = t.projection.target.identity.get(b)
-    objs = fiber_objects(t, b)
-    for cand in objs:
-        if all(len(_in_fiber_hom(t, cand, y, idb)) == 1 for y in objs):
-            return cand
-    return None
+    """:func:`fiber_final` on the flipped view of the total category: the
+    object reaching every fiber object by exactly one in-fiber morphism."""
+    return _fiber_extremum(t, b, oriented(t.total, flip=True).hom)
+
+
+def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None):
+    """Collapse every fiber onto its ``side.final`` object, reading the total
+    category flipped for the comonad.
+
+    Returns the object map, the unit (the unique in-fiber arrow to the final
+    object) and the morphism map (the unique lift making the naturality
+    square commute).  Without ``found`` the first failure raises; with it,
+    each failure is appended as a violation and whatever depends on it is
+    skipped.
+    """
+    cat = t.total
+    base = t.projection.target
+    hom, after, ends = oriented(cat, side.flip)
+    over = {x: b for x, (b, _) in t.object_decoding.items()}
+
+    def fail(error: Exception, rule: str, where: str, detail: str) -> None:
+        if found is None:
+            raise error
+        found.append(Violation(f"extension-{rule}", (where,), detail))
+
+    finals: dict[str, str] = {}
+    for b in base.objects:
+        cand = _fiber_extremum(t, b, hom)
+        if cand is None:
+            fail(
+                ExtremumError(b, side.final),
+                f"no-{side.final}",
+                b,
+                f"fiber has no {side.final} object",
+            )
+        else:
+            finals[b] = cand
+    obj_map = {x: finals[over[x]] for x in cat.objects if over[x] in finals}
+
+    eta: dict[str, str] = {}
+    for x, top in obj_map.items():
+        arrows = _in_fiber_hom(t, hom, x, top, base.identity.get(over[x]))
+        if len(arrows) == 1:
+            eta[x] = arrows[0]
+        else:
+            fail(
+                LiftError(f"{side.unit} at {x}", len(arrows)),
+                f"{side.unit}-count",
+                x,
+                f"{len(arrows)} in-fiber arrows {side.to} the {side.final} object",
+            )
+
+    mor_map: dict[str, str] = {}
+    for u, m in cat.morphisms.items():  # stored in name order
+        src, dst = ends(m)
+        if src not in eta or dst not in eta:
+            continue
+        target_side = after(eta[dst], u)
+        lifts = [
+            v
+            for v in hom(obj_map[src], obj_map[dst])
+            if after(v, eta[src]) == target_side
+        ]
+        if len(lifts) == 1:
+            mor_map[u] = lifts[0]
+        else:
+            fail(
+                LiftError(u, len(lifts)),
+                f"{side.final}-lift",
+                u,
+                f"{len(lifts)} lifts between the fiber {side.top}s",
+            )
+    return obj_map, eta, mor_map
+
+
+def _build(t: TotalCategory, side: Side):
+    obj_map, eta, mor_map = _collapse(t, side)
+    cat = t.total
+    name = f"fiber-{side.top}-{side.monad}"
+    functor = Functor(cat, cat, obj_map, mor_map, name=name)
+    unit = NaturalTransformation(
+        *side.orient(identity_functor(cat), functor),
+        eta,
+        name=f"{side.unit}-{side.to}-{side.top}",
+    )
+    return side.datum(functor, unit, name=name)
 
 
 def build_final_monad(t: TotalCategory) -> MonadDatum:
@@ -426,179 +503,25 @@ def build_final_monad(t: TotalCategory) -> MonadDatum:
     :class:`LiftError` when a lift is missing or ambiguous
     (:func:`check_extension_property` pinpoints why).
     """
-    cat = t.total
-    base = t.projection.target
-    finals: dict[str, str] = {}
-    for b in base.objects:
-        cand = fiber_final(t, b)
-        if cand is None:
-            raise ExtremumError(b, "final")
-        finals[b] = cand
-
-    eta: dict[str, str] = {}
-    for x in cat.objects:
-        b = t.object_decoding[x][0]
-        idb = base.identity[b]
-        arrows = _in_fiber_hom(t, x, finals[b], idb)
-        if len(arrows) != 1:
-            raise LiftError(f"unit at {x}", len(arrows))
-        eta[x] = arrows[0]
-
-    obj_map = {x: finals[t.object_decoding[x][0]] for x in cat.objects}
-    mor_map: dict[str, str] = {}
-    for u in sorted(cat.morphisms):
-        mu = cat.morphisms[u]
-        target_side = cat.comp_or_none(eta[mu.dst], u)
-        lifts = [
-            v
-            for v in cat.hom(obj_map[mu.src], obj_map[mu.dst])
-            if cat.comp_or_none(v, eta[mu.src]) == target_side
-        ]
-        if len(lifts) != 1:
-            raise LiftError(u, len(lifts))
-        mor_map[u] = lifts[0]
-
-    functor = Functor(cat, cat, obj_map, mor_map, name="fiber-top-monad")
-    unit = NaturalTransformation(
-        identity_functor(cat), functor, eta, name="unit-to-top"
-    )
-    return MonadDatum(functor, unit, name="fiber-top-monad")
+    return _build(t, MONAD)
 
 
 def build_initial_comonad(t: TotalCategory) -> ComonadDatum:
-    """Dual of :func:`build_final_monad`: collapse fibers onto their initial
-    objects, counit the unique in-fiber morphism from the initial object."""
-    cat = t.total
-    base = t.projection.target
-    initials: dict[str, str] = {}
-    for b in base.objects:
-        cand = fiber_initial(t, b)
-        if cand is None:
-            raise ExtremumError(b, "initial")
-        initials[b] = cand
-
-    psi: dict[str, str] = {}
-    for x in cat.objects:
-        b = t.object_decoding[x][0]
-        idb = base.identity[b]
-        arrows = _in_fiber_hom(t, initials[b], x, idb)
-        if len(arrows) != 1:
-            raise LiftError(f"counit at {x}", len(arrows))
-        psi[x] = arrows[0]
-
-    obj_map = {x: initials[t.object_decoding[x][0]] for x in cat.objects}
-    mor_map: dict[str, str] = {}
-    for u in sorted(cat.morphisms):
-        mu = cat.morphisms[u]
-        source_side = cat.comp_or_none(u, psi[mu.src])
-        lifts = [
-            v
-            for v in cat.hom(obj_map[mu.src], obj_map[mu.dst])
-            if cat.comp_or_none(psi[mu.dst], v) == source_side
-        ]
-        if len(lifts) != 1:
-            raise LiftError(u, len(lifts))
-        mor_map[u] = lifts[0]
-
-    functor = Functor(cat, cat, obj_map, mor_map, name="fiber-bottom-comonad")
-    counit = NaturalTransformation(
-        functor, identity_functor(cat), psi, name="counit-from-bottom"
-    )
-    return ComonadDatum(functor, counit, name="fiber-bottom-comonad")
+    """:func:`build_final_monad` on the flipped view of the total category:
+    collapse fibers onto their initial objects, counit the unique in-fiber
+    morphism from the initial object."""
+    return _build(t, COMONAD)
 
 
 def check_extension_property(t: TotalCategory) -> ValidationReport:
-    """Diagnostic behind the two builders: reports every fiber lacking an
+    """Diagnostic behind the two builders: their walk on both sides, with
+    every failure recorded instead of raised.  Reports every fiber lacking an
     extremal object, every object without a unique in-fiber arrow to/from
     it, and every morphism whose lift is missing or ambiguous."""
-    cat = t.total
-    base = t.projection.target
-    violations: list[Violation] = []
-
-    finals: dict[str, str] = {}
-    initials: dict[str, str] = {}
-    for b in base.objects:
-        cand = fiber_final(t, b)
-        if cand is None:
-            violations.append(
-                Violation("extension-no-final", (b,), "fiber has no final object")
-            )
-        else:
-            finals[b] = cand
-        cand = fiber_initial(t, b)
-        if cand is None:
-            violations.append(
-                Violation("extension-no-initial", (b,), "fiber has no initial object")
-            )
-        else:
-            initials[b] = cand
-
-    eta: dict[str, str] = {}
-    psi: dict[str, str] = {}
-    for x in cat.objects:
-        b = t.object_decoding[x][0]
-        idb = base.identity.get(b)
-        if b in finals:
-            arrows = _in_fiber_hom(t, x, finals[b], idb)
-            if len(arrows) != 1:
-                violations.append(
-                    Violation(
-                        "extension-unit-count",
-                        (x,),
-                        f"{len(arrows)} in-fiber arrows to the final object",
-                    )
-                )
-            else:
-                eta[x] = arrows[0]
-        if b in initials:
-            arrows = _in_fiber_hom(t, initials[b], x, idb)
-            if len(arrows) != 1:
-                violations.append(
-                    Violation(
-                        "extension-counit-count",
-                        (x,),
-                        f"{len(arrows)} in-fiber arrows from the initial object",
-                    )
-                )
-            else:
-                psi[x] = arrows[0]
-
-    for u in sorted(cat.morphisms):
-        mu = cat.morphisms[u]
-        bs = t.object_decoding[mu.src][0]
-        bd = t.object_decoding[mu.dst][0]
-        if mu.src in eta and mu.dst in eta and bs in finals and bd in finals:
-            want = cat.comp_or_none(eta[mu.dst], u)
-            lifts = [
-                v
-                for v in cat.hom(finals[bs], finals[bd])
-                if cat.comp_or_none(v, eta[mu.src]) == want
-            ]
-            if len(lifts) != 1:
-                violations.append(
-                    Violation(
-                        "extension-final-lift",
-                        (u,),
-                        f"{len(lifts)} lifts between the fiber tops",
-                    )
-                )
-        if mu.src in psi and mu.dst in psi and bs in initials and bd in initials:
-            want = cat.comp_or_none(u, psi[mu.src])
-            lifts = [
-                v
-                for v in cat.hom(initials[bs], initials[bd])
-                if cat.comp_or_none(psi[mu.dst], v) == want
-            ]
-            if len(lifts) != 1:
-                violations.append(
-                    Violation(
-                        "extension-initial-lift",
-                        (u,),
-                        f"{len(lifts)} lifts between the fiber bottoms",
-                    )
-                )
-
-    return ValidationReport(violations)
+    found: list[Violation] = []
+    for side in (MONAD, COMONAD):
+        _collapse(t, side, found)
+    return ValidationReport(found)
 
 
 # ---------------------------------------------------------------------------

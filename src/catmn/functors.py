@@ -296,6 +296,21 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
     return ValidationReport(violations)
 
 
+def iso_violations(alpha: NaturalTransformation, rule: str, label: str) -> list[Violation]:
+    """Why ``alpha`` is not a natural isomorphism: its own violations, or
+    when it is valid one under ``rule`` for each component without an
+    inverse, with subject ``(label, object)``."""
+    report = validate_nat(alpha)
+    if not report.ok:
+        return list(report.violations)
+    cod = alpha.source_functor.target
+    return [
+        Violation(rule, (label, x), f"component {alpha.components[x]!r} is not invertible")
+        for x in alpha.source_functor.source.objects
+        if inverse_of(cod, alpha.components[x]) is None
+    ]
+
+
 def is_natural_iso(alpha: NaturalTransformation) -> bool:
     """True iff ``alpha`` is valid and every component has a two-sided
     inverse; raises on an invalid transformation."""

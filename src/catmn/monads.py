@@ -6,14 +6,20 @@ natural isomorphisms, and it is checked, never assumed.  The fixed
 subcategory (objects whose unit component is invertible) is full, and the
 restriction of ``N`` is a reflector onto it; :func:`verify_reflection`
 re-proves the universal property object by object, including agreement with
-the closed-form mediating morphism.  Comonads are handled dually.
+the closed-form mediating morphism.
+
+An idempotent comonad on C is an idempotent monad on the opposite of C, so
+each check, builder and sweep is written once, for the monad.  The comonad
+side runs the same code on the flipped view of C (:func:`core.oriented`),
+which reads C's own tables backwards; its rule tags and messages come from
+the :class:`Side` record, never from rewriting strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Category, full_subcategory, inverse_of
+from .core import Category, full_subcategory, inverse_of, oriented
 from .errors import InvalidArtifactError
 from .functors import (
     Functor,
@@ -66,116 +72,6 @@ def identity_comonad(c: Category) -> ComonadDatum:
     return ComonadDatum(one, identity_nat(one), name="identity-comonad")
 
 
-def _check_shape_monad(d: MonadDatum) -> ValidationReport:
-    violations: list[Violation] = []
-    N = d.functor
-    if N.source != N.target:
-        violations.append(
-            Violation("monad-endofunctor", (N.name or "<functor>",), "functor is not an endofunctor")
-        )
-        return ValidationReport(violations)
-    report = ValidationReport(violations).merged(validate_functor(N))
-    unit = d.unit
-    if unit.source_functor != identity_functor(N.source) or unit.target_functor != N:
-        report = report.merged(
-            ValidationReport(
-                [
-                    Violation(
-                        "monad-unit-shape",
-                        (unit.name or "<unit>",),
-                        "unit must go from the identity functor to the monad functor",
-                    )
-                ]
-            )
-        )
-        return report
-    return report.merged(validate_nat(unit))
-
-
-@remembered
-def check_idempotent_monad(d: MonadDatum) -> ValidationReport:
-    """Empty iff the datum is a well-formed idempotent monad: valid
-    endofunctor, valid unit, and both whiskerings of the unit against the
-    functor are natural isomorphisms.  Computed once per datum."""
-    report = _check_shape_monad(d)
-    if not report.ok:
-        return report
-    N, unit = d.functor, d.unit
-    cat = N.source
-    violations: list[Violation] = []
-    for label, whiskered in (
-        ("unit-after-functor", whisker_right(unit, N)),  # component: eta_{N x}
-        ("functor-of-unit", whisker_left(N, unit)),  # component: N(eta_x)
-    ):
-        sub = validate_nat(whiskered)
-        violations.extend(sub.violations)
-        for x in cat.objects:
-            m = whiskered.components.get(x)
-            if m is not None and inverse_of(cat, m) is None:
-                violations.append(
-                    Violation(
-                        "monad-idempotence",
-                        (label, x),
-                        f"whiskered component {m!r} is not invertible",
-                    )
-                )
-    return ValidationReport(violations)
-
-
-def _check_shape_comonad(d: ComonadDatum) -> ValidationReport:
-    violations: list[Violation] = []
-    M = d.functor
-    if M.source != M.target:
-        violations.append(
-            Violation("comonad-endofunctor", (M.name or "<functor>",), "functor is not an endofunctor")
-        )
-        return ValidationReport(violations)
-    report = ValidationReport(violations).merged(validate_functor(M))
-    counit = d.counit
-    if counit.source_functor != M or counit.target_functor != identity_functor(M.source):
-        report = report.merged(
-            ValidationReport(
-                [
-                    Violation(
-                        "comonad-counit-shape",
-                        (counit.name or "<counit>",),
-                        "counit must go from the comonad functor to the identity functor",
-                    )
-                ]
-            )
-        )
-        return report
-    return report.merged(validate_nat(counit))
-
-
-@remembered
-def check_idempotent_comonad(d: ComonadDatum) -> ValidationReport:
-    """Dual of :func:`check_idempotent_monad`.  Computed once per datum."""
-    report = _check_shape_comonad(d)
-    if not report.ok:
-        return report
-    M, counit = d.functor, d.counit
-    cat = M.source
-    violations: list[Violation] = []
-    for label, whiskered in (
-        ("counit-after-functor", whisker_right(counit, M)),  # component: psi_{M x}
-        ("functor-of-counit", whisker_left(M, counit)),  # component: M(psi_x)
-    ):
-        sub = validate_nat(whiskered)
-        violations.extend(sub.violations)
-        for x in cat.objects:
-            m = whiskered.components.get(x)
-            if m is not None and inverse_of(cat, m) is None:
-                violations.append(
-                    Violation(
-                        "comonad-idempotence",
-                        (label, x),
-                        f"whiskered component {m!r} is not invertible",
-                    )
-                )
-    return ValidationReport(violations)
-
-
 @dataclass(frozen=True)
 class ReflectionPackage:
     """A reflective subcategory presentation derived from an idempotent monad.
@@ -195,8 +91,8 @@ class ReflectionPackage:
 
 @dataclass(frozen=True)
 class CoreflectionPackage:
-    """Dual of :class:`ReflectionPackage`, derived from an idempotent
-    comonad."""
+    """A :class:`ReflectionPackage` read on the opposite category: the
+    coreflective subcategory of an idempotent comonad."""
 
     ambient: Category
     subcategory: Category
@@ -206,18 +102,119 @@ class CoreflectionPackage:
     counit_inverses: dict[str, str]
 
 
-def fixed_subcategory_monad(d: MonadDatum) -> ReflectionPackage:
-    """Build the full subcategory of unit-fixed objects with its reflector.
+@dataclass(frozen=True)
+class Side:
+    """One side of the monad/comonad duality: whether its code reads the
+    category flipped, the words its rules and messages use, and the types
+    it builds."""
 
-    Raises if the datum fails :func:`check_idempotent_monad` or if the monad
-    functor does not land in its own fixed subcategory (which idempotence
-    guarantees).
-    """
-    report = check_idempotent_monad(d)
+    flip: bool
+    monad: str  # monad / comonad
+    unit: str  # unit / counit
+    reflect: str  # reflect / coreflect
+    mediator: str  # from / into: how a mediator meets the reflected object
+    final: str  # final / initial: the fiber object the unit reaches
+    top: str  # top / bottom: that object named in the fiber poset
+    to: str  # to / from: how the unit meets that object
+    datum: type
+    package: type
+
+    def orient(self, a, b):
+        """``(a, b)``, or ``(b, a)`` on the flipped side."""
+        return (b, a) if self.flip else (a, b)
+
+
+MONAD = Side(
+    flip=False,
+    monad="monad",
+    unit="unit",
+    reflect="reflect",
+    mediator="from",
+    final="final",
+    top="top",
+    to="to",
+    datum=MonadDatum,
+    package=ReflectionPackage,
+)
+COMONAD = Side(
+    flip=True,
+    monad="comonad",
+    unit="counit",
+    reflect="coreflect",
+    mediator="into",
+    final="initial",
+    top="bottom",
+    to="from",
+    datum=ComonadDatum,
+    package=CoreflectionPackage,
+)
+
+
+def _whiskered_iso_violations(rule: str, cat: Category, labelled) -> list[Violation]:
+    """Why the ``(label, transformation)`` pairs, whiskered transformations
+    on ``cat``, are not all natural isomorphisms: their own violations, and
+    every component without an inverse under ``rule``."""
+    violations: list[Violation] = []
+    for label, whiskered in labelled:
+        violations.extend(validate_nat(whiskered).violations)
+        for x in cat.objects:
+            m = whiskered.components.get(x)
+            if m is not None and inverse_of(cat, m) is None:
+                violations.append(
+                    Violation(
+                        rule, (label, x), f"whiskered component {m!r} is not invertible"
+                    )
+                )
+    return violations
+
+
+def _check_idempotent(N: Functor, unit: NaturalTransformation, side: Side) -> ValidationReport:
+    if N.source != N.target:
+        endo = Violation(
+            f"{side.monad}-endofunctor", (N.name or "<functor>",), "functor is not an endofunctor"
+        )
+        return ValidationReport([endo])
+    report = validate_functor(N)
+    if (unit.source_functor, unit.target_functor) != side.orient(identity_functor(N.source), N):
+        ends = side.orient("the identity functor", f"the {side.monad} functor")
+        shape = Violation(
+            f"{side.monad}-{side.unit}-shape",
+            (unit.name or f"<{side.unit}>",),
+            f"{side.unit} must go from {ends[0]} to {ends[1]}",
+        )
+        return report.merged(ValidationReport([shape]))
+    report = report.merged(validate_nat(unit))
     if not report.ok:
-        raise InvalidArtifactError("not an idempotent monad", report)
+        return report
+    labelled = (
+        (f"{side.unit}-after-functor", whisker_right(unit, N)),  # component: eta_{N x}
+        (f"functor-of-{side.unit}", whisker_left(N, unit)),  # component: N(eta_x)
+    )
+    return ValidationReport(
+        _whiskered_iso_violations(f"{side.monad}-idempotence", N.source, labelled)
+    )
+
+
+@remembered
+def check_idempotent_monad(d: MonadDatum) -> ValidationReport:
+    """Empty iff the datum is a well-formed idempotent monad: valid
+    endofunctor, valid unit, and both whiskerings of the unit against the
+    functor are natural isomorphisms.  Computed once per datum."""
+    return _check_idempotent(d.functor, d.unit, MONAD)
+
+
+@remembered
+def check_idempotent_comonad(d: ComonadDatum) -> ValidationReport:
+    """:func:`check_idempotent_monad` with the counit read as a unit on the
+    opposite category.  Invertibility does not depend on the direction, so
+    the check runs on the comonad's own tables.  Computed once per datum."""
+    return _check_idempotent(d.functor, d.counit, COMONAD)
+
+
+def _fixed_subcategory(d, unit: NaturalTransformation, report: ValidationReport, side: Side):
+    if not report.ok:
+        raise InvalidArtifactError(f"not an idempotent {side.monad}", report)
     cat = d.category
-    unit = d.unit
     inverses = {}
     fixed = []
     for x in cat.objects:
@@ -230,47 +227,99 @@ def fixed_subcategory_monad(d: MonadDatum) -> ReflectionPackage:
     for x in cat.objects:
         if d.functor.on_obj(x) not in fixedset:
             raise InvalidArtifactError(
-                f"monad functor sends {x!r} outside its fixed subcategory"
+                f"{side.monad} functor sends {x!r} outside its fixed subcategory"
             )
     reflector = Functor(
         cat,
         sub,
         dict(d.functor.obj_map),
         dict(d.functor.mor_map),
-        name=f"reflect[{d.functor.name}]",
+        name=f"{side.reflect}[{d.functor.name}]",
     )
-    return ReflectionPackage(cat, sub, inclusion, reflector, unit, inverses)
+    return side.package(cat, sub, inclusion, reflector, unit, inverses)
+
+
+def fixed_subcategory_monad(d: MonadDatum) -> ReflectionPackage:
+    """Build the full subcategory of unit-fixed objects with its reflector.
+
+    Raises if the datum fails :func:`check_idempotent_monad` or if the monad
+    functor does not land in its own fixed subcategory (which idempotence
+    guarantees).
+    """
+    return _fixed_subcategory(d, d.unit, check_idempotent_monad(d), MONAD)
 
 
 def fixed_subcategory_comonad(d: ComonadDatum) -> CoreflectionPackage:
-    """Dual of :func:`fixed_subcategory_monad`."""
-    report = check_idempotent_comonad(d)
-    if not report.ok:
-        raise InvalidArtifactError("not an idempotent comonad", report)
-    cat = d.category
-    counit = d.counit
-    inverses = {}
-    fixed = []
-    for x in cat.objects:
-        inv = inverse_of(cat, counit.components[x])
-        if inv is not None:
-            fixed.append(x)
-            inverses[x] = inv
-    sub, inclusion = full_subcategory(cat, fixed)
-    fixedset = set(fixed)
-    for x in cat.objects:
-        if d.functor.on_obj(x) not in fixedset:
-            raise InvalidArtifactError(
-                f"comonad functor sends {x!r} outside its fixed subcategory"
+    """:func:`fixed_subcategory_monad` for the counit: the counit-fixed
+    objects with their coreflector."""
+    return _fixed_subcategory(d, d.counit, check_idempotent_comonad(d), COMONAD)
+
+
+def _verify(
+    cat: Category,
+    sub: Category,
+    reflector: Functor,
+    unit: NaturalTransformation,
+    unit_inverses: dict[str, str],
+    side: Side,
+) -> ValidationReport:
+    hom, after, _ = oriented(cat, side.flip)
+    tag = f"{side.reflect}ion"
+    components = unit.components
+
+    def sweep(x: str) -> list[Violation]:
+        found: list[Violation] = []
+        eta_x = components.get(x)
+        Nx = reflector.obj_map.get(x)
+        if eta_x is None or Nx is None:
+            found.append(
+                Violation(
+                    f"{tag}-data", (x,), f"{side.unit} or {side.reflect}or undefined here"
+                )
             )
-    coreflector = Functor(
-        cat,
-        sub,
-        dict(d.functor.obj_map),
-        dict(d.functor.mor_map),
-        name=f"coreflect[{d.functor.name}]",
-    )
-    return CoreflectionPackage(cat, sub, inclusion, coreflector, counit, inverses)
+            return found
+        for y in sub.objects:
+            inv_y = unit_inverses.get(y)
+            for f in hom(x, y):
+                mediators = [g for g in hom(Nx, y) if after(g, eta_x) == f]
+                if len(mediators) == 0:
+                    found.append(
+                        Violation(
+                            f"{tag}-no-mediator",
+                            (*side.orient(x, y), f),
+                            f"no morphism {side.mediator} the {side.reflect}ed object "
+                            f"factors f through the {side.unit}",
+                        )
+                    )
+                    continue
+                if len(mediators) > 1:
+                    found.append(
+                        Violation(
+                            f"{tag}-ambiguous-mediator",
+                            (*side.orient(x, y), f),
+                            f"{len(mediators)} morphisms factor f through the {side.unit}: "
+                            + ", ".join(mediators),
+                        )
+                    )
+                    continue
+                Nf = reflector.mor_map.get(f)
+                closed = (
+                    after(inv_y, Nf)
+                    if (inv_y is not None and Nf is not None)
+                    else None
+                )
+                if mediators[0] != closed:
+                    found.append(
+                        Violation(
+                            f"{tag}-closed-form",
+                            (*side.orient(x, y), f),
+                            f"unique mediator is {mediators[0]!r} but the closed form "
+                            f"gives {closed!r}",
+                        )
+                    )
+        return found
+
+    return ValidationReport([v for x in cat.objects for v in sweep(x)])
 
 
 def verify_reflection(p: ReflectionPackage) -> ValidationReport:
@@ -281,119 +330,14 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
     equal inverse(unit_y) after N(f).  Zero and multiple mediators are
     reported under distinct rules.
     """
-    cat = p.ambient
-    unit = p.unit.components
-
-    def sweep(x: str) -> list[Violation]:
-        found: list[Violation] = []
-        eta_x = unit.get(x)
-        Nx = p.reflector.obj_map.get(x)
-        if eta_x is None or Nx is None:
-            found.append(
-                Violation("reflection-data", (x,), "unit or reflector undefined here")
-            )
-            return found
-        for y in p.subcategory.objects:
-            inv_y = p.unit_inverses.get(y)
-            for f in cat.hom(x, y):
-                mediators = [
-                    g for g in cat.hom(Nx, y) if cat.comp_or_none(g, eta_x) == f
-                ]
-                if len(mediators) == 0:
-                    found.append(
-                        Violation(
-                            "reflection-no-mediator",
-                            (x, y, f),
-                            "no morphism from the reflected object factors f through the unit",
-                        )
-                    )
-                    continue
-                if len(mediators) > 1:
-                    found.append(
-                        Violation(
-                            "reflection-ambiguous-mediator",
-                            (x, y, f),
-                            f"{len(mediators)} morphisms factor f through the unit: "
-                            + ", ".join(mediators),
-                        )
-                    )
-                    continue
-                Nf = p.reflector.mor_map.get(f)
-                closed = (
-                    cat.comp_or_none(inv_y, Nf)
-                    if (inv_y is not None and Nf is not None)
-                    else None
-                )
-                if mediators[0] != closed:
-                    found.append(
-                        Violation(
-                            "reflection-closed-form",
-                            (x, y, f),
-                            f"unique mediator is {mediators[0]!r} but the closed form "
-                            f"gives {closed!r}",
-                        )
-                    )
-        return found
-
-    return ValidationReport([v for x in cat.objects for v in sweep(x)])
+    return _verify(p.ambient, p.subcategory, p.reflector, p.unit, p.unit_inverses, MONAD)
 
 
 def verify_coreflection(p: CoreflectionPackage) -> ValidationReport:
-    """Dual sweep: for x in the subcategory, y ambient, f: x -> y, exactly
-    one g: x -> My with counit_y after g = f, equal to M(f) after
-    inverse(counit_x)."""
-    cat = p.ambient
-    counit = p.counit.components
-
-    def sweep(y: str) -> list[Violation]:
-        found: list[Violation] = []
-        psi_y = counit.get(y)
-        My = p.coreflector.obj_map.get(y)
-        if psi_y is None or My is None:
-            found.append(
-                Violation("coreflection-data", (y,), "counit or coreflector undefined here")
-            )
-            return found
-        for x in p.subcategory.objects:
-            inv_x = p.counit_inverses.get(x)
-            for f in cat.hom(x, y):
-                mediators = [
-                    g for g in cat.hom(x, My) if cat.comp_or_none(psi_y, g) == f
-                ]
-                if len(mediators) == 0:
-                    found.append(
-                        Violation(
-                            "coreflection-no-mediator",
-                            (x, y, f),
-                            "no morphism into the coreflected object factors f through the counit",
-                        )
-                    )
-                    continue
-                if len(mediators) > 1:
-                    found.append(
-                        Violation(
-                            "coreflection-ambiguous-mediator",
-                            (x, y, f),
-                            f"{len(mediators)} morphisms factor f through the counit: "
-                            + ", ".join(mediators),
-                        )
-                    )
-                    continue
-                Mf = p.coreflector.mor_map.get(f)
-                closed = (
-                    cat.comp_or_none(Mf, inv_x)
-                    if (inv_x is not None and Mf is not None)
-                    else None
-                )
-                if mediators[0] != closed:
-                    found.append(
-                        Violation(
-                            "coreflection-closed-form",
-                            (x, y, f),
-                            f"unique mediator is {mediators[0]!r} but the closed form "
-                            f"gives {closed!r}",
-                        )
-                    )
-        return found
-
-    return ValidationReport([v for x in cat.objects for v in sweep(x)])
+    """:func:`verify_reflection` on the flipped view of the ambient
+    category: for x in the subcategory, y ambient, f: x -> y, exactly one
+    g: x -> My with counit_y after g = f, equal to M(f) after
+    inverse(counit_x).  Subjects read ``(x, y, f)``."""
+    return _verify(
+        p.ambient, p.subcategory, p.coreflector, p.counit, p.counit_inverses, COMONAD
+    )

@@ -70,28 +70,31 @@ class LoadedArtifact:
 # documents: the common shape behind both encodings
 
 
-def _is_identity_entry(identity: dict[str, str], by_name: dict[str, Mor], name: str) -> bool:
-    m = by_name.get(name)
-    return m is not None and m.src == m.dst and identity.get(m.src) == name
-
-
 def _complete_table(
     mors: list[Mor], identity: dict[str, str], table: dict[tuple[str, str], str]
 ) -> dict[tuple[str, str], str]:
     """Fill omitted compose entries: identity laws first, then unique-choice
     hom-sets.  Pairs that stay underdetermined are left for the validator."""
     by_name = {m.name: m for m in mors}
+    identities = {
+        name for name, m in by_name.items() if m.src == m.dst and identity.get(m.src) == name
+    }
     out = dict(table)
     hom: dict[tuple[str, str], list[str]] = {}
+    out_of: dict[str, list[Mor]] = {}
     for m in mors:
         hom.setdefault((m.src, m.dst), []).append(m.name)
+        out_of.setdefault(m.src, []).append(m)
+    # each f's partners in list order, so entries are added in the same
+    # order as a walk over all pairs would add them
     for f in mors:
-        for g in mors:
-            if g.src != f.dst or (g.name, f.name) in out:
+        f_is_identity = f.name in identities
+        for g in out_of.get(f.dst, ()):
+            if (g.name, f.name) in out:
                 continue
-            if _is_identity_entry(identity, by_name, f.name):
+            if f_is_identity:
                 out[(g.name, f.name)] = g.name
-            elif _is_identity_entry(identity, by_name, g.name):
+            elif g.name in identities:
                 out[(g.name, f.name)] = f.name
             else:
                 cands = hom.get((f.src, g.dst), ())
@@ -107,9 +110,9 @@ def _nonderivable_entries(c: Category) -> list[tuple[str, str, str]]:
     keep = []
     for (g, f), h in sorted(c.compose.items()):
         mf, mg = by_name.get(f), by_name.get(g)
-        if _is_identity_entry(c.identity, by_name, f):
+        if c.is_identity_name(f):
             derived = g
-        elif _is_identity_entry(c.identity, by_name, g):
+        elif c.is_identity_name(g):
             derived = f
         elif mf is not None and mg is not None:
             cands = c.hom(mf.src, mg.dst)
@@ -174,8 +177,7 @@ def artifact_doc(kind: str, name: str, value) -> dict:
         for f in sorted(s.actions):
             act = s.actions[f]
             if (
-                _is_identity_entry(s.base.identity, s.base.morphisms, f)
-                and f in s.base.morphisms
+                s.base.is_identity_name(f)
                 and s.base.morphisms[f].src in s.fibers
                 and act == _identity_map(s.fibers[s.base.morphisms[f].src])
             ):
@@ -413,6 +415,18 @@ def _parse_category_sections(cur: _Cursor, terminators: set[str]) -> dict:
     }
 
 
+def _block_lines(cur: _Cursor, block: str, lineno: int):
+    """The numbered lines of a FIBER or ACTION block opened at ``lineno``,
+    up to the next FIBER, ACTION or END line, which is left unread."""
+    while True:
+        item = cur.peek()
+        if item is None:
+            raise cur.error(f"unterminated {block} block", lineno)
+        if item[1].split()[0] in ("FIBER", "ACTION", "END"):
+            return
+        yield cur.next()
+
+
 def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
     fibers: dict[str, dict] = {}
     actions: dict[str, dict[str, str]] = {}
@@ -428,15 +442,8 @@ def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
             if b in fibers:
                 raise cur.error(f"duplicate FIBER block for {b!r}", lineno)
             fib = {"elements": [], "bottom": None, "top": None, "leq": []}
-            while True:
-                item = cur.peek()
-                if item is None:
-                    raise cur.error("unterminated FIBER block", lineno)
-                dlineno, dline = item
+            for dlineno, dline in _block_lines(cur, "FIBER", lineno):
                 dtok = dline.split()
-                if dtok[0] in ("FIBER", "ACTION", "END"):
-                    break
-                cur.next()
                 if dtok[0] == "ELEMENTS":
                     fib["elements"].extend(dtok[1:])
                 elif dtok[0] == "BOTTOM" and len(dtok) == 2:
@@ -458,14 +465,7 @@ def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
             if f in actions:
                 raise cur.error(f"duplicate ACTION block for {f!r}", lineno)
             mapping: dict[str, str] = {}
-            while True:
-                item = cur.peek()
-                if item is None:
-                    raise cur.error("unterminated ACTION block", lineno)
-                alineno, aline = item
-                if aline.split()[0] in ("FIBER", "ACTION", "END"):
-                    break
-                cur.next()
+            for alineno, aline in _block_lines(cur, "ACTION", lineno):
                 k, k2 = _split_arrow(aline, "->", alineno, cur)
                 mapping[k] = k2
             actions[f] = mapping

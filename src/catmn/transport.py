@@ -28,13 +28,17 @@ from .functors import (
     NaturalTransformation,
     contravariant_functor,
     identity_functor,
+    iso_violations,
     validate_contravariant,
     validate_nat,
     whisker_left,
 )
 from .monads import (
+    COMONAD,
+    MONAD,
     ComonadDatum,
     MonadDatum,
+    Side,
     check_idempotent_comonad,
     check_idempotent_monad,
 )
@@ -108,18 +112,7 @@ def validate_equivalence(e: ContravariantEquivalence) -> ValidationReport:
                 )
             )
             continue
-        sub = validate_nat(nat)
-        violations.extend(sub.violations)
-        if sub.ok:
-            for x in cat.objects:
-                if inverse_of(cat, nat.components[x]) is None:
-                    violations.append(
-                        Violation(
-                            "equivalence-comparison-iso",
-                            (label, x),
-                            f"component {nat.components[x]!r} is not invertible",
-                        )
-                    )
+        violations.extend(iso_violations(nat, "equivalence-comparison-iso", label))
     return report.merged(ValidationReport(violations))
 
 
@@ -131,61 +124,58 @@ class TransportResult:
     induced_monad: MonadDatum
 
 
+def _induce(e: ContravariantEquivalence, d, side: Side, check, component):
+    """The datum ``d`` of ``side`` carried to the dual side: the functor
+    F.(d.functor).G of the other side's type, with ``component(x)`` as its
+    (co)unit at each dual object x.  Raises when the equivalence or ``d``
+    fails its own validation."""
+    rep = validate_equivalence(e)
+    if not rep.ok:
+        raise InvalidArtifactError("invalid contravariant equivalence", rep)
+    rep = check(d)
+    if not rep.ok:
+        raise InvalidArtifactError(f"not an idempotent {side.monad}", rep)
+    if d.category != e.source:
+        raise MismatchError(f"{side.monad} does not live on the equivalence source")
+
+    D = e.dual
+    F, G = e.forward, e.backward
+    obj_map = {x: F.on_obj(d.functor.on_obj(G.on_obj(x))) for x in D.objects}
+    mor_map = {f: F.on_mor(d.functor.on_mor(G.on_mor(f))) for f in D.morphisms}
+    functor = Functor(D, D, obj_map, mor_map, name=f"induced[{d.functor.name}]")
+    induced = COMONAD if side is MONAD else MONAD
+    nat = NaturalTransformation(
+        *induced.orient(identity_functor(D), functor),
+        {x: component(x) for x in D.objects},
+        name=f"induced-{induced.unit}",
+    )
+    return induced.datum(functor, nat, name=f"induced[{d.name or d.functor.name}]")
+
+
 def induce_comonad(e: ContravariantEquivalence, m: MonadDatum) -> ComonadDatum:
     """Transport an idempotent monad on the source across the equivalence.
 
     Raises when the equivalence or the monad fails its own validation.
     """
-    rep = validate_equivalence(e)
-    if not rep.ok:
-        raise InvalidArtifactError("invalid contravariant equivalence", rep)
-    rep = check_idempotent_monad(m)
-    if not rep.ok:
-        raise InvalidArtifactError("not an idempotent monad", rep)
-    if m.category != e.source:
-        raise MismatchError("monad does not live on the equivalence source")
+    D, F, G = e.dual, e.forward, e.backward
+    eta, theta = m.unit.components, e.theta.components
 
-    D = e.dual
-    F, G = e.forward, e.backward
-    eta = m.unit.components
-    obj_map = {x: F.on_obj(m.functor.on_obj(G.on_obj(x))) for x in D.objects}
-    mor_map = {f: F.on_mor(m.functor.on_mor(G.on_mor(f))) for f in D.morphisms}
-    functor = Functor(D, D, obj_map, mor_map, name=f"induced[{m.functor.name}]")
-    theta_inv = {x: inverse_of(D, e.theta.components[x]) for x in D.objects}
-    counit = {
-        x: D.comp(theta_inv[x], F.on_mor(eta[G.on_obj(x)])) for x in D.objects
-    }
-    delta = NaturalTransformation(
-        functor, identity_functor(D), counit, name="induced-counit"
-    )
-    return ComonadDatum(functor, delta, name=f"induced[{m.name or m.functor.name}]")
+    def counit(x: str) -> str:
+        return D.comp(inverse_of(D, theta[x]), F.on_mor(eta[G.on_obj(x)]))
+
+    return _induce(e, m, MONAD, check_idempotent_monad, counit)
 
 
 def induce_monad(e: ContravariantEquivalence, c: ComonadDatum) -> MonadDatum:
-    """Dual of :func:`induce_comonad`."""
-    rep = validate_equivalence(e)
-    if not rep.ok:
-        raise InvalidArtifactError("invalid contravariant equivalence", rep)
-    rep = check_idempotent_comonad(c)
-    if not rep.ok:
-        raise InvalidArtifactError("not an idempotent comonad", rep)
-    if c.category != e.source:
-        raise MismatchError("comonad does not live on the equivalence source")
+    """:func:`induce_comonad` for a comonad, whose induced unit is
+    F(psi_{Gx}) after theta_x."""
+    D, F, G = e.dual, e.forward, e.backward
+    psi, theta = c.counit.components, e.theta.components
 
-    D = e.dual
-    F, G = e.forward, e.backward
-    psi = c.counit.components
-    obj_map = {x: F.on_obj(c.functor.on_obj(G.on_obj(x))) for x in D.objects}
-    mor_map = {f: F.on_mor(c.functor.on_mor(G.on_mor(f))) for f in D.morphisms}
-    functor = Functor(D, D, obj_map, mor_map, name=f"induced[{c.functor.name}]")
-    unit = {
-        x: D.comp(F.on_mor(psi[G.on_obj(x)]), e.theta.components[x])
-        for x in D.objects
-    }
-    epsilon = NaturalTransformation(
-        identity_functor(D), functor, unit, name="induced-unit"
-    )
-    return MonadDatum(functor, epsilon, name=f"induced[{c.name or c.functor.name}]")
+    def unit(x: str) -> str:
+        return D.comp(F.on_mor(psi[G.on_obj(x)]), theta[x])
+
+    return _induce(e, c, COMONAD, check_idempotent_comonad, unit)
 
 
 def transport_pair(
@@ -211,56 +201,58 @@ def verify_transfer(
     violations: list[Violation] = []
     notes: list[str] = []
 
-    def iso_everywhere(nat: NaturalTransformation, cat: Category) -> bool:
-        if not validate_nat(nat).ok:
-            return False
-        return all(
-            inverse_of(cat, nat.components[x]) is not None for x in cat.objects
-        )
-
-    n_psi = whisker_left(m.functor, c.counit)
-    if iso_everywhere(n_psi, C):
-        t_eps = whisker_left(r.induced_comonad.functor, r.induced_monad.unit)
+    # per side: N(psi) or M(eta) on the source, then T(epsilon) or S(delta)
+    halves = (
+        (MONAD, COMONAD, (m.functor, c.counit), (r.induced_comonad.functor, r.induced_monad.unit)),
+        (COMONAD, MONAD, (c.functor, m.unit), (r.induced_monad.functor, r.induced_comonad.counit)),
+    )
+    for side, other, source, induced in halves:
+        source = whisker_left(*source)
+        if not (
+            validate_nat(source).ok
+            and all(inverse_of(C, source.components[x]) is not None for x in C.objects)
+        ):
+            notes.append(
+                f"{side.monad}-of-{other.unit} is not a natural isomorphism on the "
+                "source; its transfer implication is vacuous"
+            )
+            continue
+        whiskered = whisker_left(*induced)
         for x in D.objects:
-            if inverse_of(D, t_eps.components[x]) is None:
+            if inverse_of(D, whiskered.components[x]) is None:
                 violations.append(
                     Violation(
-                        "transfer-comonad-of-unit",
+                        f"transfer-{other.monad}-of-{side.unit}",
                         (x,),
-                        f"component {t_eps.components[x]!r} is not invertible "
+                        f"component {whiskered.components[x]!r} is not invertible "
                         "although the source-side whiskering is",
                     )
                 )
-    else:
-        notes.append(
-            "monad-of-counit is not a natural isomorphism on the source; "
-            "its transfer implication is vacuous"
-        )
-
-    m_eta = whisker_left(c.functor, m.unit)
-    if iso_everywhere(m_eta, C):
-        s_delta = whisker_left(r.induced_monad.functor, r.induced_comonad.counit)
-        for x in D.objects:
-            if inverse_of(D, s_delta.components[x]) is None:
-                violations.append(
-                    Violation(
-                        "transfer-monad-of-counit",
-                        (x,),
-                        f"component {s_delta.components[x]!r} is not invertible "
-                        "although the source-side whiskering is",
-                    )
-                )
-    else:
-        notes.append(
-            "comonad-of-unit is not a natural isomorphism on the source; "
-            "its transfer implication is vacuous"
-        )
 
     return ValidationReport(violations, notes)
 
 
 # ---------------------------------------------------------------------------
 # ready-made equivalences
+
+
+def _strict_equivalence(
+    forward: ContravariantFunctor, backward: ContravariantFunctor, name: str
+) -> ContravariantEquivalence:
+    """The equivalence of two functors whose round trips are identities on
+    the nose: both comparisons have identity components."""
+    comparisons = []
+    for label, outer, inner in (("theta", forward, backward), ("theta-bar", backward, forward)):
+        cat = inner.presented_source
+        comparisons.append(
+            NaturalTransformation(
+                identity_functor(cat),
+                covariant_composite(outer, inner),
+                {x: cat.id_of(x) for x in cat.objects},
+                name=label,
+            )
+        )
+    return ContravariantEquivalence(forward, backward, *comparisons, name=name)
 
 
 def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> ContravariantEquivalence:
@@ -293,21 +285,7 @@ def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> Contravari
         {f + suffix: f for f in c.morphisms},
         name="unrelabel",
     )
-    theta = NaturalTransformation(
-        identity_functor(d),
-        covariant_composite(forward, backward),
-        {x: d.id_of(x) for x in d.objects},
-        name="theta",
-    )
-    theta_bar = NaturalTransformation(
-        identity_functor(c),
-        covariant_composite(backward, forward),
-        {x: c.id_of(x) for x in c.objects},
-        name="theta-bar",
-    )
-    return ContravariantEquivalence(
-        forward, backward, theta, theta_bar, name=f"relabel-op[{c.name}]"
-    )
+    return _strict_equivalence(forward, backward, f"relabel-op[{c.name}]")
 
 
 @dataclass
@@ -449,19 +427,5 @@ def powerset_duality_demo() -> PowersetDuality:
         algs_cat, sets_cat, alg_to_set, bwd_mor, name="atoms"
     )
 
-    theta = NaturalTransformation(
-        identity_functor(algs_cat),
-        covariant_composite(forward, backward),
-        {a: algs_cat.id_of(a) for a in alg_objs},
-        name="theta",
-    )
-    theta_bar = NaturalTransformation(
-        identity_functor(sets_cat),
-        covariant_composite(backward, forward),
-        {a: sets_cat.id_of(a) for a in set_objs},
-        name="theta-bar",
-    )
-    eq = ContravariantEquivalence(
-        forward, backward, theta, theta_bar, name="powerset-duality"
-    )
+    eq = _strict_equivalence(forward, backward, "powerset-duality")
     return PowersetDuality(sets_cat, algs_cat, eq)

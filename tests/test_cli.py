@@ -119,18 +119,21 @@ def test_transport_relabel_opposite(capsys, c2_file):
 
 
 def test_transport_powerset_demo_mode(capsys, tmp_path):
-    from catmn import terminal_spec
-
-    path = tmp_path / "point.cm"
-    path.write_text(render_spec(terminal_spec()))
-    code, out = run_cli(capsys, "transport", str(path), "--mode", "powerset-duality-demo")
+    # the powerset duality runs only as a section of `catmn demo`
+    code, out = run_cli(capsys, "demo")
     assert code == 0
-    assert "mode powerset-duality-demo\n" in out
-    assert "stage size-gate: ok" in out
-    assert "stage duality: ok" in out
-    assert "induced-monad-fixed: alg1 alg12" in out
-    assert "induced-comonad-fixed: alg1 alg12" in out
-    assert out.endswith("result: PASS\n")
+    section = next(s for s in out.split("\n\n") if "mode powerset-duality-demo\n" in s)
+    assert section.startswith("spec terminal\nmode powerset-duality-demo\n")
+    assert "stage size-gate: ok" in section
+    assert "stage duality: ok" in section
+    assert "induced-monad-fixed: alg1 alg12" in section
+    assert "induced-comonad-fixed: alg1 alg12" in section
+    assert section.endswith("result: PASS")
+
+    path = tmp_path / "c2.cm"
+    path.write_text(render_spec(canonical_c2()))
+    with pytest.raises(SystemExit):
+        run_cli(capsys, "transport", str(path), "--mode", "powerset-duality-demo")
 
 
 def test_validate_command(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """The equivalence between the monad-fixed and comonad-fixed subcategories:
 hypothesis checks, construction, triangle identities, factorizations."""
 
+import dataclasses
+
 import pytest
 
 from catmn import (
@@ -123,3 +125,12 @@ def test_triangle_identities_are_checked():
     assert rules_of(report) == {"triangle-forward", "triangle-backward"}
     assert {v.subject for v in report.violations} == {("b",)}
     assert "expected identity 'id_b'" in report.render()
+
+
+def test_missing_unit_component_is_reported_not_raised():
+    eq = one_object_equivalence(orbit(), ["b"], "id_b", "id_b")
+    assert verify_adjoint_equivalence(eq).ok
+    unit = NaturalTransformation(eq.unit.source_functor, eq.unit.target_functor, {})
+    report = verify_adjoint_equivalence(dataclasses.replace(eq, unit=unit))
+    assert {"component-missing", "triangle-forward", "triangle-backward"} <= rules_of(report)
+    assert ("b",) in {v.subject for v in report.violations if v.rule == "triangle-forward"}
