@@ -160,10 +160,15 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
         after = oriented(cod, flip).after
         for x in H.source.objects:
             try:
-                got = after(outer.components[H.on_obj(x)], H.on_mor(inner.components[x]))
-            except (KeyError, UnknownObjectError, UnknownMorphismError):
+                Hx = H.on_obj(x)
+            except UnknownObjectError as exc:
+                violations.append(Violation(rule, (x,), str(exc)))
+                continue
+            try:
+                got = after(outer.components[Hx], H.on_mor(inner.components[x]))
+            except (KeyError, UnknownMorphismError):
                 got = None
-            want = cod.identity.get(H.on_obj(x))
+            want = cod.identity.get(Hx)
             if got != want:
                 violations.append(
                     Violation(rule, (x,), f"{text} is {got!r}, expected identity {want!r}")

@@ -334,9 +334,11 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
             decoding[name] = (b, k)
             objects.append(name)
 
+    # every table below holds the one name string made here per morphism
     mors: list[Mor] = []
     mor_proj: dict[str, str] = {}
     mor_data: dict[str, tuple[str, str, str]] = {}
+    named: dict[tuple[str, str, str], str] = {}
     for fname, m in base.morphisms.items():
         act = s.actions[fname]
         dst_fiber = s.fibers[m.dst]
@@ -350,24 +352,29 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
                         )
                     mors.append(Mor(name, _obj_name(m.src, k), _obj_name(m.dst, k2)))
                     mor_proj[name] = fname
-                    mor_data[name] = (fname, k, k2)
-
-    identity = {}
-    for b in base.objects:
-        idb = base.identity[b]
-        for k in s.fibers[b].elements:
-            identity[_obj_name(b, k)] = _mor_name(idb, k, k)
+                    mor_data[name] = key = (fname, k, k2)
+                    named[key] = name
 
     by_src: dict[str, list[str]] = {}
     for m in mors:
         by_src.setdefault(m.src, []).append(m.name)
+    identity: dict[str, str] = {}
     compose: dict[tuple[str, str], str] = {}
-    for u in mors:
-        f, k, k1 = mor_data[u.name]
-        for vname in by_src.get(u.dst, ()):
-            g, _, k2 = mor_data[vname]
-            h = base.compose[(g, f)]
-            compose[(vname, u.name)] = _mor_name(h, k, k2)
+    try:
+        for b in base.objects:
+            idb = base.identity[b]
+            for k in s.fibers[b].elements:
+                identity[_obj_name(b, k)] = named[idb, k, k]
+        for u in mors:
+            f, k, k1 = mor_data[u.name]
+            for vname in by_src.get(u.dst, ()):
+                g, _, k2 = mor_data[vname]
+                compose[(vname, u.name)] = named[base.compose[(g, f)], k, k2]
+    except KeyError as exc:
+        raise InvalidArtifactError(
+            f"total category of {s.name!r} has no morphism for the identity "
+            f"or composite {exc.args[0]!r}"
+        ) from None
 
     total = Category(f"total({s.name})", objects, mors, identity, compose)
     projection = Functor(

@@ -1,7 +1,9 @@
 """Functors and natural transformations between finite categories.
 
-A contravariant functor is stored as a covariant functor out of the opposite
-of its presented source, so one set of law checks covers both variances.
+A contravariant functor keeps the same tables as a covariant one; its laws
+are the covariant ones read on a flipped view of its source
+(:func:`catmn.core.oriented`), so one set of law checks covers both
+variances without building the opposite category.
 Whiskering on either side is provided because the monad/comonad machinery
 needs all four composites (unit/counit against their own endofunctors).
 """
@@ -9,8 +11,9 @@ needs all four composites (unit/counit against their own endofunctors).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
-from .core import Category, inverse_of, opposite
+from .core import Category, inverse_of, oriented
 from .errors import (
     InvalidArtifactError,
     MismatchError,
@@ -59,37 +62,51 @@ def identity_functor(c: Category) -> Functor:
 
 def validate_functor(F: Functor) -> ValidationReport:
     """Check totality, typing, identity and composition preservation."""
+    return _functor_report(F.source, F.target, F.obj_map, F.mor_map)
+
+
+def _functor_report(
+    src: Category,
+    tgt: Category,
+    obj_map: dict[str, str],
+    mor_map: dict[str, str],
+    flip: bool = False,
+) -> ValidationReport:
+    """:func:`validate_functor` on tables from ``src`` to ``tgt``, with
+    ``flip`` reading ``src`` as its opposite: endpoints swapped and each
+    compose key ``(g, f)`` read as ``(f, g)``.  The subjects are the ones a
+    check on the real opposite gives."""
     violations: list[Violation] = []
-    src, tgt = F.source, F.target
     src_objects, tgt_objects = set(src.objects), set(tgt.objects)
+    ends = oriented(src, flip).ends
 
     for x in src.objects:
-        if x not in F.obj_map:
+        if x not in obj_map:
             violations.append(Violation("functor-object-missing", (x,), "no image assigned"))
-        elif F.obj_map[x] not in tgt_objects:
+        elif obj_map[x] not in tgt_objects:
             violations.append(
-                Violation("functor-object-image", (x,), f"image {F.obj_map[x]!r} is not a target object")
+                Violation("functor-object-image", (x,), f"image {obj_map[x]!r} is not a target object")
             )
-    for x in F.obj_map:
+    for x in obj_map:
         if x not in src_objects:
             violations.append(
                 Violation("functor-object-extra", (x,), "image assigned to a non-object")
             )
 
-    for f in src.morphisms:
-        if f not in F.mor_map:
+    for f, mf in src.morphisms.items():
+        if f not in mor_map:
             violations.append(Violation("functor-morphism-missing", (f,), "no image assigned"))
             continue
-        Ff = F.mor_map[f]
+        Ff = mor_map[f]
         if Ff not in tgt.morphisms:
             violations.append(
                 Violation("functor-morphism-image", (f,), f"image {Ff!r} is not a target morphism")
             )
             continue
-        mf = src.morphisms[f]
         mFf = tgt.morphisms[Ff]
-        want_src = F.obj_map.get(mf.src)
-        want_dst = F.obj_map.get(mf.dst)
+        a, b = ends(mf)
+        want_src = obj_map.get(a)
+        want_dst = obj_map.get(b)
         if want_src is not None and mFf.src != want_src:
             violations.append(
                 Violation(
@@ -106,7 +123,7 @@ def validate_functor(F: Functor) -> ValidationReport:
                     f"image target is {mFf.dst!r}, expected {want_dst!r}",
                 )
             )
-    for f in F.mor_map:
+    for f in mor_map:
         if f not in src.morphisms:
             violations.append(
                 Violation("functor-morphism-extra", (f,), "image assigned to a non-morphism")
@@ -114,23 +131,26 @@ def validate_functor(F: Functor) -> ValidationReport:
 
     for x in src.objects:
         idx = src.identity.get(x)
-        if idx is None or idx not in F.mor_map or x not in F.obj_map:
+        if idx is None or idx not in mor_map or x not in obj_map:
             continue
-        want = tgt.identity.get(F.obj_map[x])
-        if F.mor_map[idx] != want:
+        want = tgt.identity.get(obj_map[x])
+        if mor_map[idx] != want:
             violations.append(
                 Violation(
                     "functor-identity",
                     (x,),
-                    f"identity of {x!r} maps to {F.mor_map[idx]!r}, expected {want!r}",
+                    f"identity of {x!r} maps to {mor_map[idx]!r}, expected {want!r}",
                 )
             )
 
     # each table entry yields at most one violation and the report sorts its
     # violations, so the table is walked in its own order
-    image = F.mor_map.get
+    entries = src.compose.items()
+    if flip:
+        entries = (((f, g), h) for (g, f), h in entries)
+    image = mor_map.get
     tgt_comp = tgt.compose.get
-    for (g, f), h in src.compose.items():
+    for (g, f), h in entries:
         Fg, Ff, Fh = image(g), image(f), image(h)
         if Fg is None or Ff is None or Fh is None:
             continue
@@ -147,42 +167,59 @@ def validate_functor(F: Functor) -> ValidationReport:
     return ValidationReport(violations)
 
 
+def composite_tables(source: Category, *chain) -> tuple[dict[str, str], dict[str, str]]:
+    """The object and morphism tables, on ``source``, of the functors in
+    ``chain`` applied in turn (the first one first), read by plain dict
+    lookups.  A missing image raises the error that applying the functors'
+    ``on_obj``/``on_mor`` one element at a time would raise."""
+    try:
+        return (
+            _chained(source.objects, [F.obj_map for F in chain]),
+            _chained(source.morphisms, [F.mor_map for F in chain]),
+        )
+    except KeyError:
+        pass
+    # rare: redo it call by call, so the first miss names its functor
+    return (
+        {x: reduce(lambda y, F: F.on_obj(y), chain, x) for x in source.objects},
+        {f: reduce(lambda g, F: F.on_mor(g), chain, f) for f in source.morphisms},
+    )
+
+
+def _chained(keys, maps) -> dict[str, str]:
+    images = keys
+    for m in maps:
+        images = map(m.__getitem__, images)
+    return dict(zip(keys, images))
+
+
 def compose_functors(G: Functor, F: Functor) -> Functor:
     """``G`` after ``F``.  The middle categories must agree."""
     if F.target != G.source:
         raise MismatchError(
             f"cannot compose {G.name!r} after {F.name!r}: middle categories differ"
         )
-    return Functor(
-        F.source,
-        G.target,
-        {x: G.on_obj(F.on_obj(x)) for x in F.source.objects},
-        {f: G.on_mor(F.on_mor(f)) for f in F.source.morphisms},
-        name=f"{G.name}.{F.name}",
-    )
+    return Functor(F.source, G.target, *composite_tables(F.source, F, G), name=f"{G.name}.{F.name}")
 
 
 @dataclass(frozen=True)
 class ContravariantFunctor:
-    """A contravariant functor, carried covariantly out of the opposite.
+    """A contravariant functor from ``presented_source`` to ``target``.
 
-    ``functor.source`` must equal ``opposite(presented_source)``; the name
-    tables are direction-agnostic, so ``on_obj``/``on_mor`` read naturally.
+    The tables are direction-agnostic: ``mor_map`` sends a morphism
+    ``f: a -> b`` to one going from the image of ``b`` to the image of
+    ``a``.  :func:`validate_contravariant` checks that on a flipped reading
+    of ``presented_source``; no opposite category is built.
     """
 
     presented_source: Category
-    functor: Functor
+    target: Category
+    obj_map: dict[str, str]
+    mor_map: dict[str, str]
     name: str = field(default="", compare=False)
 
-    @property
-    def target(self) -> Category:
-        return self.functor.target
-
-    def on_obj(self, x: str) -> str:
-        return self.functor.on_obj(x)
-
-    def on_mor(self, f: str) -> str:
-        return self.functor.on_mor(f)
+    on_obj = Functor.on_obj
+    on_mor = Functor.on_mor
 
 
 def contravariant_functor(
@@ -192,22 +229,14 @@ def contravariant_functor(
     mor_map: dict[str, str],
     name: str = "",
 ) -> ContravariantFunctor:
-    inner = Functor(opposite(source), target, dict(obj_map), dict(mor_map), name=name)
-    return ContravariantFunctor(source, inner, name=name)
+    return ContravariantFunctor(source, target, dict(obj_map), dict(mor_map), name=name)
 
 
 def validate_contravariant(F: ContravariantFunctor) -> ValidationReport:
-    violations: list[Violation] = []
-    if F.functor.source != opposite(F.presented_source):
-        violations.append(
-            Violation(
-                "contravariant-source",
-                (F.name or "<functor>",),
-                "stored functor is not based on the opposite of the presented source",
-            )
-        )
-        return ValidationReport(violations)
-    return ValidationReport(violations).merged(validate_functor(F.functor))
+    """:func:`validate_functor` on the opposite of the presented source, read
+    off the presented source itself: the same violations, subjects and
+    details a check against ``opposite(F.presented_source)`` reports."""
+    return _functor_report(F.presented_source, F.target, F.obj_map, F.mor_map, flip=True)
 
 
 @dataclass(frozen=True)

@@ -473,8 +473,9 @@ def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
             raise cur.error(f"expected FIBER, ACTION, or END, got {line!r}", lineno)
 
 
-def _parse_blocks(cur: _Cursor) -> list[dict]:
-    docs: list[dict] = []
+def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
+    """Each block's document, with the line number of its header."""
+    docs: list[tuple[int, dict]] = []
     while True:
         item = cur.peek()
         if item is None:
@@ -490,7 +491,7 @@ def _parse_blocks(cur: _Cursor) -> list[dict]:
             endline, end = cur.next()
             if end != "END":
                 raise cur.error("expected END", endline)
-            docs.append(doc)
+            docs.append((lineno, doc))
         elif head == "SPEC":
             if len(tokens) != 2:
                 raise cur.error("expected 'SPEC <name>'", lineno)
@@ -500,13 +501,13 @@ def _parse_blocks(cur: _Cursor) -> list[dict]:
             base = _parse_category_sections(cur, {"FIBER", "ACTION", "END"})
             fibers, actions = _parse_spec_tail(cur)
             docs.append(
-                {
+                (lineno, {
                     "kind": "spec",
                     "name": tokens[1],
                     "base": base,
                     "fibers": fibers,
                     "actions": actions,
-                }
+                })
             )
         elif head == "FUNCTOR":
             name, rest = _split_colon(line[len("FUNCTOR") :].strip(), lineno, cur)
@@ -528,14 +529,14 @@ def _parse_blocks(cur: _Cursor) -> list[dict]:
                 a, b = _split_arrow(eline, "->", elineno, cur)
                 (objmap if section == "OBJMAP" else mormap)[a] = b
             docs.append(
-                {
+                (lineno, {
                     "kind": "functor",
                     "name": name,
                     "source": src,
                     "target": dst,
                     "objmap": objmap,
                     "mormap": mormap,
-                }
+                })
             )
         elif head == "NAT":
             name, rest = _split_colon(line[len("NAT") :].strip(), lineno, cur)
@@ -558,13 +559,13 @@ def _parse_blocks(cur: _Cursor) -> list[dict]:
                     raise cur.error("malformed component entry", elineno)
                 components[x] = m
             docs.append(
-                {
+                (lineno, {
                     "kind": "nat",
                     "name": name,
                     "source": src,
                     "target": dst,
                     "components": components,
-                }
+                })
             )
         else:
             raise cur.error(
@@ -621,7 +622,11 @@ def _resolve_functor_ref(
     return F
 
 
-def _build_all(docs: list[dict], namespace: dict, filename: str) -> list[LoadedArtifact]:
+def _build_all(
+    docs: list[tuple[int, dict]], namespace: dict, filename: str
+) -> list[LoadedArtifact]:
+    """Build each ``(line, doc)`` in turn; an error in a document is a
+    :class:`ParseError` at its line."""
     ns = {
         "category": dict(namespace.get("category", {})),
         "functor": dict(namespace.get("functor", {})),
@@ -629,7 +634,7 @@ def _build_all(docs: list[dict], namespace: dict, filename: str) -> list[LoadedA
         "spec": dict(namespace.get("spec", {})),
     }
     out: list[LoadedArtifact] = []
-    for doc in docs:
+    for lineno, doc in docs:
         kind, name = doc["kind"], doc["name"]
         if kind == "category":
             value = _build_category(doc, name)
@@ -639,16 +644,16 @@ def _build_all(docs: list[dict], namespace: dict, filename: str) -> list[LoadedA
             src = ns["category"].get(doc["source"])
             dst = ns["category"].get(doc["target"])
             if src is None:
-                raise ParseError(f"unknown category {doc['source']!r}", filename)
+                raise ParseError(f"unknown category {doc['source']!r}", filename, lineno)
             if dst is None:
-                raise ParseError(f"unknown category {doc['target']!r}", filename)
+                raise ParseError(f"unknown category {doc['target']!r}", filename, lineno)
             value = Functor(src, dst, dict(doc["objmap"]), dict(doc["mormap"]), name=name)
         elif kind == "nat":
-            F = _resolve_functor_ref(doc["source"], ns, filename, 0)
-            G = _resolve_functor_ref(doc["target"], ns, filename, 0)
+            F = _resolve_functor_ref(doc["source"], ns, filename, lineno)
+            G = _resolve_functor_ref(doc["target"], ns, filename, lineno)
             value = NaturalTransformation(F, G, dict(doc["components"]), name=name)
         else:
-            raise ParseError(f"unknown artifact kind {kind!r}", filename)
+            raise ParseError(f"unknown artifact kind {kind!r}", filename, lineno)
         ns[kind][name] = value
         out.append(LoadedArtifact(kind, name, value))
     return out
@@ -741,7 +746,8 @@ def parse_json_text(text: str, filename: str = "<input>", namespace: dict | None
             err = _shape_error(doc, _JSON_SHAPES[doc["kind"]])
         if err:
             raise ParseError(f"artifact {i}: {err}", filename, 1)
-    return _build_all(docs, namespace or {}, filename)
+    # JSON has no block lines; its artifact errors are all placed on line 1
+    return _build_all([(1, doc) for doc in docs], namespace or {}, filename)
 
 
 def load_text(text: str, filename: str = "<input>", namespace: dict | None = None):

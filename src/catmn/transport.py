@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Category, Mor, inverse_of, opposite
+from .core import Category, Mor, inverse_of
 from .errors import InvalidArtifactError, MismatchError
 from .functors import (
     ContravariantFunctor,
     Functor,
     NaturalTransformation,
+    composite_tables,
     contravariant_functor,
     identity_functor,
     iso_violations,
@@ -75,17 +76,13 @@ def covariant_composite(
     if inner.target != outer.presented_source:
         raise MismatchError("contravariant composite: middle categories differ")
     return Functor(
-        src,
-        outer.target,
-        {x: outer.on_obj(inner.on_obj(x)) for x in src.objects},
-        {f: outer.on_mor(inner.on_mor(f)) for f in src.morphisms},
-        name=f"{outer.name}.{inner.name}",
+        src, outer.target, *composite_tables(src, inner, outer), name=f"{outer.name}.{inner.name}"
     )
 
 
 @remembered
 def validate_equivalence(e: ContravariantEquivalence) -> ValidationReport:
-    """Functor laws for both directions (through the opposites), shape and
+    """Functor laws for both directions (on flipped views), shape and
     naturality of both comparison transformations, and that every
     comparison component is invertible.  Computed once per equivalence."""
     report = validate_contravariant(e.forward).merged(
@@ -139,10 +136,8 @@ def _induce(e: ContravariantEquivalence, d, side: Side, check, component):
         raise MismatchError(f"{side.monad} does not live on the equivalence source")
 
     D = e.dual
-    F, G = e.forward, e.backward
-    obj_map = {x: F.on_obj(d.functor.on_obj(G.on_obj(x))) for x in D.objects}
-    mor_map = {f: F.on_mor(d.functor.on_mor(G.on_mor(f))) for f in D.morphisms}
-    functor = Functor(D, D, obj_map, mor_map, name=f"induced[{d.functor.name}]")
+    tables = composite_tables(D, e.backward, d.functor, e.forward)
+    functor = Functor(D, D, *tables, name=f"induced[{d.functor.name}]")
     induced = COMONAD if side is MONAD else MONAD
     nat = NaturalTransformation(
         *induced.orient(identity_functor(D), functor),
@@ -257,32 +252,33 @@ def _strict_equivalence(
 
 def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> ContravariantEquivalence:
     """The tautological duality between a category and a relabeled copy of
-    its opposite."""
-    op = opposite(c)
-    mors = [Mor(m.name + suffix, m.src + suffix, m.dst + suffix) for m in op.morphisms.values()]
-    identity = {x + suffix: m + suffix for x, m in op.identity.items()}
-    compose = {
-        (g + suffix, f + suffix): h + suffix for (g, f), h in op.compose.items()
-    }
-    d = Category(
-        c.name + suffix + "op",
-        [x + suffix for x in op.objects],
-        mors,
-        identity,
-        compose,
-    )
-    forward = contravariant_functor(
-        c,
+    its opposite.
+
+    The copy is built straight from ``c``'s tables through one relabeling
+    map for objects and one for morphisms, so each new name is made once and
+    shared by every table that holds it; no opposite category is built.
+    """
+    objs = {x: x + suffix for x in c.objects}
+    mors = {f: f + suffix for f in c.morphisms}
+    try:
+        d = Category(
+            c.name + suffix + "op",
+            objs.values(),
+            [Mor(mors[m.name], objs[m.dst], objs[m.src]) for m in c.morphisms.values()],
+            {objs[x]: mors[m] for x, m in c.identity.items()},
+            {(mors[f], mors[g]): mors[h] for (g, f), h in c.compose.items()},
+        )
+    except KeyError as exc:
+        raise InvalidArtifactError(
+            f"category {c.name!r} names {exc.args[0]!r} in its tables, which is "
+            "none of its objects or morphisms"
+        ) from None
+    forward = ContravariantFunctor(c, d, objs, mors, name="relabel")
+    backward = ContravariantFunctor(
         d,
-        {x: x + suffix for x in c.objects},
-        {f: f + suffix for f in c.morphisms},
-        name="relabel",
-    )
-    backward = contravariant_functor(
-        d,
         c,
-        {x + suffix: x for x in c.objects},
-        {f + suffix: f for f in c.morphisms},
+        {y: x for x, y in objs.items()},
+        {g: f for f, g in mors.items()},
         name="unrelabel",
     )
     return _strict_equivalence(forward, backward, f"relabel-op[{c.name}]")

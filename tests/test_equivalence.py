@@ -134,3 +134,12 @@ def test_missing_unit_component_is_reported_not_raised():
     report = verify_adjoint_equivalence(dataclasses.replace(eq, unit=unit))
     assert {"component-missing", "triangle-forward", "triangle-backward"} <= rules_of(report)
     assert ("b",) in {v.subject for v in report.violations if v.rule == "triangle-forward"}
+
+
+def test_functor_without_object_image_is_reported_not_raised():
+    eq = one_object_equivalence(orbit(), ["b"], "id_b", "id_b")
+    forward = dataclasses.replace(eq.forward, obj_map={}, name="F")
+    report = verify_adjoint_equivalence(dataclasses.replace(eq, forward=forward))
+    assert [v.render() for v in report.violations if v.rule.startswith("triangle")] == [
+        "triangle-forward [b]: functor 'F' is undefined on object 'b'"
+    ]

@@ -17,6 +17,7 @@ from catmn import (
     SizeLimitError,
     SizeLimits,
     TotalCategory,
+    ValidationReport,
     build_final_monad,
     build_initial_comonad,
     build_total_category,
@@ -367,6 +368,21 @@ def test_build_rejects_name_collisions():
     spec = FiberedSpec("collide", base, fibers, actions)
     with pytest.raises(InvalidArtifactError, match="object name collision"):
         build_total_category(spec)
+
+
+def test_build_reports_a_missing_composite_as_an_engine_error():
+    # f is not monotone, so id(bot0 -> mid0) then f(mid0 -> bot1) has no
+    # total morphism f|bot0|bot1 to compose to; the stored report skips
+    # validate_spec, which would reject the spec first
+    s = canonical_c2()
+    crooked = dataclasses.replace(
+        s, actions={**s.actions, "f": {"bot0": "top1", "mid0": "bot1", "top0": "bot1"}}
+    )
+    assert "action-monotone" in rules_of(validate_spec(crooked))
+    crooked = dataclasses.replace(crooked)
+    object.__setattr__(crooked, "_report", ValidationReport())
+    with pytest.raises(InvalidArtifactError, match=r"\('f', 'bot0', 'bot1'\)"):
+        build_total_category(crooked)
 
 
 def test_build_respects_morphism_guardrail(monkeypatch):

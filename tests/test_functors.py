@@ -3,7 +3,6 @@
 import pytest
 
 from catmn import (
-    ContravariantFunctor,
     Functor,
     InvalidArtifactError,
     MismatchError,
@@ -144,9 +143,9 @@ def test_functor_equality_ignores_name():
 # contravariant functors
 
 
-def test_contravariant_functor_wraps_the_opposite():
+def test_contravariant_functor_is_flat():
     c = orbit()
-    op = opposite(c)
+    op = opposite(orbit())  # an equal opposite, built from another copy
     F = contravariant_functor(
         c,
         op,
@@ -154,18 +153,15 @@ def test_contravariant_functor_wraps_the_opposite():
         {m: m for m in c.morphisms},
         name="transpose",
     )
-    assert F.presented_source == c
-    assert F.functor.source == op  # carried covariantly out of the opposite
+    assert (F.presented_source, F.target, F.name) == (c, op, "transpose")
+    assert F.obj_map == {x: x for x in c.objects}
+    assert F.mor_map == {m: m for m in c.morphisms}
     assert validate_contravariant(F).ok
+    assert c._op is None  # checked on a flipped view, not on opposite(c)
     assert F.on_obj("a") == "a"
     assert F.on_mor("f") == "f"
-
-
-def test_contravariant_source_rule():
-    mismatched = ContravariantFunctor(
-        walking_arrow(), identity_functor(opposite(orbit()))
-    )
-    assert "contravariant-source" in rules_of(validate_contravariant(mismatched))
+    with pytest.raises(UnknownMorphismError, match="'transpose' is undefined on morphism 'zz'"):
+        F.on_mor("zz")
 
 
 def test_contravariant_flips_composition():

@@ -213,6 +213,21 @@ def test_parse_error_carries_location():
     assert str(exc.value).startswith("bad.cm:5:")
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("NAT n: nope => id(c)\n  COMPONENTS\nEND\n", "unknown functor 'nope'"),
+        ("NAT n: id(c) => id(nope)\n  COMPONENTS\nEND\n", "unknown category 'nope'"),
+        ("FUNCTOR F: c -> nope\n  OBJMAP\n  MORMAP\nEND\n", "unknown category 'nope'"),
+    ],
+)
+def test_reference_error_carries_the_block_line(block, message):
+    head = render_category(orbit(), name="c")
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_text(head + block, filename="bad.cm")
+    assert str(exc.value).startswith(f"bad.cm:{head.count(chr(10)) + 1}:1: ")
+
+
 # ---------------------------------------------------------------------------
 # the workspace
 

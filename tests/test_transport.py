@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+import catmn.core
 import catmn.functors
 from catmn import (
+    Category,
     InvalidArtifactError,
     MismatchError,
     NaturalTransformation,
@@ -109,15 +111,18 @@ def test_comparison_iso_rule():
     assert {v.subject for v in report.violations} == {("theta", "b~")}
 
 
+def test_relabeling_rejects_a_table_naming_no_morphism():
+    c = orbit()
+    compose = {**c.compose, ("e", "e"): "zz"}
+    crooked = Category("crooked", c.objects, c.morphisms.values(), c.identity, compose)
+    with pytest.raises(InvalidArtifactError, match="names 'zz' in its tables"):
+        relabeled_opposite_equivalence(crooked)
+
+
 def test_broken_functor_reported_before_comparisons():
     e = relabeled_opposite_equivalence(orbit())
     fwd = e.forward
-    crooked_fwd = dataclasses.replace(
-        fwd,
-        functor=dataclasses.replace(
-            fwd.functor, mor_map={**fwd.functor.mor_map, "f2": "f~"}
-        ),
-    )
+    crooked_fwd = dataclasses.replace(fwd, mor_map={**fwd.mor_map, "f2": "f~"})
     report = validate_equivalence(dataclasses.replace(e, forward=crooked_fwd))
     assert not report.ok
     assert "functor-composition" in rules_of(report)
@@ -265,28 +270,47 @@ def test_checked_values_still_reject_crooked_copies():
     assert validate_equivalence(e).ok
 
 
-def test_transport_proves_each_functor_once(tmp_path, monkeypatch, capsys):
-    original = catmn.functors.validate_functor
-    checked = []
+def _spy(monkeypatch, module, name, calls):
+    """Record ``(first argument's name, name)`` in ``calls`` whenever any
+    catmn module calls ``module.name``."""
+    original = getattr(module, name)
 
-    def counted(F):
-        checked.append(F.name)
-        return original(F)
+    def counted(value):
+        calls.append((value.name, name))
+        return original(value)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("catmn") and getattr(module, "validate_functor", None) is original:
-            monkeypatch.setattr(module, "validate_functor", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("catmn") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def _transport_c2(tmp_path, capsys):
     spec = tmp_path / "c2.cm"
     spec.write_text(render_spec(canonical_c2()))
     assert main(["transport", str(spec)]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
+def test_transport_proves_each_functor_once(tmp_path, monkeypatch, capsys):
+    checked = []
+    _spy(monkeypatch, catmn.functors, "validate_functor", checked)
+    _spy(monkeypatch, catmn.functors, "validate_contravariant", checked)
+    _transport_c2(tmp_path, capsys)
     # the duality's two directions, the source (co)monad and the induced
     # (co)monad: each proved once, although the pipeline asks for the
     # equivalence three times and for every (co)monad twice
     assert sorted(checked) == [
-        "fiber-bottom-comonad",
-        "fiber-top-monad",
-        "induced[fiber-bottom-comonad]",
-        "induced[fiber-top-monad]",
-        "relabel",
-        "unrelabel",
+        ("fiber-bottom-comonad", "validate_functor"),
+        ("fiber-top-monad", "validate_functor"),
+        ("induced[fiber-bottom-comonad]", "validate_functor"),
+        ("induced[fiber-top-monad]", "validate_functor"),
+        ("relabel", "validate_contravariant"),
+        ("unrelabel", "validate_contravariant"),
     ]
+
+
+def test_transport_builds_no_opposite(tmp_path, monkeypatch, capsys):
+    built = []
+    _spy(monkeypatch, catmn.core, "opposite", built)
+    _transport_c2(tmp_path, capsys)
+    assert built == []
