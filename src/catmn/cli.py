@@ -18,12 +18,7 @@ import argparse
 import sys
 from importlib import resources
 
-from .dot import (
-    comonad_fixed_objects,
-    monad_fixed_objects,
-    render_dot,
-    render_spec_dot,
-)
+from .dot import render_dot, render_spec_dot
 from .equivalence import (
     build_mn_equivalence,
     check_mn_hypotheses,
@@ -215,14 +210,16 @@ def _transport_pipeline(out, spec, mode: str = "relabel-opposite") -> int:
         "transfer",
         lambda: verify_transfer(eq, source_monad, source_comonad, r),
     )
+    result = None
     if run.ok:
-        _mn_pipeline(run, r.induced_monad, r.induced_comonad, prefix="induced-")
-    if run.ok:
-        for kind, fixed in (
-            ("monad", monad_fixed_objects(r.induced_monad)),
-            ("comonad", comonad_fixed_objects(r.induced_comonad)),
+        result = _mn_pipeline(run, r.induced_monad, r.induced_comonad, prefix="induced-")
+    if result is not None:
+        pair, _ = result
+        for kind, sub in (
+            ("monad", pair.reflection.subcategory),
+            ("comonad", pair.coreflection.subcategory),
         ):
-            out.write(f"induced-{kind}-fixed: " + " ".join(sorted(fixed)) + "\n")
+            out.write(f"induced-{kind}-fixed: " + " ".join(sub.objects) + "\n")
     return run.finish()
 
 

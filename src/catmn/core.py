@@ -44,7 +44,7 @@ class Category:
     the job of :func:`validate_category`.
     """
 
-    __slots__ = ("name", "objects", "morphisms", "identity", "compose", "_hom", "_op")
+    __slots__ = ("name", "objects", "morphisms", "identity", "compose", "_hom")
 
     def __init__(
         self,
@@ -81,7 +81,6 @@ class Category:
         for m in self.morphisms.values():
             hom.setdefault((m.src, m.dst), []).append(m.name)
         self._hom = {pair: tuple(sorted(names)) for pair, names in hom.items()}
-        self._op = None  # filled by opposite()
 
     # ---- lookups ----
 
@@ -346,16 +345,11 @@ def opposite(c: Category) -> Category:
     """The opposite category: endpoints swapped, composition transposed.
 
     Names are preserved, so applying this twice gives back a category equal
-    to the original.  The result is built once per category and cached on
-    it, so ``opposite(c) is opposite(c)``.  The opposite keeps no link back
-    to ``c``: a cycle would hold both tables until a full garbage collection.
+    to the original.
     """
-    op = c._op
-    if op is None:
-        mors = [Mor(m.name, m.dst, m.src) for m in c.morphisms.values()]
-        compose = {(g, f): h for (f, g), h in c.compose.items()}
-        op = c._op = Category(f"op({c.name})", c.objects, mors, c.identity, compose)
-    return op
+    mors = [Mor(m.name, m.dst, m.src) for m in c.morphisms.values()]
+    compose = {(g, f): h for (f, g), h in c.compose.items()}
+    return Category(f"op({c.name})", c.objects, mors, c.identity, compose)
 
 
 class View(NamedTuple):

@@ -26,7 +26,6 @@ from .functors import (
     compose_functors,
     identity_functor,
     iso_violations,
-    validate_nat,
     whisker_left,
 )
 from .monads import (
@@ -38,10 +37,10 @@ from .monads import (
     fixed_subcategory_monad,
     _whiskered_iso_violations,
 )
-from .report import ValidationReport, Violation
+from .report import ValidationReport, Violation, remembered, report_field
 
 
-@dataclass
+@dataclass(frozen=True)
 class MNPair:
     """An idempotent monad and comonad on one category, with their derived
     reflection and coreflection packages."""
@@ -50,6 +49,7 @@ class MNPair:
     comonad: ComonadDatum
     reflection: ReflectionPackage
     coreflection: CoreflectionPackage
+    _report: ValidationReport | None = report_field()
 
     @property
     def category(self) -> Category:
@@ -66,10 +66,11 @@ def make_mn_pair(monad: MonadDatum, comonad: ComonadDatum) -> MNPair:
     return MNPair(monad, comonad, reflection, coreflection)
 
 
+@remembered
 def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     """Empty iff both whiskerings N(psi) and M(eta) are natural isomorphisms.
 
-    Failures name the component object.
+    Failures name the component object.  Computed once per pair.
     """
     N, M = p.monad.functor, p.comonad.functor
     eta, psi = p.monad.unit, p.comonad.counit
@@ -176,118 +177,33 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
     return ValidationReport(violations)
 
 
-def _find_natural_iso(F: Functor, G: Functor):
-    """Backtracking search for a natural isomorphism F => G.
-
-    Components are tried in lexicographic morphism order per object, objects
-    in sorted order, with naturality squares pruned as soon as both ends are
-    assigned.  Returns (transformation, None) or (None, violations).
-    """
-    dom = F.source
-    cod = F.target
-    objs = list(dom.objects)
-    candidates: dict[str, list[str]] = {}
-    violations: list[Violation] = []
-    for x in objs:
-        isos = [
-            m
-            for m in cod.hom(F.on_obj(x), G.on_obj(x))
-            if inverse_of(cod, m) is not None
-        ]
-        if not isos:
-            violations.append(
-                Violation(
-                    "factorization-no-iso-component",
-                    (x,),
-                    "no invertible morphism between the two images",
-                )
-            )
-        candidates[x] = isos
-    if violations:
-        return None, violations
-
-    index = {x: i for i, x in enumerate(objs)}
-    # morphisms grouped by the later-assigned endpoint so each choice is
-    # checked against everything already fixed
-    by_later: dict[str, list[tuple[str, str, str]]] = {x: [] for x in objs}
-    for f in sorted(dom.morphisms):
-        mf = dom.morphisms[f]
-        later = mf.src if index[mf.src] >= index[mf.dst] else mf.dst
-        by_later[later].append((f, mf.src, mf.dst))
-
-    assigned: dict[str, str] = {}
-
-    def consistent(x: str) -> bool:
-        for f, a, b in by_later[x]:
-            if a not in assigned or b not in assigned:
-                continue
-            left = cod.comp_or_none(assigned[b], F.on_mor(f))
-            right = cod.comp_or_none(G.on_mor(f), assigned[a])
-            if left != right or left is None:
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(objs):
-            return True
-        x = objs[i]
-        for m in candidates[x]:
-            assigned[x] = m
-            if consistent(x) and search(i + 1):
-                return True
-            del assigned[x]
-        return False
-
-    if search(0):
-        return (
-            NaturalTransformation(F, G, dict(assigned), name="factorization"),
-            None,
-        )
-    return None, [
-        Violation(
-            "factorization-no-natural-family",
-            tuple(objs),
-            "invertible components exist but no choice makes every square commute",
-        )
-    ]
-
-
 def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
-    """Check the reflector factors through the equivalence and dually.
+    """Check the reflector factors through the equivalence and dually, by
+    the canonical isomorphisms.
 
-    Looks for natural isomorphisms reflector => forward . coreflector and
-    coreflector => backward . reflector.  The canonical candidates built
-    from the whiskered unit/counit are tried first; if a candidate fails, an
-    independent per-object search runs as fallback, and only if that also
-    fails is a violation reported.
+    reflector => forward . coreflector has component the inverse of N(psi_x),
+    and coreflector => backward . reflector has component M(eta_x).  Each
+    candidate is judged as a natural isomorphism, and every violation is
+    reported under its tag.  Once the hypotheses hold, both candidates pass:
+    the inverse of a natural isomorphism is natural.
     """
     cat = p.category
     N, M = p.monad.functor, p.comonad.functor
-    eta, psi = p.monad.unit, p.comonad.counit
-    violations: list[Violation] = []
-
-    # reflector => forward . coreflector with canonical component the inverse
-    # of N(psi_x); coreflector => backward . reflector with M(eta_x) itself
+    eta, psi = p.monad.unit.components, p.comonad.counit.components
     R, Q = p.reflection.reflector, p.coreflection.coreflector
-    for tag, lhs, rhs, whiskered, invert in (
-        ("factorization-reflector", R, (e.forward, Q), (N, psi), True),
-        ("factorization-coreflector", Q, (e.backward, R), (M, eta), False),
-    ):
-        rhs = compose_functors(*rhs)
-        whiskered = whisker_left(*whiskered)
-        components = {x: whiskered.components[x] for x in cat.objects}
-        if invert:  # a component without an inverse stays, and the candidate fails
-            for x, m in components.items():
-                inv = inverse_of(cat, m)
-                components[x] = m if inv is None else inv
-        candidate = NaturalTransformation(lhs, rhs, components, name=tag)
-        if validate_nat(candidate).ok and all(
-            inverse_of(lhs.target, components[x]) is not None for x in lhs.source.objects
-        ):
-            continue
-        found, errs = _find_natural_iso(lhs, rhs)
-        if found is None:
-            for v in errs:
-                violations.append(Violation(f"{tag}-{v.rule}", v.subject, v.detail))
+    reflector_components = {}
+    for x in cat.objects:  # a component without an inverse stays, and the candidate fails
+        m = N.on_mor(psi[x])
+        inv = inverse_of(cat, m)
+        reflector_components[x] = m if inv is None else inv
+    coreflector_components = {x: M.on_mor(eta[x]) for x in cat.objects}
 
+    violations: list[Violation] = []
+    for tag, label, lhs, rhs, components in (
+        ("factorization-reflector", "monad-of-counit", R, (e.forward, Q), reflector_components),
+        ("factorization-coreflector", "comonad-of-unit", Q, (e.backward, R), coreflector_components),
+    ):
+        candidate = NaturalTransformation(lhs, compose_functors(*rhs), components, name=tag)
+        for v in iso_violations(candidate, "not-iso", label):
+            violations.append(Violation(f"{tag}-{v.rule}", v.subject, v.detail))
     return ValidationReport(violations)

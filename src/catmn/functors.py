@@ -304,14 +304,16 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
                 Violation("component-extra", (x,), "component assigned to a non-object")
             )
 
+    components = alpha.components
+    cod_comp = cod.compose.get
     for f, mf in dom.morphisms.items():
         if mf.src in bad_at or mf.dst in bad_at:
             continue
         Ff, Gf = F.mor_map.get(f), G.mor_map.get(f)
         if Ff is None or Gf is None:
             continue
-        left = cod.comp_or_none(alpha.components[mf.dst], Ff)
-        right = cod.comp_or_none(Gf, alpha.components[mf.src])
+        left = cod_comp((components[mf.dst], Ff))
+        right = cod_comp((Gf, components[mf.src]))
         if left != right or left is None:
             violations.append(
                 Violation(

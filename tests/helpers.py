@@ -4,6 +4,8 @@ Each is small enough to check by eye; the composition tables are written
 out in full so the tests do not depend on the loader's completion rules.
 """
 
+import sys
+
 from catmn import (
     Category,
     ComonadDatum,
@@ -237,3 +239,17 @@ def collapse_monad(sets: Category) -> MonadDatum:
         name="collapse-unit",
     )
     return MonadDatum(N, unit, name="collapse")
+
+
+def spy(monkeypatch, module, name, calls):
+    """Record ``(first argument's name, name)`` in ``calls`` whenever any
+    catmn module calls ``module.name``."""
+    original = getattr(module, name)
+
+    def counted(value, *rest):
+        calls.append((value.name, name))
+        return original(value, *rest)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("catmn") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)

@@ -5,24 +5,31 @@ import dataclasses
 
 import pytest
 
+import catmn.functors
 from catmn import (
     EquivalenceResult,
     InvalidArtifactError,
     MismatchError,
     NaturalTransformation,
     build_mn_equivalence,
+    canonical_c2,
     check_idempotent_monad,
     check_mn_hypotheses,
+    compose_functors,
     full_subcategory,
     identity_comonad,
     identity_functor,
     identity_monad,
+    inverse_of,
     make_mn_pair,
     powerset_duality_demo,
+    render_spec,
+    validate_nat,
     verify_adjoint_equivalence,
     verify_factorizations,
 )
-from helpers import collapse_monad, idem_endo, orbit, three_chain
+from catmn.cli import main
+from helpers import collapse_monad, idem_endo, orbit, spy, three_chain
 
 
 def rules_of(report):
@@ -95,6 +102,51 @@ def test_c2_equivalence_unit_and_counit_are_identities(c2_equivalence):
 def test_c2_equivalence_verifies(c2_pair, c2_equivalence):
     assert verify_adjoint_equivalence(c2_equivalence).ok
     assert verify_factorizations(c2_pair, c2_equivalence).ok
+
+
+def test_factorization_reports_the_canonical_candidate(c2_pair, c2_equivalence):
+    eq = c2_equivalence
+    forward = dataclasses.replace(eq.forward, obj_map={**eq.forward.obj_map, "b0|bot0": "b1|top1"})
+    report = verify_factorizations(c2_pair, dataclasses.replace(eq, forward=forward))
+    # the reflector's candidate, inverse(N(psi_x)), now lands on the wrong
+    # object wherever the coreflector goes to b0|bot0; nothing else is tried
+    cat, R, Q = c2_pair.category, c2_pair.reflection.reflector, c2_pair.coreflection.coreflector
+    N, psi = c2_pair.monad.functor, c2_pair.comonad.counit.components
+    candidate = NaturalTransformation(
+        R,
+        compose_functors(forward, Q),
+        {x: inverse_of(cat, N.mor_map[psi[x]]) for x in cat.objects},
+    )
+    own = validate_nat(candidate).violations
+    assert [(v.rule, v.subject, v.detail) for v in report.violations] == [
+        (f"factorization-reflector-{v.rule}", v.subject, v.detail) for v in own
+    ]
+    assert rules_of(report) == {"factorization-reflector-component-typing"}
+    assert {v.subject for v in report.violations} == {
+        (x,) for x in cat.objects if Q.obj_map[x] == "b0|bot0"
+    }
+
+
+def test_mn_check_proves_each_hypothesis_once(tmp_path, monkeypatch, capsys):
+    whiskered, checked = [], []
+    spy(monkeypatch, catmn.functors, "whisker_left", whiskered)
+    spy(monkeypatch, catmn.functors, "validate_nat", checked)
+    spec = tmp_path / "c2.cm"
+    spec.write_text(render_spec(canonical_c2()))
+    assert main(["mn-check", str(spec)]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    # N(eta) and M(psi) for idempotence, N(psi) and M(eta) for the
+    # hypotheses; the factorizations read their components off the tables
+    assert sorted(name for name, _ in whiskered) == [
+        "fiber-bottom-comonad",
+        "fiber-bottom-comonad",
+        "fiber-top-monad",
+        "fiber-top-monad",
+    ]
+    # per (co)monad its unit and both whiskerings, both hypotheses, the
+    # equivalence's unit and counit, and both factorization candidates:
+    # twelve transformations, each validated once
+    assert len(checked) == len(set(checked)) == 12
 
 
 # ---------------------------------------------------------------------------

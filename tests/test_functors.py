@@ -2,6 +2,7 @@
 
 import pytest
 
+import catmn.core
 from catmn import (
     Functor,
     InvalidArtifactError,
@@ -23,7 +24,7 @@ from catmn import (
     whisker_left,
     whisker_right,
 )
-from helpers import orbit, parallel_pair, walking_arrow
+from helpers import orbit, parallel_pair, spy, walking_arrow
 
 
 def rules_of(report):
@@ -143,7 +144,7 @@ def test_functor_equality_ignores_name():
 # contravariant functors
 
 
-def test_contravariant_functor_is_flat():
+def test_contravariant_functor_is_flat(monkeypatch):
     c = orbit()
     op = opposite(orbit())  # an equal opposite, built from another copy
     F = contravariant_functor(
@@ -156,8 +157,10 @@ def test_contravariant_functor_is_flat():
     assert (F.presented_source, F.target, F.name) == (c, op, "transpose")
     assert F.obj_map == {x: x for x in c.objects}
     assert F.mor_map == {m: m for m in c.morphisms}
+    built = []
+    spy(monkeypatch, catmn.core, "opposite", built)
     assert validate_contravariant(F).ok
-    assert c._op is None  # checked on a flipped view, not on opposite(c)
+    assert built == []  # checked on a flipped view, not on opposite(c)
     assert F.on_obj("a") == "a"
     assert F.on_mor("f") == "f"
     with pytest.raises(UnknownMorphismError, match="'transpose' is undefined on morphism 'zz'"):

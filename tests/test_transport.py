@@ -1,7 +1,6 @@
 """Contravariant equivalences and transport of (co)monads across them."""
 
 import dataclasses
-import sys
 
 import pytest
 
@@ -15,6 +14,7 @@ from catmn import (
     canonical_c2,
     check_idempotent_comonad,
     check_idempotent_monad,
+    check_mn_hypotheses,
     covariant_composite,
     fixed_subcategory_comonad,
     fixed_subcategory_monad,
@@ -24,6 +24,7 @@ from catmn import (
     identity_monad,
     induce_comonad,
     induce_monad,
+    make_mn_pair,
     powerset_duality_demo,
     relabeled_opposite_equivalence,
     render_spec,
@@ -33,7 +34,7 @@ from catmn import (
     verify_transfer,
 )
 from catmn.cli import main
-from helpers import collapse_monad, idem_endo, orbit, successor_monad, three_chain
+from helpers import collapse_monad, idem_endo, orbit, spy, successor_monad, three_chain
 
 
 def rules_of(report):
@@ -269,19 +270,12 @@ def test_checked_values_still_reject_crooked_copies():
         induce_comonad(crooked, monad)
     assert validate_equivalence(e).ok
 
-
-def _spy(monkeypatch, module, name, calls):
-    """Record ``(first argument's name, name)`` in ``calls`` whenever any
-    catmn module calls ``module.name``."""
-    original = getattr(module, name)
-
-    def counted(value):
-        calls.append((value.name, name))
-        return original(value)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("catmn") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
+    pair = make_mn_pair(monad, comonad)
+    assert check_mn_hypotheses(pair) is check_mn_hypotheses(pair)
+    assert check_mn_hypotheses(pair).ok
+    crooked_pair = dataclasses.replace(pair, monad=crooked_monad)
+    assert not check_mn_hypotheses(crooked_pair).ok
+    assert check_mn_hypotheses(pair).ok
 
 
 def _transport_c2(tmp_path, capsys):
@@ -293,8 +287,8 @@ def _transport_c2(tmp_path, capsys):
 
 def test_transport_proves_each_functor_once(tmp_path, monkeypatch, capsys):
     checked = []
-    _spy(monkeypatch, catmn.functors, "validate_functor", checked)
-    _spy(monkeypatch, catmn.functors, "validate_contravariant", checked)
+    spy(monkeypatch, catmn.functors, "validate_functor", checked)
+    spy(monkeypatch, catmn.functors, "validate_contravariant", checked)
     _transport_c2(tmp_path, capsys)
     # the duality's two directions, the source (co)monad and the induced
     # (co)monad: each proved once, although the pipeline asks for the
@@ -311,6 +305,6 @@ def test_transport_proves_each_functor_once(tmp_path, monkeypatch, capsys):
 
 def test_transport_builds_no_opposite(tmp_path, monkeypatch, capsys):
     built = []
-    _spy(monkeypatch, catmn.core, "opposite", built)
+    spy(monkeypatch, catmn.core, "opposite", built)
     _transport_c2(tmp_path, capsys)
     assert built == []
