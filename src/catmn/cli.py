@@ -15,6 +15,7 @@ exit 1, parse and build errors exit 2 with the failing stage named.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -357,17 +358,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _QuietPipe:
+    """``stdout`` for a command.  When the reader closes the pipe (``catmn
+    validate big.cm | head``) the stream is pointed at ``os.devnull``, so the
+    command still runs to its verdict and the rest of its report, and the
+    final flush at exit, go nowhere instead of ending in a traceback."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def _quiet(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self.stream.fileno())
+        os.close(devnull)
+
+    def write(self, text: str) -> None:
+        try:
+            self.stream.write(text)
+        except BrokenPipeError:
+            self._quiet()
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._quiet()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
+    out = _QuietPipe(sys.stdout)
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
     except EngineError as exc:
         out.write(f"error: {exc}\n")
-        return 2
+        code = 2
     except OSError as exc:
         out.write(f"error: {exc}\n")
-        return 2
+        code = 2
+    out.flush()
+    return code
 
 
 if __name__ == "__main__":

@@ -2,19 +2,24 @@
 
 A category here is completely concrete: a finite set of object labels, a
 finite set of named morphisms with stated endpoints, an identity assignment,
-and a composition table ``compose[(g, f)] = g after f`` meant to be defined
-on exactly the composable pairs (``src(g) == dst(f)``).  Everything is small
-enough to check by exhaustion, and :func:`validate_category` does exactly
-that, reporting every violated axiom instance instead of raising.
+and a composition table meant to be defined on exactly the composable pairs
+(``src(g) == dst(f)``).  The table is stored once, as rows keyed by the
+morphism applied first: ``rows[f] = {g: g after f}``.  ``compose`` is a
+read-only view of the same rows keyed by pairs, ``compose[(g, f)]``; no
+pair-keyed dict is kept.  Everything is small enough to check by exhaustion,
+and :func:`validate_category` does exactly that, reporting every violated
+axiom instance instead of raising.
 
 Values are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, NamedTuple
 
 from .config import morphism_limit
 from .errors import (
@@ -36,15 +41,65 @@ class Mor:
     dst: str
 
 
+Rows = dict[str, dict[str, str]]
+
+# the row of a morphism that has none; never written to
+NO_ROW: Mapping[str, str] = MappingProxyType({})
+
+
+class ComposeView(Mapping):
+    """A category's composition table keyed by pairs, read off its rows:
+    ``view[(g, f)]`` is ``rows[f][g]``.  Read-only; it acts as the
+    equivalent dict would, and equals one with the same entries."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Rows):
+        self._rows = rows
+
+    def __getitem__(self, pair):
+        try:
+            g, f = pair
+            return self._rows[f][g]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(pair) from None
+
+    def __iter__(self):
+        for f, row in self._rows.items():
+            for g in row:
+                yield g, f
+
+    def __len__(self):
+        return sum(map(len, self._rows.values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ComposeView):
+            return super().__eq__(other)
+        theirs = other._rows
+        return len(self) == len(other) and all(
+            theirs.get(f) == row for f, row in self._rows.items() if row
+        )
+
+
+def _rows_of(pairs: Mapping[tuple[str, str], str]) -> Rows:
+    rows: Rows = {}
+    for (g, f), h in pairs.items():
+        rows.setdefault(f, {})[g] = h
+    return rows
+
+
 class Category:
     """A finite category given by a total composition table.
 
+    The table is given either as a pair mapping ``compose[(g, f)] = g after
+    f`` or, by builders that already hold them, as ``rows``; rows are kept
+    as they are, not copied, so the caller must not edit them afterwards.
     Construction checks only what later code cannot survive without: unique
     names and the configurable size guardrail.  The categorical axioms are
     the job of :func:`validate_category`.
     """
 
-    __slots__ = ("name", "objects", "morphisms", "identity", "compose", "_hom")
+    __slots__ = ("name", "objects", "morphisms", "identity", "rows", "compose", "_hom")
 
     def __init__(
         self,
@@ -52,7 +107,9 @@ class Category:
         objects: Iterable[str],
         morphisms: Iterable[Mor],
         identity: Mapping[str, str],
-        compose: Mapping[tuple[str, str], str],
+        compose: Mapping[tuple[str, str], str] | None = None,
+        *,
+        rows: Rows | None = None,
     ):
         self.name = str(name)
         objs = tuple(sorted(objects))
@@ -76,7 +133,8 @@ class Category:
             )
         self.morphisms = {k: mors[k] for k in sorted(mors)}
         self.identity = {k: identity[k] for k in sorted(identity)}
-        self.compose = dict(compose)
+        self.rows = rows if rows is not None else _rows_of(compose or {})
+        self.compose = ComposeView(self.rows)
         hom: dict[tuple[str, str], list[str]] = {}
         for m in self.morphisms.values():
             hom.setdefault((m.src, m.dst), []).append(m.name)
@@ -120,15 +178,15 @@ class Category:
                 f"{g!r} after {f!r} is not composable: {f!r} ends at "
                 f"{mf.dst!r} but {g!r} starts at {mg.src!r}"
             )
-        try:
-            return self.compose[(g, f)]
-        except KeyError:
+        h = self.rows.get(f, NO_ROW).get(g)
+        if h is None:
             raise MismatchError(
                 f"category {self.name!r} has no table entry for {g!r} after {f!r}"
-            ) from None
+            )
+        return h
 
     def comp_or_none(self, g: str, f: str):
-        return self.compose.get((g, f))
+        return self.rows.get(f, NO_ROW).get(g)
 
     def is_identity_name(self, m: str) -> bool:
         mm = self.morphisms.get(m)
@@ -171,7 +229,7 @@ def validate_category(c: Category) -> ValidationReport:
     violations: list[Violation] = []
     mors = c.morphisms
     objset = set(c.objects)
-    table = c.compose
+    rows = c.rows
 
     for m in mors.values():
         if m.src not in objset:
@@ -208,38 +266,40 @@ def validate_category(c: Category) -> ValidationReport:
             )
 
     # each table entry yields at most one violation here and the report sorts
-    # its violations, so the table is walked in its own order
-    for (g, f), h in table.items():
-        if g not in mors or f not in mors:
-            violations.append(
-                Violation("compose-unknown", (g, f), "table entry for unknown morphism(s)")
-            )
-            continue
-        mg, mf = mors[g], mors[f]
-        if mf.dst != mg.src:
-            violations.append(
-                Violation(
-                    "compose-ill-typed-pair",
-                    (g, f),
-                    f"pair is not composable: {f!r} ends at {mf.dst!r}, {g!r} starts at {mg.src!r}",
+    # its violations, so the rows are walked in their own order
+    for f, row in rows.items():
+        mf = mors.get(f)
+        for g, h in row.items():
+            mg = mors.get(g)
+            if mf is None or mg is None:
+                violations.append(
+                    Violation("compose-unknown", (g, f), "table entry for unknown morphism(s)")
                 )
-            )
-            continue
-        if h not in mors:
-            violations.append(
-                Violation("compose-unknown-result", (g, f), f"composite {h!r} is not a morphism")
-            )
-            continue
-        mh = mors[h]
-        if not (mh.src == mf.src and mh.dst == mg.dst):
-            violations.append(
-                Violation(
-                    "compose-endpoints",
-                    (g, f),
-                    f"composite should go {mf.src!r} -> {mg.dst!r} but "
-                    f"{h!r} goes {mh.src!r} -> {mh.dst!r}",
+                continue
+            if mf.dst != mg.src:
+                violations.append(
+                    Violation(
+                        "compose-ill-typed-pair",
+                        (g, f),
+                        f"pair is not composable: {f!r} ends at {mf.dst!r}, {g!r} starts at {mg.src!r}",
+                    )
                 )
-            )
+                continue
+            mh = mors.get(h)
+            if mh is None:
+                violations.append(
+                    Violation("compose-unknown-result", (g, f), f"composite {h!r} is not a morphism")
+                )
+                continue
+            if not (mh.src == mf.src and mh.dst == mg.dst):
+                violations.append(
+                    Violation(
+                        "compose-endpoints",
+                        (g, f),
+                        f"composite should go {mf.src!r} -> {mg.dst!r} but "
+                        f"{h!r} goes {mh.src!r} -> {mh.dst!r}",
+                    )
+                )
 
     # morphisms are stored in name order, so every out-list comes out sorted
     out_of: dict[str, list[str]] = {x: [] for x in c.objects}
@@ -247,20 +307,19 @@ def validate_category(c: Category) -> ValidationReport:
         if m.src in out_of:
             out_of[m.src].append(m.name)
 
-    for f in mors:
-        mf = mors[f]
+    for f, mf in mors.items():
+        after_f = rows.get(f, NO_ROW)
         for g in out_of.get(mf.dst, ()):
-            if (g, f) not in table:
+            if g not in after_f:
                 violations.append(
                     Violation("compose-missing", (g, f), "composable pair has no table entry")
                 )
 
-    for f in mors:
-        mf = mors[f]
+    for f, mf in mors.items():
         id_src = c.identity.get(mf.src)
         id_dst = c.identity.get(mf.dst)
         if id_src in mors:
-            got = table.get((f, id_src))
+            got = rows.get(id_src, NO_ROW).get(f)
             if got != f:
                 violations.append(
                     Violation(
@@ -270,7 +329,7 @@ def validate_category(c: Category) -> ValidationReport:
                     )
                 )
         if id_dst in mors:
-            got = table.get((id_dst, f))
+            got = rows.get(f, NO_ROW).get(id_dst)
             if got != f:
                 violations.append(
                     Violation(
@@ -281,16 +340,18 @@ def validate_category(c: Category) -> ValidationReport:
                 )
 
     for f, mf in mors.items():
+        after_f = rows.get(f, NO_ROW)
         for g in out_of.get(mf.dst, ()):
-            gf = table.get((g, f))
+            gf = after_f.get(g)
             if gf is None or gf not in mors:
                 continue
+            after_g, after_gf = rows.get(g, NO_ROW), rows.get(gf, NO_ROW)
             for h in out_of.get(mors[g].dst, ()):
-                hg = table.get((h, g))
+                hg = after_g.get(h)
                 if hg is None or hg not in mors:
                     continue
-                left = table.get((h, gf))
-                right = table.get((hg, f))
+                left = after_gf.get(h)
+                right = after_f.get(hg)
                 if left != right:
                     violations.append(
                         Violation(
@@ -316,11 +377,9 @@ def inverse_of(c: Category, m: str):
     mm = c.mor(m)
     id_src = c.identity.get(mm.src)
     id_dst = c.identity.get(mm.dst)
+    after_m = c.rows.get(m, NO_ROW)
     for g in c.hom(mm.dst, mm.src):
-        if (
-            c.comp_or_none(g, m) == id_src
-            and c.comp_or_none(m, g) == id_dst
-        ):
+        if after_m.get(g) == id_src and c.rows.get(g, NO_ROW).get(m) == id_dst:
             return g
     return None
 
@@ -348,8 +407,23 @@ def opposite(c: Category) -> Category:
     to the original.
     """
     mors = [Mor(m.name, m.dst, m.src) for m in c.morphisms.values()]
-    compose = {(g, f): h for (f, g), h in c.compose.items()}
-    return Category(f"op({c.name})", c.objects, mors, c.identity, compose)
+    return Category(f"op({c.name})", c.objects, mors, c.identity, rows=transposed(c.rows))
+
+
+def transposed(rows: Rows, rename: Callable[[str], str] | None = None) -> Rows:
+    """The rows of the opposite table, ``out[g][f] = rows[f][g]``, with every
+    name passed through ``rename`` if one is given."""
+    name = rename or (lambda x: x)
+    out: Rows = {}
+    for f, row in rows.items():
+        nf = name(f)
+        for g, h in row.items():
+            ng = name(g)
+            into = out.get(ng)
+            if into is None:
+                into = out[ng] = {}
+            into[nf] = name(h)
+    return out
 
 
 class View(NamedTuple):
@@ -365,16 +439,16 @@ def oriented(c: Category, flip: bool = False) -> View:
     """``c`` as it is, or with ``flip`` read as its opposite.
 
     The flipped view reads ``c``'s own tables: ``hom(a, b)`` is
-    ``c.hom(b, a)``, ``after(g, f)`` is ``c.compose[(f, g)]`` and each
-    morphism's endpoints are swapped.  No opposite category is built, and a
-    lookup costs one call either way.
+    ``c.hom(b, a)``, ``after(g, f)`` is ``c.rows[g][f]`` (``f`` after
+    ``g`` in ``c``) and each morphism's endpoints are swapped.  No opposite
+    category is built, and a lookup costs one call either way.
     """
     if not flip:
         return View(c.hom, c.comp_or_none, attrgetter("src", "dst"))
-    homs, table = c._hom.get, c.compose.get
+    homs, rows = c._hom.get, c.rows.get
     return View(
         lambda a, b: homs((b, a), ()),
-        lambda g, f: table((f, g)),
+        lambda g, f: rows(g, NO_ROW).get(f),
         attrgetter("dst", "src"),
     )
 
@@ -394,12 +468,12 @@ def full_subcategory(c: Category, objs: Iterable[str]):
     mors = [m for m in c.morphisms.values() if m.src in keepset and m.dst in keepset]
     names = {m.name for m in mors}
     identity = {x: c.identity[x] for x in keep if x in c.identity}
-    compose = {
-        (g, f): h
-        for (g, f), h in c.compose.items()
-        if g in names and f in names
+    rows = {
+        f: {g: h for g, h in row.items() if g in names}
+        for f, row in c.rows.items()
+        if f in names
     }
-    sub = Category(f"full({c.name})", keep, mors, identity, compose)
+    sub = Category(f"full({c.name})", keep, mors, identity, rows=rows)
     inclusion = Functor(
         sub,
         c,

@@ -28,7 +28,7 @@ from .errors import (
     LiftError,
     SizeLimitError,
 )
-from .core import Category, Mor, oriented, validate_category
+from .core import NO_ROW, Category, Mor, oriented, validate_category
 from .functors import Functor, NaturalTransformation, identity_functor
 from .monads import COMONAD, MONAD, ComonadDatum, MonadDatum, Side
 from .report import ValidationReport, Violation, remembered, report_field
@@ -252,25 +252,28 @@ def validate_spec(s: FiberedSpec) -> ValidationReport:
                     )
                 )
 
-    for (g, f), h in sorted(s.base.compose.items()):
-        if g not in s.actions or f not in s.actions or h not in s.actions:
-            continue
+    # the report sorts its violations, so the rows are walked in their order
+    for f, row in s.base.rows.items():
         mf = basemors.get(f)
-        if mf is None or mf.src not in s.fibers:
+        if f not in s.actions or mf is None or mf.src not in s.fibers:
             continue
-        act_g, act_f, act_h = s.actions[g], s.actions[f], s.actions[h]
-        for k in s.fibers[mf.src].elements:
-            if k not in act_f or act_f[k] not in act_g or k not in act_h:
+        act_f = s.actions[f]
+        for g, h in row.items():
+            if g not in s.actions or h not in s.actions:
                 continue
-            if act_g[act_f[k]] != act_h[k]:
-                violations.append(
-                    Violation(
-                        "action-functorial",
-                        (g, f, k),
-                        f"acting by the composite gives {act_h[k]!r} but acting in "
-                        f"stages gives {act_g[act_f[k]]!r}",
+            act_g, act_h = s.actions[g], s.actions[h]
+            for k in s.fibers[mf.src].elements:
+                if k not in act_f or act_f[k] not in act_g or k not in act_h:
+                    continue
+                if act_g[act_f[k]] != act_h[k]:
+                    violations.append(
+                        Violation(
+                            "action-functorial",
+                            (g, f, k),
+                            f"acting by the composite gives {act_h[k]!r} but acting in "
+                            f"stages gives {act_g[act_f[k]]!r}",
+                        )
                     )
-                )
 
     return ValidationReport(violations)
 
@@ -334,15 +337,20 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
             decoding[name] = (b, k)
             objects.append(name)
 
-    # every table below holds the one name string made here per morphism
+    # every table below holds the one name string made here per morphism;
+    # lifts[f, k] maps k2 to the name of (f, k, k2), and out_of[x] pairs each
+    # base arrow g leaving x = (b, k1) with lifts[g, k1], in morphism order
     mors: list[Mor] = []
     mor_proj: dict[str, str] = {}
-    mor_data: dict[str, tuple[str, str, str]] = {}
-    named: dict[tuple[str, str, str], str] = {}
+    mor_data: dict[str, tuple[str, str]] = {}
+    lifts: dict[tuple[str, str], dict[str, str]] = {}
+    out_of: dict[str, list[tuple[str, dict[str, str]]]] = {}
     for fname, m in base.morphisms.items():
         act = s.actions[fname]
         dst_fiber = s.fibers[m.dst]
         for k in s.fibers[m.src].elements:
+            src = _obj_name(m.src, k)
+            lifted = lifts[fname, k] = {}
             for k2 in dst_fiber.elements:
                 if dst_fiber.le(act[k], k2):
                     name = _mor_name(fname, k, k2)
@@ -350,33 +358,46 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
                         raise InvalidArtifactError(
                             f"total morphism name collision at {name!r}"
                         )
-                    mors.append(Mor(name, _obj_name(m.src, k), _obj_name(m.dst, k2)))
+                    mors.append(Mor(name, src, _obj_name(m.dst, k2)))
                     mor_proj[name] = fname
-                    mor_data[name] = key = (fname, k, k2)
-                    named[key] = name
+                    mor_data[name] = (fname, k)
+                    lifted[k2] = name
+            out_of.setdefault(src, []).append((fname, lifted))
 
-    by_src: dict[str, list[str]] = {}
-    for m in mors:
-        by_src.setdefault(m.src, []).append(m.name)
-    identity: dict[str, str] = {}
-    compose: dict[tuple[str, str], str] = {}
-    try:
-        for b in base.objects:
-            idb = base.identity[b]
-            for k in s.fibers[b].elements:
-                identity[_obj_name(b, k)] = named[idb, k, k]
-        for u in mors:
-            f, k, k1 = mor_data[u.name]
-            for vname in by_src.get(u.dst, ()):
-                g, _, k2 = mor_data[vname]
-                compose[(vname, u.name)] = named[base.compose[(g, f)], k, k2]
-    except KeyError as exc:
-        raise InvalidArtifactError(
+    def missing(key):
+        return InvalidArtifactError(
             f"total category of {s.name!r} has no morphism for the identity "
-            f"or composite {exc.args[0]!r}"
-        ) from None
+            f"or composite {key!r}"
+        )
 
-    total = Category(f"total({s.name})", objects, mors, identity, compose)
+    identity: dict[str, str] = {}
+    for b in base.objects:
+        idb = base.identity.get(b)
+        for k in s.fibers[b].elements:
+            name = lifts.get((idb, k), NO_ROW).get(k)
+            if name is None:
+                raise missing((idb, k, k))
+            identity[_obj_name(b, k)] = name
+    # (g, k1, k2) after (f, k, k1) is (g o f, k, k2): the row of (f, k, k1)
+    # is read off the lifts of the base composites g o f at k
+    rows: dict[str, dict[str, str]] = {}
+    base_rows = base.rows
+    try:
+        for u in mors:
+            f, k = mor_data[u.name]
+            after_f = base_rows.get(f, NO_ROW)
+            row = rows[u.name] = {}
+            for g, targets in out_of.get(u.dst, ()):
+                gf = after_f.get(g)
+                if gf is None:
+                    raise missing((g, f))
+                composites = lifts.get((gf, k), NO_ROW)
+                for k2, v in targets.items():
+                    row[v] = composites[k2]
+    except KeyError as exc:
+        raise missing((gf, k, exc.args[0])) from None
+
+    total = Category(f"total({s.name})", objects, mors, identity, rows=rows)
     projection = Functor(
         total,
         base,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .core import Category, inverse_of, oriented
+from .core import NO_ROW, Category, inverse_of, oriented
 from .errors import (
     InvalidArtifactError,
     MismatchError,
@@ -74,7 +74,7 @@ def _functor_report(
 ) -> ValidationReport:
     """:func:`validate_functor` on tables from ``src`` to ``tgt``, with
     ``flip`` reading ``src`` as its opposite: endpoints swapped and each
-    compose key ``(g, f)`` read as ``(f, g)``.  The subjects are the ones a
+    entry ``g after f`` read as ``f after g``.  The subjects are the ones a
     check on the real opposite gives."""
     violations: list[Violation] = []
     src_objects, tgt_objects = set(src.objects), set(tgt.objects)
@@ -144,25 +144,28 @@ def _functor_report(
             )
 
     # each table entry yields at most one violation and the report sorts its
-    # violations, so the table is walked in its own order
-    entries = src.compose.items()
-    if flip:
-        entries = (((f, g), h) for (g, f), h in entries)
+    # violations, so the rows are walked in their own order; entry g o f = h
+    # of the source, read flipped, is f o g = h in the opposite
     image = mor_map.get
-    tgt_comp = tgt.compose.get
-    for (g, f), h in entries:
-        Fg, Ff, Fh = image(g), image(f), image(h)
-        if Fg is None or Ff is None or Fh is None:
+    tgt_rows = tgt.rows
+    for f, row in src.rows.items():
+        Ff = image(f)
+        if Ff is None:
             continue
-        got = tgt_comp((Fg, Ff))
-        if got != Fh:
-            violations.append(
-                Violation(
-                    "functor-composition",
-                    (g, f),
-                    f"image of composite is {Fh!r} but composite of images is {got!r}",
+        after_Ff = tgt_rows.get(Ff, NO_ROW)
+        for g, h in row.items():
+            Fg, Fh = image(g), image(h)
+            if Fg is None or Fh is None:
+                continue
+            got = tgt_rows.get(Fg, NO_ROW).get(Ff) if flip else after_Ff.get(Fg)
+            if got != Fh:
+                violations.append(
+                    Violation(
+                        "functor-composition",
+                        (f, g) if flip else (g, f),
+                        f"image of composite is {Fh!r} but composite of images is {got!r}",
+                    )
                 )
-            )
 
     return ValidationReport(violations)
 
@@ -305,15 +308,15 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
             )
 
     components = alpha.components
-    cod_comp = cod.compose.get
+    cod_rows = cod.rows
     for f, mf in dom.morphisms.items():
         if mf.src in bad_at or mf.dst in bad_at:
             continue
         Ff, Gf = F.mor_map.get(f), G.mor_map.get(f)
         if Ff is None or Gf is None:
             continue
-        left = cod_comp((components[mf.dst], Ff))
-        right = cod_comp((Gf, components[mf.src]))
+        left = cod_rows.get(Ff, NO_ROW).get(components[mf.dst])
+        right = cod_rows.get(components[mf.src], NO_ROW).get(Gf)
         if left != right or left is None:
             violations.append(
                 Violation(

@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .core import Category, Mor, validate_category
+from .core import NO_ROW, Category, Mor, Rows, validate_category
 from .errors import InvalidArtifactError, ParseError
 from .fibered import FiberedSpec, FiberPoset, poset_from_pairs, validate_spec
 from .functors import (
@@ -70,58 +70,63 @@ class LoadedArtifact:
 # documents: the common shape behind both encodings
 
 
-def _complete_table(
-    mors: list[Mor], identity: dict[str, str], table: dict[tuple[str, str], str]
-) -> dict[tuple[str, str], str]:
-    """Fill omitted compose entries: identity laws first, then unique-choice
-    hom-sets.  Pairs that stay underdetermined are left for the validator."""
+def _complete_table(mors: list[Mor], identity: dict[str, str], rows: Rows) -> Rows:
+    """Fill omitted compose entries into ``rows`` (``rows[f][g] = g after
+    f``): identity laws first, then unique-choice hom-sets.  Pairs that stay
+    underdetermined are left for the validator."""
     by_name = {m.name: m for m in mors}
     identities = {
         name for name, m in by_name.items() if m.src == m.dst and identity.get(m.src) == name
     }
-    out = dict(table)
     hom: dict[tuple[str, str], list[str]] = {}
     out_of: dict[str, list[Mor]] = {}
     for m in mors:
         hom.setdefault((m.src, m.dst), []).append(m.name)
         out_of.setdefault(m.src, []).append(m)
-    # each f's partners in list order, so entries are added in the same
-    # order as a walk over all pairs would add them
     for f in mors:
         f_is_identity = f.name in identities
+        row = rows.get(f.name, NO_ROW)
         for g in out_of.get(f.dst, ()):
-            if (g.name, f.name) in out:
+            if g.name in row:
                 continue
             if f_is_identity:
-                out[(g.name, f.name)] = g.name
+                h = g.name
             elif g.name in identities:
-                out[(g.name, f.name)] = f.name
+                h = f.name
             else:
                 cands = hom.get((f.src, g.dst), ())
-                if len(cands) == 1:
-                    out[(g.name, f.name)] = cands[0]
-    return out
+                if len(cands) != 1:
+                    continue
+                h = cands[0]
+            if row is NO_ROW:
+                row = rows[f.name] = {}
+            row[g.name] = h
+    return rows
 
 
 def _nonderivable_entries(c: Category) -> list[tuple[str, str, str]]:
-    """The compose entries the completion rules cannot reconstruct; these
-    are exactly what the canonical form writes out."""
+    """The compose entries the completion rules cannot reconstruct, sorted;
+    these are exactly what the canonical form writes out."""
     by_name = c.morphisms
+    identities = {m for m in c.identity.values() if c.is_identity_name(m)}
     keep = []
-    for (g, f), h in sorted(c.compose.items()):
-        mf, mg = by_name.get(f), by_name.get(g)
-        if c.is_identity_name(f):
-            derived = g
-        elif c.is_identity_name(g):
-            derived = f
-        elif mf is not None and mg is not None:
-            cands = c.hom(mf.src, mg.dst)
-            derived = cands[0] if len(cands) == 1 else None
-        else:
-            derived = None
-        if h != derived:
-            keep.append((g, f, h))
-    return keep
+    for f, row in c.rows.items():
+        mf = by_name.get(f)
+        f_is_identity = f in identities
+        for g, h in row.items():
+            mg = by_name.get(g)
+            if f_is_identity:
+                derived = g
+            elif g in identities:
+                derived = f
+            elif mf is not None and mg is not None:
+                cands = c.hom(mf.src, mg.dst)
+                derived = cands[0] if len(cands) == 1 else None
+            else:
+                derived = None
+            if h != derived:
+                keep.append((g, f, h))
+    return sorted(keep)
 
 
 def _category_sections_doc(c: Category) -> dict:
@@ -580,9 +585,11 @@ def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
 def _build_category(doc: dict, name: str) -> Category:
     mors = [Mor(m["name"], m["src"], m["dst"]) for m in doc["morphisms"]]
     identity = dict(doc["identities"])
-    table = {(g, f): h for g, f, h in doc["compose"]}
+    rows: Rows = {}
+    for g, f, h in doc["compose"]:
+        rows.setdefault(f, {})[g] = h
     return Category(
-        name, doc["objects"], mors, identity, _complete_table(mors, identity, table)
+        name, doc["objects"], mors, identity, rows=_complete_table(mors, identity, rows)
     )
 
 

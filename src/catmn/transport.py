@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Category, Mor, inverse_of
+from .core import Category, Mor, inverse_of, transposed
 from .errors import InvalidArtifactError, MismatchError
 from .functors import (
     ContravariantFunctor,
@@ -256,7 +256,8 @@ def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> Contravari
 
     The copy is built straight from ``c``'s tables through one relabeling
     map for objects and one for morphisms, so each new name is made once and
-    shared by every table that holds it; no opposite category is built.
+    shared by every table that holds it; its rows are ``c``'s rows
+    transposed through the relabeling.  No opposite category is built.
     """
     objs = {x: x + suffix for x in c.objects}
     mors = {f: f + suffix for f in c.morphisms}
@@ -266,7 +267,7 @@ def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> Contravari
             objs.values(),
             [Mor(mors[m.name], objs[m.dst], objs[m.src]) for m in c.morphisms.values()],
             {objs[x]: mors[m] for x, m in c.identity.items()},
-            {(mors[f], mors[g]): mors[h] for (g, f), h in c.compose.items()},
+            rows=transposed(c.rows, mors.__getitem__),
         )
     except KeyError as exc:
         raise InvalidArtifactError(

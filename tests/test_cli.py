@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import catmn
 from catmn import (
     LoadedArtifact,
     canonical_c2,
@@ -18,6 +21,15 @@ from catmn import (
 )
 from catmn.cli import main
 from helpers import orbit
+
+# ``python -m catmn.cli`` in a child process, on the sources under test
+MODULE = [sys.executable, "-m", "catmn.cli"]
+MODULE_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(catmn.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 MN_CHECK_C2 = """\
 spec canonical_c2
@@ -227,10 +239,7 @@ def test_demo_runs_everything(capsys):
 
 
 def test_module_entry_point(c2_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "catmn.cli", "mn-check", c2_file],
-        capture_output=True,
-    )
+    proc = subprocess.run(MODULE + ["mn-check", c2_file], capture_output=True, env=MODULE_ENV)
     assert proc.returncode == 0
     assert proc.stdout.decode().endswith("result: PASS\n")
 
@@ -256,10 +265,35 @@ def test_json_artifact_with_bad_field_is_a_parse_error(tmp_path, command, doc, m
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"artifacts": [doc]}))
     proc = subprocess.run(
-        [sys.executable, "-m", "catmn.cli", command, str(path)],
-        capture_output=True,
-        text=True,
+        MODULE + [command, str(path)], capture_output=True, text=True, env=MODULE_ENV
     )
     assert proc.returncode == 2
     assert proc.stderr == ""  # no traceback
     assert proc.stdout == f"error: {path}:1:1: {message}\n"
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # one object, 200 endomorphisms and no table: 40,000 compose-missing
+    # lines, far more than a pipe holds, so the writer meets a closed pipe
+    path = tmp_path / "one.cm"
+    endos = "".join(f"    m{i:03d}: x -> x\n" for i in range(200))
+    path.write_text(
+        "CATEGORY one\n  OBJECTS\n    x\n  MORPHISMS\n    id_x: x -> x\n"
+        f"{endos}  IDENTITIES\n    x: id_x\n  COMPOSE\nEND\n"
+    )
+    proc = subprocess.Popen(
+        MODULE + ["validate", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=MODULE_ENV,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1  # the verdict's exit code: validation failed
+    assert stderr == b""
+    assert head == [
+        b"category one: FAIL\n",
+        b"  compose-missing [m000, m000]: composable pair has no table entry\n",
+    ]
