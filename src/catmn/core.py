@@ -16,7 +16,6 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
@@ -32,8 +31,7 @@ from .errors import (
 from .report import ValidationReport, Violation
 
 
-@dataclass(frozen=True, order=True)
-class Mor:
+class Mor(NamedTuple):
     """A named morphism with explicit source and target objects."""
 
     name: str

@@ -19,7 +19,8 @@ instances inside configurable size limits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import InitVar, dataclass, field
 
 from .config import morphism_limit
 from .errors import (
@@ -44,12 +45,36 @@ class FiberPoset:
 
     ``leq`` is the full order relation (reflexive and transitive) as a set
     of pairs.  Use :func:`poset_from_pairs` to build one from generators.
+
+    ``up[a]`` is ``{b : (a, b) in leq}`` and ``down[b]`` is ``{a : (a, b)
+    in leq}``, both keyed by every element and every name ``leq`` mentions.
+    They are derived from ``leq`` unless ``reach`` hands over the up-sets of
+    an order known to hold no pair outside the elements; a
+    ``dataclasses.replace`` copy derives its own.
     """
 
     elements: tuple[str, ...]
     leq: frozenset[tuple[str, str]]
     bottom: str
     top: str
+    reach: InitVar[Mapping[str, Iterable[str]] | None] = None
+    up: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+    down: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self, reach):
+        if reach is None:
+            above: dict[str, set[str]] = {x: set() for x in self.elements}
+            for a, b in self.leq:
+                above.setdefault(a, set()).add(b)
+                above.setdefault(b, set())
+            reach = above
+        up = {a: frozenset(bs) for a, bs in reach.items()}
+        below: dict[str, set[str]] = {x: set() for x in up}
+        for a, bs in up.items():
+            for b in bs:
+                below[b].add(a)
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", {b: frozenset(a) for b, a in below.items()})
 
     def le(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
@@ -61,9 +86,7 @@ class FiberPoset:
         out: list[str] = []
         while remaining:
             ready = sorted(
-                x
-                for x in remaining
-                if all(y == x or (y, x) not in self.leq for y in remaining)
+                x for x in remaining if self.down[x] & remaining <= {x}
             )
             if not ready:
                 # cyclic relation; validation reports it, but stay total here
@@ -75,25 +98,24 @@ class FiberPoset:
 
 def poset_from_pairs(elements, pairs, bottom, top) -> FiberPoset:
     """Build a fiber poset from generating pairs, closing under
-    reflexivity and transitivity."""
+    reflexivity and transitivity; pairs naming a non-element are dropped."""
     elems = tuple(sorted(set(elements)))
     reach: dict[str, set[str]] = {x: {x} for x in elems}
     adj: dict[str, set[str]] = {x: set() for x in elems}
     for a, b in pairs:
-        if a in adj:
+        if a in adj and b in adj:
             adj[a].add(b)
     for x in elems:
         stack = [x]
         seen = reach[x]
         while stack:
             cur = stack.pop()
-            for nxt in adj.get(cur, ()):
+            for nxt in adj[cur]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-    elemset = set(elems)
-    leq = frozenset((a, b) for a in elems for b in reach[a] if b in elemset)
-    return FiberPoset(elems, leq, bottom, top)
+    leq = frozenset((a, b) for a in elems for b in reach[a])
+    return FiberPoset(elems, leq, bottom, top, reach)
 
 
 def chain_poset(names) -> FiberPoset:
@@ -130,46 +152,52 @@ def _validate_fiber(label: str, p: FiberPoset) -> list[Violation]:
                     f"designated {who} is not an element",
                 )
             )
-    for a, b in p.leq:
-        if a not in elems or b not in elems:
+    up, down = p.up, p.down
+    for a, above in up.items():
+        for b in above if a not in elems else above - elems:
             violations.append(
                 Violation("fiber-order-domain", (label, a, b), "order pair outside the elements")
             )
     for x in p.elements:
-        if (x, x) not in p.leq:
+        if x not in up[x]:
             violations.append(
                 Violation("fiber-order-reflexive", (label, x), "missing reflexive pair")
             )
-    for a, b in sorted(p.leq):
-        for c in p.elements:
-            if (b, c) in p.leq and (a, c) not in p.leq:
-                violations.append(
-                    Violation(
-                        "fiber-order-transitive",
-                        (label, a, b, c),
-                        "relation is not transitively closed",
-                    )
-                )
-    for a, b in sorted(p.leq):
-        if a != b and (b, a) in p.leq:
-            violations.append(
-                Violation(
-                    "fiber-order-cycle",
-                    (label, a, b),
-                    f"{a!r} and {b!r} are below each other",
-                )
-            )
-    for who, val, where in (("bottom", p.bottom, "below"), ("top", p.top, "above")):
-        if val in elems:
-            for x in sorted(elems):
-                if ((val, x) if who == "bottom" else (x, val)) not in p.leq:
+    # a <= b <= c must give a <= c for every element c, and a <= b <= a only
+    # when a == b
+    for a, above in up.items():
+        for b in above:
+            for c in up[b] - above:
+                if c in elems:
                     violations.append(
                         Violation(
-                            f"fiber-{who}",
-                            (label, x),
-                            f"designated {who} {val!r} is not {where} {x!r}",
+                            "fiber-order-transitive",
+                            (label, a, b, c),
+                            "relation is not transitively closed",
                         )
                     )
+        for b in above & down[a]:
+            if b != a:
+                violations.append(
+                    Violation(
+                        "fiber-order-cycle",
+                        (label, a, b),
+                        f"{a!r} and {b!r} are below each other",
+                    )
+                )
+    for who, val, where, reached in (
+        ("bottom", p.bottom, "below", up),
+        ("top", p.top, "above", down),
+    ):
+        if val in elems:
+            for x in elems - reached[val]:
+                violations.append(
+                    Violation(
+                        f"fiber-{who}",
+                        (label, x),
+                        f"designated {who} {val!r} is not {where} {x!r}",
+                    )
+                )
     return violations
 
 
@@ -240,17 +268,19 @@ def validate_spec(s: FiberedSpec) -> ValidationReport:
                             f"identity action moves {k!r} to {act[k]!r}",
                         )
                     )
-        for a, b in sorted(src_fiber.leq):
-            if a not in act or b not in act:
+        for a, above in src_fiber.up.items():
+            if a not in act:
                 continue  # stray order pairs are already reported above
-            if a != b and not dst_fiber.le(act[a], act[b]):
-                violations.append(
-                    Violation(
-                        "action-monotone",
-                        (fname, a, b),
-                        f"{a!r} <= {b!r} but {act[a]!r} <= {act[b]!r} fails",
+            image_above = dst_fiber.up.get(act[a], ())
+            for b in above:
+                if b != a and b in act and act[b] not in image_above:
+                    violations.append(
+                        Violation(
+                            "action-monotone",
+                            (fname, a, b),
+                            f"{a!r} <= {b!r} but {act[a]!r} <= {act[b]!r} fails",
+                        )
                     )
-                )
 
     # the report sorts its violations, so the rows are walked in their order
     for f, row in s.base.rows.items():
@@ -309,14 +339,18 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
         raise InvalidArtifactError(f"invalid fibered spec {s.name!r}", report)
 
     base = s.base
+    # above[b][k] is the up-set of k in the fiber over b, in element order:
+    # the lifts of (f, k) to b end at above[b][act_f(k)], in morphism order
+    above: dict[str, dict[str, list[str]]] = {}
+    for b in base.objects:
+        p = s.fibers[b]
+        rank = {k: i for i, k in enumerate(p.elements)}.__getitem__
+        above[b] = {k: sorted(up, key=rank) for k, up in p.up.items()}
     count = 0
     for fname, m in base.morphisms.items():
-        act = s.actions[fname]
-        dst_fiber = s.fibers[m.dst]
+        act, ends = s.actions[fname], above[m.dst]
         for k in s.fibers[m.src].elements:
-            for k2 in dst_fiber.elements:
-                if dst_fiber.le(act[k], k2):
-                    count += 1
+            count += len(ends[act[k]])
     limit = morphism_limit()
     if count > limit:
         raise SizeLimitError(
@@ -346,22 +380,18 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
     lifts: dict[tuple[str, str], dict[str, str]] = {}
     out_of: dict[str, list[tuple[str, dict[str, str]]]] = {}
     for fname, m in base.morphisms.items():
-        act = s.actions[fname]
-        dst_fiber = s.fibers[m.dst]
+        act, ends = s.actions[fname], above[m.dst]
         for k in s.fibers[m.src].elements:
             src = _obj_name(m.src, k)
             lifted = lifts[fname, k] = {}
-            for k2 in dst_fiber.elements:
-                if dst_fiber.le(act[k], k2):
-                    name = _mor_name(fname, k, k2)
-                    if name in mor_data:
-                        raise InvalidArtifactError(
-                            f"total morphism name collision at {name!r}"
-                        )
-                    mors.append(Mor(name, src, _obj_name(m.dst, k2)))
-                    mor_proj[name] = fname
-                    mor_data[name] = (fname, k)
-                    lifted[k2] = name
+            for k2 in ends[act[k]]:
+                name = _mor_name(fname, k, k2)
+                if name in mor_data:
+                    raise InvalidArtifactError(f"total morphism name collision at {name!r}")
+                mors.append(Mor(name, src, _obj_name(m.dst, k2)))
+                mor_proj[name] = fname
+                mor_data[name] = (fname, k)
+                lifted[k2] = name
             out_of.setdefault(src, []).append((fname, lifted))
 
     def missing(key):
@@ -655,10 +685,8 @@ def _random_monotone(rng: random.Random, src: FiberPoset, dst: FiberPoset) -> di
     for k in src.linear_extension():
         if k in img:
             continue
-        lower_imgs = [img[a] for a in src.elements if a != k and src.le(a, k) and a in img]
-        cands = sorted(
-            y for y in dst.elements if all(dst.le(v, y) for v in lower_imgs)
-        )
+        lower_imgs = [img[a] for a in src.down[k] if a != k and a in img]
+        cands = sorted(set(dst.elements).intersection(*(dst.up[v] for v in lower_imgs)))
         img[k] = cands[rng.randrange(len(cands))]
     return img
 

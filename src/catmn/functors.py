@@ -308,9 +308,12 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
             )
 
     components = alpha.components
+    # a square is checked only between good components; an end that is no
+    # object has none, and validate_category reports it as morphism-endpoints
+    good = components.keys() - bad_at
     cod_rows = cod.rows
     for f, mf in dom.morphisms.items():
-        if mf.src in bad_at or mf.dst in bad_at:
+        if mf.src not in good or mf.dst not in good:
             continue
         Ff, Gf = F.mor_map.get(f), G.mor_map.get(f)
         if Ff is None or Gf is None:

@@ -142,18 +142,15 @@ def _category_sections_doc(c: Category) -> dict:
 
 
 def _reduction_pairs(p: FiberPoset) -> list[tuple[str, str]]:
-    strict = sorted((a, b) for (a, b) in p.leq if a != b)
-    if any((b, a) in p.leq for a, b in strict):
-        # not antisymmetric; a reduction would lose the cycle, so keep all
+    """The Hasse diagram of ``p``: each strict pair (a, b) with no element
+    strictly between, or every strict pair when some two elements are below
+    each other, since a reduction would lose the cycle."""
+    up, down = p.up, p.down
+    strict = sorted((a, b) for a, above in up.items() for b in above if a != b)
+    if any(above & down[a] - {a} for a, above in up.items()):
         return strict
-    return [
-        (a, b)
-        for a, b in strict
-        if not any(
-            c not in (a, b) and (a, c) in p.leq and (c, b) in p.leq
-            for c in p.elements
-        )
-    ]
+    elems = set(p.elements)
+    return [(a, b) for a, b in strict if up[a] & down[b] & elems <= {a, b}]
 
 
 def _identity_map(p: FiberPoset) -> dict[str, str]:

@@ -244,6 +244,62 @@ def test_module_entry_point(c2_file):
     assert proc.stdout.decode().endswith("result: PASS\n")
 
 
+# a morphism ending at a non-object, under a functor and a natural
+# transformation that are fine wherever they are defined
+ENDPOINT_OFF_OBJECTS = """\
+CATEGORY bad
+  OBJECTS
+    a
+  MORPHISMS
+    id_a: a -> a
+    f: a -> zz
+  IDENTITIES
+    a: id_a
+  COMPOSE
+END
+
+FUNCTOR idf: bad -> bad
+  OBJMAP
+    a -> a
+  MORMAP
+    id_a -> id_a
+    f -> f
+END
+
+NAT idn: idf => idf
+  COMPONENTS
+    a: id_a
+END
+"""
+
+
+def test_nat_over_a_morphism_off_the_objects_is_no_traceback(tmp_path):
+    path = tmp_path / "bad.cm"
+    path.write_text(ENDPOINT_OFF_OBJECTS)
+    proc = subprocess.run(
+        MODULE + ["validate", str(path)], capture_output=True, text=True, env=MODULE_ENV
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no traceback
+    assert proc.stdout == (
+        "category bad: FAIL\n"
+        "  morphism-endpoints [f]: target 'zz' is not an object\n"
+        "functor idf: ok\n"
+        "nat idn: ok\n"
+    )
+
+
+def test_package_runs_as_a_module(capsys, tmp_path, c2_file):
+    bad = tmp_path / "bad.cm"
+    bad.write_text(ENDPOINT_OFF_OBJECTS)
+    missing = str(tmp_path / "none.cm")
+    for argv in (["mn-check", c2_file], ["validate", str(bad)], ["validate", missing]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "catmn", *argv], capture_output=True, text=True, env=MODULE_ENV
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(capsys, *argv), "")
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
