@@ -19,8 +19,8 @@ instances inside configurable size limits.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from itertools import chain
 
 from .config import morphism_limit
 from .errors import (
@@ -47,33 +47,26 @@ class FiberPoset:
     of pairs.  Use :func:`poset_from_pairs` to build one from generators.
 
     ``up[a]`` is ``{b : (a, b) in leq}`` and ``down[b]`` is ``{a : (a, b)
-    in leq}``, both keyed by every element and every name ``leq`` mentions.
-    They are derived from ``leq`` unless ``reach`` hands over the up-sets of
-    an order known to hold no pair outside the elements; a
-    ``dataclasses.replace`` copy derives its own.
+    in leq}``, both keyed by every element and every name ``leq`` mentions,
+    and derived from ``leq``, so a ``dataclasses.replace`` copy derives its
+    own.
     """
 
     elements: tuple[str, ...]
     leq: frozenset[tuple[str, str]]
     bottom: str
     top: str
-    reach: InitVar[Mapping[str, Iterable[str]] | None] = None
     up: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
     down: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, reach):
-        if reach is None:
-            above: dict[str, set[str]] = {x: set() for x in self.elements}
-            for a, b in self.leq:
-                above.setdefault(a, set()).add(b)
-                above.setdefault(b, set())
-            reach = above
-        up = {a: frozenset(bs) for a, bs in reach.items()}
-        below: dict[str, set[str]] = {x: set() for x in up}
-        for a, bs in up.items():
-            for b in bs:
-                below[b].add(a)
-        object.__setattr__(self, "up", up)
+    def __post_init__(self):
+        names = dict.fromkeys(chain(self.elements, chain.from_iterable(self.leq)))
+        above: dict[str, set[str]] = {x: set() for x in names}
+        below: dict[str, set[str]] = {x: set() for x in names}
+        for a, b in self.leq:
+            above[a].add(b)
+            below[b].add(a)
+        object.__setattr__(self, "up", {a: frozenset(bs) for a, bs in above.items()})
         object.__setattr__(self, "down", {b: frozenset(a) for b, a in below.items()})
 
     def le(self, a: str, b: str) -> bool:
@@ -115,7 +108,7 @@ def poset_from_pairs(elements, pairs, bottom, top) -> FiberPoset:
                     seen.add(nxt)
                     stack.append(nxt)
     leq = frozenset((a, b) for a in elems for b in reach[a])
-    return FiberPoset(elems, leq, bottom, top, reach)
+    return FiberPoset(elems, leq, bottom, top)
 
 
 def chain_poset(names) -> FiberPoset:

@@ -238,12 +238,6 @@ def test_demo_runs_everything(capsys):
     assert "shipped-fixture-round-trip: ok" in out
 
 
-def test_module_entry_point(c2_file):
-    proc = subprocess.run(MODULE + ["mn-check", c2_file], capture_output=True, env=MODULE_ENV)
-    assert proc.returncode == 0
-    assert proc.stdout.decode().endswith("result: PASS\n")
-
-
 # a morphism ending at a non-object, under a functor and a natural
 # transformation that are fine wherever they are defined
 ENDPOINT_OFF_OBJECTS = """\
@@ -281,23 +275,32 @@ def test_nat_over_a_morphism_off_the_objects_is_no_traceback(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr == ""  # no traceback
-    assert proc.stdout == (
-        "category bad: FAIL\n"
-        "  morphism-endpoints [f]: target 'zz' is not an object\n"
-        "functor idf: ok\n"
-        "nat idn: ok\n"
-    )
+    lines = proc.stdout.splitlines()
+    # the functor's own verdict is left out: it does not yet say that its
+    # endpoint check was skipped at f
+    assert lines[:2] == [
+        "category bad: FAIL",
+        "  morphism-endpoints [f]: target 'zz' is not an object",
+    ]
+    assert lines[-1] == "nat idn: ok"
 
 
-def test_package_runs_as_a_module(capsys, tmp_path, c2_file):
+def test_module_entry_point(capsys, tmp_path, c2_file):
+    """``python -m catmn.cli`` and ``python -m catmn`` both exit as
+    in-process ``main`` does, on a PASS, a FAIL and an I/O error."""
     bad = tmp_path / "bad.cm"
     bad.write_text(ENDPOINT_OFF_OBJECTS)
     missing = str(tmp_path / "none.cm")
-    for argv in (["mn-check", c2_file], ["validate", str(bad)], ["validate", missing]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "catmn", *argv], capture_output=True, text=True, env=MODULE_ENV
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (*run_cli(capsys, *argv), "")
+    code, out = run_cli(capsys, "mn-check", c2_file)
+    assert code == 0 and out.endswith("result: PASS\n")
+    for module in ("catmn.cli", "catmn"):
+        for argv in (["mn-check", c2_file], ["validate", str(bad)], ["validate", missing]):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                capture_output=True, text=True, env=MODULE_ENV,
+            )
+            expected = (*run_cli(capsys, *argv), "")
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected, (module, argv)
 
 
 @pytest.mark.parametrize(
