@@ -15,6 +15,7 @@ exit 1, parse and build errors exit 2 with the failing stage named.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -310,7 +311,12 @@ def cmd_demo(args, out) -> int:
     return max(codes)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``catmn`` argument parser, built on the first call and shared by
+    every later one.  It names each command but binds no function to it:
+    :func:`main` looks ``cmd_<command>`` up on this module at call time, so a
+    function rebound here after the first call is the one that runs."""
     parser = argparse.ArgumentParser(
         prog="catmn",
         description=(
@@ -323,26 +329,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run every artifact's validator on a file")
     p.add_argument("path", help="artifact file (text or JSON)")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser(
         "mn-check",
         help="full monad/comonad/equivalence verification of a fibered spec",
     )
     p.add_argument("path", help="spec file")
-    p.set_defaults(func=cmd_mn_check)
 
     p = sub.add_parser(
         "transport",
         help="carry the spec's monads across a contravariant equivalence",
     )
     p.add_argument("path", help="spec file")
-    p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("export-dot", help="write a Graphviz DOT rendering")
     p.add_argument("path", help="category or spec file")
     p.add_argument("--out", required=True, help="output .dot path")
-    p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("random", help="generate a seeded random fibered spec")
     p.add_argument("--seed", type=int, required=True)
@@ -350,10 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-fiber", type=int, default=5, help="max fiber elements")
     p.add_argument("--json", action="store_true", help="emit the JSON encoding")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("demo", help="run the built-in fixtures end to end")
-    p.set_defaults(func=cmd_demo)
+    sub.add_parser("demo", help="run the built-in fixtures end to end")
 
     return parser
 
@@ -387,9 +387,10 @@ class _QuietPipe:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     out = _QuietPipe(sys.stdout)
     try:
-        code = args.func(args, out)
+        code = command(args, out)
     except EngineError as exc:
         out.write(f"error: {exc}\n")
         code = 2

@@ -107,6 +107,18 @@ def _functor_report(
         a, b = ends(mf)
         want_src = obj_map.get(a)
         want_dst = obj_map.get(b)
+        if want_src is None or want_dst is None:
+            # an endpoint with no image is reported once: as
+            # functor-object-missing when it is a source object, here if not
+            for end, x, want in (("source", a, want_src), ("target", b, want_dst)):
+                if want is None and x not in src_objects:
+                    violations.append(
+                        Violation(
+                            "functor-endpoints",
+                            (f,),
+                            f"{end} {x!r} is not a source object, so its image is unchecked",
+                        )
+                    )
         if want_src is not None and mFf.src != want_src:
             violations.append(
                 Violation(

@@ -742,6 +742,8 @@ def parse_json_text(text: str, filename: str = "<input>", namespace: dict | None
     if not isinstance(data, dict) or not isinstance(data.get("artifacts"), list):
         raise ParseError('expected an object with an "artifacts" list', filename, 1)
     docs = data["artifacts"]
+    if not docs:
+        raise ParseError('empty "artifacts" list: no artifacts', filename, 1)
     for i, doc in enumerate(docs):
         if not isinstance(doc, dict) or "kind" not in doc or "name" not in doc:
             raise ParseError("every artifact needs a kind and a name", filename, 1)
@@ -764,7 +766,17 @@ def load_text(text: str, filename: str = "<input>", namespace: dict | None = Non
 
 def load_path(path, namespace: dict | None = None) -> list[LoadedArtifact]:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            # one read decodes the whole file, so the offset is the file's
+            before = exc.object[: exc.start]
+            line = before.count(b"\n") + 1
+            column = exc.start - before.rfind(b"\n")
+            bad = exc.object[exc.start]
+            raise ParseError(
+                f"not UTF-8 text: cannot decode byte 0x{bad:02x}", str(path), line, column
+            ) from None
     return load_text(text, str(path), namespace)
 
 

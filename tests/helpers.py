@@ -243,11 +243,12 @@ def collapse_monad(sets: Category) -> MonadDatum:
 
 def spy(monkeypatch, module, name, calls):
     """Record ``(first argument's name, name)`` in ``calls`` whenever any
-    catmn module calls ``module.name``."""
+    catmn module calls ``module.name``; an argument with no ``name``, such
+    as a command's parsed arguments, is recorded itself."""
     original = getattr(module, name)
 
     def counted(value, *rest):
-        calls.append((value.name, name))
+        calls.append((getattr(value, "name", value), name))
         return original(value, *rest)
 
     for mod_name, mod in list(sys.modules.items()):

@@ -1,26 +1,35 @@
 """The catmn command line: stage reports, exit codes, file output."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catmn
+import catmn.cli
 from catmn import (
     LoadedArtifact,
     canonical_c2,
+    load_text,
     render_artifacts,
     render_category,
     render_dot,
+    render_json,
     render_spec,
     render_spec_dot,
 )
 from catmn.cli import main
-from helpers import orbit
+from helpers import orbit, spy
 
 # ``python -m catmn.cli`` in a child process, on the sources under test
 MODULE = [sys.executable, "-m", "catmn.cli"]
@@ -275,31 +284,51 @@ def test_nat_over_a_morphism_off_the_objects_is_no_traceback(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr == ""  # no traceback
-    lines = proc.stdout.splitlines()
-    # the functor's own verdict is left out: it does not yet say that its
-    # endpoint check was skipped at f
-    assert lines[:2] == [
+    assert proc.stdout.splitlines() == [
         "category bad: FAIL",
         "  morphism-endpoints [f]: target 'zz' is not an object",
+        # the functor's endpoint check at f has no image of zz to compare
+        "functor idf: FAIL",
+        "  functor-endpoints [f]: target 'zz' is not a source object, so its image is unchecked",
+        "nat idn: ok",
     ]
-    assert lines[-1] == "nat idn: ok"
 
 
-def test_module_entry_point(capsys, tmp_path, c2_file):
-    """``python -m catmn.cli`` and ``python -m catmn`` both exit as
-    in-process ``main`` does, on a PASS, a FAIL and an I/O error."""
+def in_process(capsys, argv):
+    """``main(argv)`` ended as a process ends: exit code, stdout, stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_module_entry_point(capsys, monkeypatch, tmp_path, c2_file):
+    """``python -m catmn.cli`` and ``python -m catmn`` each exit and print as
+    in-process ``main`` does, whatever ran before it in that process: a PASS,
+    a FAIL, an I/O error, usage errors and help."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
     bad = tmp_path / "bad.cm"
     bad.write_text(ENDPOINT_OFF_OBJECTS)
-    missing = str(tmp_path / "none.cm")
-    code, out = run_cli(capsys, "mn-check", c2_file)
-    assert code == 0 and out.endswith("result: PASS\n")
+    runs = [
+        ["mn-check", c2_file],  # PASS
+        ["validate", str(bad)],  # FAIL
+        ["validate", str(tmp_path / "none.cm")],  # I/O error
+        ["frobnicate"],  # usage error
+        ["--help"],
+        ["mn-check", "--help"],
+        ["export-dot", c2_file],  # usage error: --out is required
+    ]
+    first = [in_process(capsys, argv) for argv in runs]
+    assert [in_process(capsys, argv) for argv in runs] == first
+    assert [code for code, _, _ in first] == [0, 1, 2, 2, 0, 0, 2]
+    env = {**MODULE_ENV, "COLUMNS": "80"}
     for module in ("catmn.cli", "catmn"):
-        for argv in (["mn-check", c2_file], ["validate", str(bad)], ["validate", missing]):
+        for argv, expected in zip(runs, first):
             proc = subprocess.run(
-                [sys.executable, "-m", module, *argv],
-                capture_output=True, text=True, env=MODULE_ENV,
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
             )
-            expected = (*run_cli(capsys, *argv), "")
             assert (proc.returncode, proc.stdout, proc.stderr) == expected, (module, argv)
 
 
@@ -356,3 +385,140 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
         b"category one: FAIL\n",
         b"  compose-missing [m000, m000]: composable pair has no table entry\n",
     ]
+
+
+FILE_COMMANDS = ["validate", "mn-check", "transport", "export-dot"]
+
+
+def file_argv(command, path):
+    if command == "export-dot":
+        return [command, str(path), "--out", str(Path(path).with_suffix(".dot"))]
+    return [command, str(path)]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"\xff\xfe\x00", "1:1: not UTF-8 text: cannot decode byte 0xff"),
+        (b"CATEGORY x\n  OBJECTS\n    caf\xe9\n", "3:8: not UTF-8 text: cannot decode byte 0xe9"),
+    ],
+)
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path, command, data, where):
+    path = tmp_path / "bytes.cm"
+    path.write_bytes(data)
+    code, out = run_cli(capsys, *file_argv(command, path))
+    assert code == 2
+    assert out == f"error: {path}:{where}\n"
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_empty_json_artifact_list_is_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text('{"artifacts": []}')
+    code, out = run_cli(capsys, *file_argv(command, path))
+    assert code == 2
+    assert out == f'error: {path}:1:1: empty "artifacts" list: no artifacts\n'
+    assert not path.with_suffix(".dot").exists()
+
+
+# counts argparse parsers from the first import of catmn.cli on
+COUNT_PARSERS = """
+import argparse, contextlib, io, sys
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+import catmn.cli
+
+counts = [len(built)]
+for argv in (["mn-check", sys.argv[1]], ["validate", sys.argv[1]], ["demo"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        catmn.cli.main(argv)
+    counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_one_process_builds_the_parser_once(c2_file):
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_PARSERS, c2_file],
+        capture_output=True, text=True, env=MODULE_ENV,
+    )
+    assert proc.stderr == ""
+    after_import, *after_calls = map(int, proc.stdout.split())
+    assert after_import == 0  # importing the module builds nothing
+    assert after_calls[0] > 0
+    assert after_calls == [after_calls[0]] * 3  # later calls build no more
+
+
+def test_spy_set_after_a_first_call_sees_the_command(capsys, monkeypatch, c2_file):
+    """The parser outlives the call that built it, but binds no command:
+    ``main`` finds ``cmd_validate`` on the module when it runs."""
+    assert run_cli(capsys, "validate", c2_file) == (0, "spec canonical_c2: ok\n")
+    calls = []
+    spy(monkeypatch, catmn.cli, "cmd_validate", calls)
+    assert run_cli(capsys, "validate", c2_file) == (0, "spec canonical_c2: ok\n")
+    assert [(args.path, name) for args, name in calls] == [(c2_file, "cmd_validate")]
+
+
+def _encodings(name, text):
+    return [(name, text), (name + ".json", render_json(load_text(text, name)))]
+
+
+# the shipped spec and the corrupted corpus, each as text and as JSON
+MUTATION_BASES = _encodings(
+    "canonical_c2.spec",
+    resources.files("catmn.data").joinpath("canonical_c2.spec").read_text(encoding="utf-8"),
+) + [
+    base
+    for p in sorted((Path(__file__).parent / "fixtures" / "corrupted").iterdir())
+    for base in _encodings(p.name, p.read_text(encoding="utf-8"))
+]
+
+LINE_MUTATIONS = st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "truncate"]),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+)
+
+
+def mutated(lines, mutations):
+    """Apply each ``(kind, i, j)`` in turn; ``i`` and ``j`` wrap around the
+    current line count, and ``truncate`` keeps the lines before ``i``."""
+    lines = list(lines)
+    for kind, i, j in mutations:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            del lines[i:]
+    return lines
+
+
+@settings(max_examples=100)
+@given(
+    base=st.sampled_from(MUTATION_BASES),
+    mutations=st.lists(LINE_MUTATIONS, min_size=1, max_size=3),
+)
+def test_main_survives_line_mutations(base, mutations):
+    """Whatever a few dropped, repeated, swapped or cut lines do to a file,
+    every file command ends in a verdict: exit 0, 1 or 2, never a raise."""
+    name, text = base
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text("".join(mutated(text.splitlines(keepends=True), mutations)))
+        for command in FILE_COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(file_argv(command, path)) in (0, 1, 2), command
