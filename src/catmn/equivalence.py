@@ -26,13 +26,16 @@ from .functors import (
     compose_functors,
     identity_functor,
     iso_violations,
-    whisker_left,
+    left_components,
+    validate_nat,
 )
 from .monads import (
     ComonadDatum,
     CoreflectionPackage,
     MonadDatum,
     ReflectionPackage,
+    check_idempotent_comonad,
+    check_idempotent_monad,
     fixed_subcategory_comonad,
     fixed_subcategory_monad,
     _whiskered_iso_violations,
@@ -70,13 +73,19 @@ def make_mn_pair(monad: MonadDatum, comonad: ComonadDatum) -> MNPair:
 def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     """Empty iff both whiskerings N(psi) and M(eta) are natural isomorphisms.
 
-    Failures name the component object.  Computed once per pair.
+    They are natural because their factors are: the monad's and comonad's
+    own (remembered) reports are read first, and when either fails it is
+    returned as it stands.  Otherwise every component is searched for an
+    inverse, and failures name the component object.  Computed once per pair.
     """
+    factors = check_idempotent_monad(p.monad).merged(check_idempotent_comonad(p.comonad))
+    if not factors.ok:
+        return factors
     N, M = p.monad.functor, p.comonad.functor
     eta, psi = p.monad.unit, p.comonad.counit
     labelled = (
-        ("monad-of-counit", whisker_left(N, psi)),  # N(psi_x): NMx -> Nx
-        ("comonad-of-unit", whisker_left(M, eta)),  # M(eta_x): Mx -> MNx
+        ("monad-of-counit", left_components(N, psi)),  # N(psi_x): NMx -> Nx
+        ("comonad-of-unit", left_components(M, eta)),  # M(eta_x): Mx -> MNx
     )
     return ValidationReport(_whiskered_iso_violations("mn-hypothesis", p.category, labelled))
 
@@ -191,19 +200,28 @@ def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
     N, M = p.monad.functor, p.comonad.functor
     eta, psi = p.monad.unit.components, p.comonad.counit.components
     R, Q = p.reflection.reflector, p.coreflection.coreflector
-    reflector_components = {}
-    for x in cat.objects:  # a component without an inverse stays, and the candidate fails
+    # the reflector's candidate inverts N(psi_x), which is then its inverse,
+    # in hand; a component without an inverse stays, and the candidate fails
+    reflector, lacking = {}, {"reflector": []}
+    for x in cat.objects:
         m = N.on_mor(psi[x])
         inv = inverse_of(cat, m)
-        reflector_components[x] = m if inv is None else inv
-    coreflector_components = {x: M.on_mor(eta[x]) for x in cat.objects}
+        if inv is None:
+            lacking["reflector"].append(x)
+        reflector[x] = m if inv is None else inv
+    coreflector = {x: M.on_mor(eta[x]) for x in cat.objects}
+    lacking["coreflector"] = [x for x, m in coreflector.items() if inverse_of(cat, m) is None]
 
     violations: list[Violation] = []
-    for tag, label, lhs, rhs, components in (
-        ("factorization-reflector", "monad-of-counit", R, (e.forward, Q), reflector_components),
-        ("factorization-coreflector", "comonad-of-unit", Q, (e.backward, R), coreflector_components),
+    for side, label, lhs, rhs, components in (
+        ("reflector", "monad-of-counit", R, (e.forward, Q), reflector),
+        ("coreflector", "comonad-of-unit", Q, (e.backward, R), coreflector),
     ):
+        tag = f"factorization-{side}"
         candidate = NaturalTransformation(lhs, compose_functors(*rhs), components, name=tag)
-        for v in iso_violations(candidate, "not-iso", label):
-            violations.append(Violation(f"{tag}-{v.rule}", v.subject, v.detail))
+        found = validate_nat(candidate).violations or [
+            Violation("not-iso", (label, x), f"component {components[x]!r} is not invertible")
+            for x in lacking[side]
+        ]
+        violations.extend(Violation(f"{tag}-{v.rule}", v.subject, v.detail) for v in found)
     return ValidationReport(violations)

@@ -4,8 +4,10 @@ A contravariant functor keeps the same tables as a covariant one; its laws
 are the covariant ones read on a flipped view of its source
 (:func:`catmn.core.oriented`), so one set of law checks covers both
 variances without building the opposite category.
-Whiskering on either side is provided because the monad/comonad machinery
-needs all four composites (unit/counit against their own endofunctors).
+Whiskering on either side builds the whole whiskered transformation, with
+both composite functors.  The monad/comonad checks take only its components
+(:func:`left_components`, :func:`right_components`), and the tests sweep the
+full whiskerings as the reference for that.
 """
 
 from __future__ import annotations
@@ -406,25 +408,39 @@ def vertical_compose(
     )
 
 
-def whisker_left(F: Functor, alpha: NaturalTransformation) -> NaturalTransformation:
-    """Post-compose with a functor: component at x is ``F(alpha_x)``."""
+def left_components(F: Functor, alpha: NaturalTransformation) -> dict[str, str]:
+    """The components ``F(alpha_x)`` of :func:`whisker_left`, without its
+    composite functors."""
     if alpha.source_functor.target != F.source:
         raise MismatchError("whisker_left: functor does not start where the transformation lands")
+    return {x: F.on_mor(m) for x, m in alpha.components.items()}
+
+
+def right_components(alpha: NaturalTransformation, F: Functor) -> dict[str, str]:
+    """The components ``alpha_{F(x)}`` of :func:`whisker_right`, without its
+    composite functors."""
+    if F.target != alpha.source_functor.source:
+        raise MismatchError("whisker_right: functor does not land where the transformation starts")
+    return {x: alpha.components[F.on_obj(x)] for x in F.source.objects}
+
+
+def whisker_left(F: Functor, alpha: NaturalTransformation) -> NaturalTransformation:
+    """Post-compose with a functor: component at x is ``F(alpha_x)``."""
+    components = left_components(F, alpha)
     return NaturalTransformation(
         compose_functors(F, alpha.source_functor),
         compose_functors(F, alpha.target_functor),
-        {x: F.on_mor(m) for x, m in alpha.components.items()},
+        components,
         name=f"{F.name}.{alpha.name}",
     )
 
 
 def whisker_right(alpha: NaturalTransformation, F: Functor) -> NaturalTransformation:
     """Pre-compose with a functor: component at x is ``alpha_{F(x)}``."""
-    if F.target != alpha.source_functor.source:
-        raise MismatchError("whisker_right: functor does not land where the transformation starts")
+    components = right_components(alpha, F)
     return NaturalTransformation(
         compose_functors(alpha.source_functor, F),
         compose_functors(alpha.target_functor, F),
-        {x: alpha.components[F.on_obj(x)] for x in F.source.objects},
+        components,
         name=f"{alpha.name}.{F.name}",
     )

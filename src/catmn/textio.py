@@ -739,6 +739,8 @@ def parse_json_text(text: str, filename: str = "<input>", namespace: dict | None
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", filename, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply", filename, 1) from None
     if not isinstance(data, dict) or not isinstance(data.get("artifacts"), list):
         raise ParseError('expected an object with an "artifacts" list', filename, 1)
     docs = data["artifacts"]

@@ -30,9 +30,8 @@ from .functors import (
     contravariant_functor,
     identity_functor,
     iso_violations,
+    left_components,
     validate_contravariant,
-    validate_nat,
-    whisker_left,
 )
 from .monads import (
     COMONAD,
@@ -189,10 +188,14 @@ def verify_transfer(
 
     If N(psi) is a natural isomorphism then T(epsilon) must be, and if
     M(eta) is then S(delta) must be.  A failed antecedent makes its
-    implication vacuous; that is recorded as a note, not a violation.
+    implication vacuous; that is recorded as a note, not a violation.  The
+    source whiskerings are natural when their factors are, so the source
+    (co)monad's own (remembered) reports are read, and when either fails
+    both implications are vacuous; only invertibility is then searched.
     """
     C = m.category
     D = r.induced_comonad.category
+    factors_ok = check_idempotent_monad(m).ok and check_idempotent_comonad(c).ok
     violations: list[Violation] = []
     notes: list[str] = []
 
@@ -202,24 +205,23 @@ def verify_transfer(
         (COMONAD, MONAD, (c.functor, m.unit), (r.induced_monad.functor, r.induced_comonad.counit)),
     )
     for side, other, source, induced in halves:
-        source = whisker_left(*source)
-        if not (
-            validate_nat(source).ok
-            and all(inverse_of(C, source.components[x]) is not None for x in C.objects)
-        ):
+        invertible = factors_ok and all(
+            inverse_of(C, m) is not None for m in left_components(*source).values()
+        )
+        if not invertible:
             notes.append(
                 f"{side.monad}-of-{other.unit} is not a natural isomorphism on the "
                 "source; its transfer implication is vacuous"
             )
             continue
-        whiskered = whisker_left(*induced)
+        induced = left_components(*induced)
         for x in D.objects:
-            if inverse_of(D, whiskered.components[x]) is None:
+            if inverse_of(D, induced[x]) is None:
                 violations.append(
                     Violation(
                         f"transfer-{other.monad}-of-{side.unit}",
                         (x,),
-                        f"component {whiskered.components[x]!r} is not invertible "
+                        f"component {induced[x]!r} is not invertible "
                         "although the source-side whiskering is",
                     )
                 )

@@ -422,6 +422,17 @@ def test_empty_json_artifact_list_is_a_parse_error(capsys, tmp_path, command):
     assert not path.with_suffix(".dot").exists()
 
 
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, command):
+    # json.loads recurses once per level and gives up past the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"artifacts": ' + "[" * 1100 + "]" * 1100 + "}")
+    code, out = run_cli(capsys, *file_argv(command, path))
+    assert code == 2
+    assert out == f"error: {path}:1:1: bad JSON: nested too deeply\n"
+    assert not path.with_suffix(".dot").exists()
+
+
 # counts argparse parsers from the first import of catmn.cli on
 COUNT_PARSERS = """
 import argparse, contextlib, io, sys

@@ -7,10 +7,15 @@ import pytest
 
 import catmn.functors
 from catmn import (
+    ComonadDatum,
+    CoreflectionPackage,
     EquivalenceResult,
     InvalidArtifactError,
     MismatchError,
+    MNPair,
+    MonadDatum,
     NaturalTransformation,
+    ReflectionPackage,
     build_mn_equivalence,
     canonical_c2,
     check_idempotent_monad,
@@ -43,6 +48,13 @@ def rules_of(report):
 def test_make_mn_pair_requires_one_category():
     with pytest.raises(MismatchError, match="different categories"):
         make_mn_pair(identity_monad(orbit()), identity_comonad(three_chain()))
+
+
+def test_hypotheses_reject_a_pair_across_categories():
+    # a pair built by hand, past make_mn_pair's check, still cannot whisker
+    pair = MNPair(identity_monad(orbit()), identity_comonad(three_chain()), None, None)
+    with pytest.raises(MismatchError, match="whisker_left"):
+        check_mn_hypotheses(pair)
 
 
 def test_identity_pair_satisfies_everything():
@@ -127,26 +139,45 @@ def test_factorization_reports_the_canonical_candidate(c2_pair, c2_equivalence):
     }
 
 
+@pytest.mark.parametrize("side", ["monad", "comonad"])
+def test_factorization_reports_a_component_without_inverse(side):
+    # on idem-endo, 1 => 1 with the idempotent e at b is natural but not
+    # invertible; as the unit it is M(eta) for M = 1, as the counit N(psi)
+    c = idem_endo()
+    one = identity_functor(c)
+    ids = {"a": "id_a", "b": "id_b"}
+    bent = NaturalTransformation(one, one, {"a": "id_a", "b": "e"})
+    plain = NaturalTransformation(one, one, ids)
+    unit, counit = (bent, plain) if side == "monad" else (plain, bent)
+    pair = MNPair(
+        MonadDatum(one, unit),
+        ComonadDatum(one, counit),
+        ReflectionPackage(c, c, one, one, unit, ids),
+        CoreflectionPackage(c, c, one, one, counit, ids),
+    )
+    report = verify_factorizations(pair, EquivalenceResult(one, one, plain, plain))
+    tag, label = {
+        "monad": ("factorization-coreflector", "comonad-of-unit"),
+        "comonad": ("factorization-reflector", "monad-of-counit"),
+    }[side]
+    assert report.render() == f"{tag}-not-iso [{label}, b]: component 'e' is not invertible"
+
+
 def test_mn_check_proves_each_hypothesis_once(tmp_path, monkeypatch, capsys):
     whiskered, checked = [], []
     spy(monkeypatch, catmn.functors, "whisker_left", whiskered)
+    spy(monkeypatch, catmn.functors, "whisker_right", whiskered)
     spy(monkeypatch, catmn.functors, "validate_nat", checked)
     spec = tmp_path / "c2.cm"
     spec.write_text(render_spec(canonical_c2()))
     assert main(["mn-check", str(spec)]) == 0
     assert "result: PASS" in capsys.readouterr().out
-    # N(eta) and M(psi) for idempotence, N(psi) and M(eta) for the
-    # hypotheses; the factorizations read their components off the tables
-    assert sorted(name for name, _ in whiskered) == [
-        "fiber-bottom-comonad",
-        "fiber-bottom-comonad",
-        "fiber-top-monad",
-        "fiber-top-monad",
-    ]
-    # per (co)monad its unit and both whiskerings, both hypotheses, the
-    # equivalence's unit and counit, and both factorization candidates:
-    # twelve transformations, each validated once
-    assert len(checked) == len(set(checked)) == 12
+    # idempotence and the hypotheses read the whiskered components off the
+    # tables: their naturality follows from the factors' own sweeps
+    assert whiskered == []
+    # per (co)monad its unit, the equivalence's unit and counit, and both
+    # factorization candidates: six transformations, each validated once
+    assert len(checked) == len(set(checked)) == 6
 
 
 # ---------------------------------------------------------------------------

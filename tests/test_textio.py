@@ -4,13 +4,18 @@ parse errors, and the workspace."""
 import importlib.resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli import LINE_MUTATIONS, MUTATION_BASES, mutated
 
 from catmn import (
+    EngineError,
     Functor,
     InvalidArtifactError,
     LoadedArtifact,
     NaturalTransformation,
     ParseError,
+    ValidationReport,
     Workspace,
     canonical_c2,
     identity_functor,
@@ -22,6 +27,7 @@ from catmn import (
     render_json,
     render_spec,
     validate_category,
+    validator_for,
 )
 from helpers import orbit, three_chain, walking_arrow
 
@@ -280,3 +286,44 @@ def test_load_path_reads_files(tmp_path):
     path.write_text(render_spec(canonical_c2()))
     arts = load_path(path)
     assert arts[0].value == canonical_c2()
+
+
+# ---------------------------------------------------------------------------
+# whatever the loader accepts, mutated fixtures included
+
+
+def check_accepted(name, text):
+    """If ``load_text`` accepts ``text``, every artifact's validator returns
+    a report, and loading its rendering gives the same artifacts and the
+    same rendering back, in both encodings."""
+    try:
+        arts = load_text(text, name)
+    except EngineError:
+        return
+    for a in arts:
+        assert isinstance(validator_for(a.kind)(a.value), ValidationReport), a.kind
+    triples = [(a.kind, a.name, a.value) for a in arts]
+    for render in (render_artifacts, render_json):
+        rendered = render(arts)
+        back = load_text(rendered, name)
+        assert [(a.kind, a.name, a.value) for a in back] == triples, render.__name__
+        assert render(back) == rendered, render.__name__
+
+
+@pytest.mark.parametrize("name, text", MUTATION_BASES, ids=[n for n, _ in MUTATION_BASES])
+def test_every_fixture_is_a_fixed_point(name, text):
+    load_text(text, name)  # each base is accepted as it stands
+    check_accepted(name, text)
+
+
+@settings(max_examples=200)
+@given(
+    base=st.sampled_from(MUTATION_BASES),
+    mutations=st.lists(LINE_MUTATIONS, min_size=1, max_size=3),
+)
+def test_accepted_mutants_validate_and_round_trip(base, mutations):
+    """Validators never raise on what the loader accepts, and load, render,
+    load is a fixed point, on fixtures with a few lines dropped, repeated,
+    swapped or cut."""
+    name, text = base
+    check_accepted(name, "".join(mutated(text.splitlines(keepends=True), mutations)))
