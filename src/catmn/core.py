@@ -3,21 +3,33 @@
 A category here is completely concrete: a finite set of object labels, a
 finite set of named morphisms with stated endpoints, an identity assignment,
 and a composition table meant to be defined on exactly the composable pairs
-(``src(g) == dst(f)``).  The table is stored once, as rows keyed by the
-morphism applied first: ``rows[f] = {g: g after f}``.  ``compose`` is a
-read-only view of the same rows keyed by pairs, ``compose[(g, f)]``; no
-pair-keyed dict is kept.  Everything is small enough to check by exhaustion,
+(``src(g) == dst(f)``).  Everything is small enough to check by exhaustion,
 and :func:`validate_category` does exactly that, reporting every violated
 axiom instance instead of raising.
+
+Names are interned once, at construction.  Morphism ``i`` is the ``i``-th
+name in sorted order; vertex ``v`` is the ``v``-th object in sorted order,
+and after the objects come the names that some morphism ends at but that are
+no object (only an invalid category has those).  The table is stored once,
+as rows over these ids: ``out[v]`` lists the morphisms leaving vertex
+``v`` in id order (``into[v]``, made on first use, those entering it),
+``pos[g]`` is the place of
+``g`` in ``out[src g]``, and ``rows[f]`` lists, for each ``g`` of ``out[dst f]``
+in turn, the id of ``g after f``, or None where the table has no entry.  An
+entry that no row slot can hold (one naming something that is no morphism,
+or an ill-typed pair) is kept by name in ``stray``; only an invalid table has
+any.  Every table-sized pass reads and writes ids; names are for reports,
+rendering and the read-only views: ``objects``, ``morphisms``, ``identity``,
+``hom``, ``comp``, ``comp_or_none`` and ``compose``, the table keyed by
+pairs of names.
 
 Values are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from operator import attrgetter
-from types import MappingProxyType
+from collections.abc import ItemsView, Mapping, Sequence
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .config import morphism_limit
@@ -39,65 +51,116 @@ class Mor(NamedTuple):
     dst: str
 
 
-Rows = dict[str, dict[str, str]]
+# rows[f][i] is the id of out[dst f][i] after f, or None
+Rows = Sequence[Sequence]
+# entries no row slot can hold: (g, f) -> g after f, all by name
+Stray = dict[tuple[str, str], str]
 
-# the row of a morphism that has none; never written to
-NO_ROW: Mapping[str, str] = MappingProxyType({})
+
+def _gather(indices) -> Callable:
+    """A function reading a sequence at each of ``indices`` in turn, as a
+    tuple: one C-level call per row where a sweep would otherwise index
+    entry by entry.  ``indices`` must not be empty."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 class ComposeView(Mapping):
-    """A category's composition table keyed by pairs, read off its rows:
-    ``view[(g, f)]`` is ``rows[f][g]``.  Read-only; it acts as the
-    equivalent dict would, and equals one with the same entries."""
+    """A category's composition table keyed by pairs of names:
+    ``view[(g, f)]`` is the name of ``g`` after ``f``.  Read-only; it acts as
+    the equivalent dict would, and equals one with the same entries."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_c",)
 
-    def __init__(self, rows: Rows):
-        self._rows = rows
+    def __init__(self, c: "Category"):
+        self._c = c
 
     def __getitem__(self, pair):
+        c = self._c
         try:
             g, f = pair
-            return self._rows[f][g]
-        except (KeyError, TypeError, ValueError):
+            gi, fi = c.mor_id.get(g), c.mor_id.get(f)
+            h = c.stray.get((g, f)) if c.stray else None
+        except (TypeError, ValueError):  # no pair of names
             raise KeyError(pair) from None
+        if gi is not None and fi is not None and c.src[gi] == c.dst[fi]:
+            at = c.rows[fi][c.pos[gi]]
+            if at is not None:
+                h = c.names[at]
+        if h is None:
+            raise KeyError(pair)
+        return h
 
     def __iter__(self):
-        for f, row in self._rows.items():
-            for g in row:
-                yield g, f
+        c = self._c
+        names = c.names
+        for f, (d, row) in enumerate(zip(c.dst, c.rows)):
+            fname = names[f]
+            for g, h in zip(c.out[d], row):
+                if h is not None:
+                    yield names[g], fname
+        yield from c.stray
+
+    def items(self):
+        return _Entries(self)
 
     def __len__(self):
-        return sum(map(len, self._rows.values()))
+        c = self._c
+        return sum(len(row) - row.count(None) for row in c.rows) + len(c.stray)
 
     def __eq__(self, other):
         if not isinstance(other, ComposeView):
             return super().__eq__(other)
-        theirs = other._rows
-        return len(self) == len(other) and all(
-            theirs.get(f) == row for f, row in self._rows.items() if row
-        )
+        mine, theirs = self._c, other._c
+        if (mine.names, mine.vertices, mine.src, mine.dst) == (
+            theirs.names, theirs.vertices, theirs.src, theirs.dst
+        ):
+            return mine.rows == theirs.rows and mine.stray == theirs.stray
+        return super().__eq__(other)
 
 
-def _rows_of(pairs: Mapping[tuple[str, str], str]) -> Rows:
-    rows: Rows = {}
-    for (g, f), h in pairs.items():
-        rows.setdefault(f, {})[g] = h
-    return rows
+class _Entries(ItemsView):
+    """``compose.items()``, read off the rows without a lookup per entry."""
+
+    def __iter__(self):
+        for g, f, h in self._mapping._c.entries():
+            yield (g, f), h
 
 
 class Category:
     """A finite category given by a total composition table.
 
-    The table is given either as a pair mapping ``compose[(g, f)] = g after
-    f`` or, by builders that already hold them, as ``rows``; rows are kept
-    as they are, not copied, so the caller must not edit them afterwards.
-    Construction checks only what later code cannot survive without: unique
-    names and the configurable size guardrail.  The categorical axioms are
-    the job of :func:`validate_category`.
+    The table is given as a pair mapping ``compose[(g, f)] = g after f`` or,
+    by builders, as ``fill``: a function that is handed the category with
+    its ids in place and returns its ``(rows, stray)``, which are kept as
+    they are.  Construction checks only what later code cannot survive
+    without: unique names and the configurable size guardrail.  The
+    categorical axioms are the job of :func:`validate_category`.  Names are
+    strings.
     """
 
-    __slots__ = ("name", "objects", "morphisms", "identity", "rows", "compose", "_hom")
+    __slots__ = (
+        "name",
+        "objects",
+        "morphisms",
+        "identity",
+        "names",
+        "mor_id",
+        "vertices",
+        "vid",
+        "src",
+        "dst",
+        "out",
+        "pos",
+        "ident",
+        "rows",
+        "stray",
+        "_into",
+        "_homs",
+        "_identity_maps",
+    )
 
     def __init__(
         self,
@@ -107,7 +170,7 @@ class Category:
         identity: Mapping[str, str],
         compose: Mapping[tuple[str, str], str] | None = None,
         *,
-        rows: Rows | None = None,
+        fill: Callable[["Category"], tuple[Rows, Stray]] | None = None,
     ):
         self.name = str(name)
         objs = tuple(sorted(objects))
@@ -129,14 +192,80 @@ class Category:
                 f"category {self.name!r} has {len(mors)} morphisms, over the "
                 f"limit of {limit} (set CATMN_MAX_MORPHISMS to override)"
             )
-        self.morphisms = {k: mors[k] for k in sorted(mors)}
-        self.identity = {k: identity[k] for k in sorted(identity)}
-        self.rows = rows if rows is not None else _rows_of(compose or {})
-        self.compose = ComposeView(self.rows)
-        hom: dict[tuple[str, str], list[str]] = {}
-        for m in self.morphisms.values():
-            hom.setdefault((m.src, m.dst), []).append(m.name)
-        self._hom = {pair: tuple(sorted(names)) for pair, names in hom.items()}
+        self.morphisms = dict(sorted(mors.items()))
+        self.identity = dict(sorted(identity.items()))
+
+        # every id stored anywhere is the one int object made here for it
+        self.names = names = tuple(self.morphisms)
+        self.mor_id = mor_id = dict(zip(names, range(len(names))))
+        ids = list(mor_id.values())
+        _, src_names, dst_names = zip(*self.morphisms.values()) if names else ((), (), ())
+        ends = set(src_names).union(dst_names).difference(objs)
+        self.vertices = vertices = objs + tuple(sorted(ends)) if ends else objs
+        self.vid = vid = dict(zip(vertices, range(len(vertices))))
+        self.src = src = _gather(src_names)(vid) if names else ()
+        self.dst = dst = _gather(dst_names)(vid) if names else ()
+        self.out = out = [[] for _ in vertices]
+        self.pos = pos = []
+        for f, s in zip(ids, src):
+            leaving = out[s]
+            pos.append(len(leaving))
+            leaving.append(f)
+        self._into = self._homs = self._identity_maps = None
+        self.ident = [
+            None if m is None else mor_id.get(m, m) for m in map(self.identity.get, vertices)
+        ]
+
+        rows, self.stray = fill(self) if fill is not None else self.table_of(compose or {})
+        # tuples of ints: the collector stops tracking them, so no full
+        # collection walks the table.  (No tuple here, or in any sweep, is
+        # made from an iterator of unknown length: CPython sizes those by
+        # guess and shrinks them, so each one freed lands in the free list
+        # of another size, and those lists fill up.)
+        self.rows = list(map(tuple, rows))
+
+    def table_of(self, pairs: Mapping[tuple[str, str], str]) -> tuple[Rows, Stray]:
+        """``pairs`` as rows (lists, which a ``fill`` may complete) and stray
+        entries over this category's ids."""
+        mor_id, src, dst, pos = self.mor_id, self.src, self.dst, self.pos
+        rows: Rows = [[None] * len(self.out[d]) for d in dst]
+        stray: Stray = {}
+        if not pairs:
+            return rows, stray
+        try:
+            # every name a morphism and every pair composable: three gathers
+            (gs, fs), hs = zip(*pairs), pairs.values()
+            gi, fi, hi = _gather(gs)(mor_id), _gather(fs)(mor_id), _gather(list(hs))(mor_id)
+            if _gather(gi)(src) != _gather(fi)(dst):
+                raise KeyError
+        except (KeyError, TypeError, ValueError):
+            gi = None
+        if gi is not None:
+            for f, p, h in zip(fi, _gather(gi)(pos), hi):
+                rows[f][p] = h
+            return rows, stray
+        for (g, f), h in pairs.items():
+            try:
+                fi, gi, hi = mor_id[f], mor_id[g], mor_id[h]
+                if src[gi] == dst[fi]:
+                    rows[fi][pos[gi]] = hi
+                    continue
+            except (KeyError, TypeError):  # a name of no morphism
+                pass
+            stray[(g, f)] = h
+        return rows, stray
+
+    def entries(self):
+        """Every table entry as names ``(g, f, g after f)``: the rows in id
+        order, then the stray entries."""
+        names = self.names
+        for f, (d, row) in enumerate(zip(self.dst, self.rows)):
+            fname = names[f]
+            for g, h in zip(self.out[d], row):
+                if h is not None:
+                    yield names[g], fname, names[h]
+        for (g, f), h in self.stray.items():
+            yield g, f, h
 
     # ---- lookups ----
 
@@ -164,8 +293,69 @@ class Category:
                 f"category {self.name!r} assigns no identity to {x!r}"
             ) from None
 
+    @property
+    def compose(self) -> ComposeView:
+        """The table keyed by pairs of names: ``compose[(g, f)]``."""
+        return ComposeView(self)
+
+    @property
+    def into(self) -> list[list[int]]:
+        """``into[v]``: the ids of the morphisms entering vertex ``v``, in id
+        order.  Made on first use."""
+        if self._into is None:
+            into: list[list[int]] = [[] for _ in self.vertices]
+            for f, d in zip(self.mor_id.values(), self.dst):
+                into[d].append(f)
+            self._into = into
+        return self._into
+
+    @property
+    def homs(self) -> dict[int, list[int]]:
+        """The hom-sets over ids: ``homs[a * len(vertices) + b]`` lists the
+        morphisms from vertex ``a`` to vertex ``b`` in id order.  Made on
+        first use."""
+        if self._homs is None:
+            homs: dict[int, list[int]] = {}
+            n_vertices = len(self.vertices)
+            for f, s, d in zip(self.mor_id.values(), self.src, self.dst):
+                key = s * n_vertices + d
+                if key in homs:
+                    homs[key].append(f)
+                else:
+                    homs[key] = [f]
+            self._homs = homs
+        return self._homs
+
+    def hom_ids(self, a: int, b: int) -> Sequence[int]:
+        """The ids of the morphisms from vertex ``a`` to vertex ``b``."""
+        homs = self._homs
+        if homs is None:
+            homs = self.homs
+        return homs.get(a * len(self.vertices) + b, ())
+
     def hom(self, a: str, b: str) -> tuple[str, ...]:
-        return self._hom.get((a, b), ())
+        va, vb = self.vid.get(a), self.vid.get(b)
+        if va is None or vb is None:
+            return ()
+        ids = self.hom_ids(va, vb)
+        return _gather(ids)(self.names) if ids else ()
+
+    def after(self, g, f):
+        """``g`` after ``f``, or None.  Each of ``g`` and ``f`` is a morphism
+        id or, for something that is no morphism, its name; so is the
+        answer."""
+        if type(g) is int and type(f) is int and self.src[g] == self.dst[f]:
+            h = self.rows[f][self.pos[g]]
+            if h is not None or not self.stray:
+                return h
+        elif not self.stray:
+            return None
+        h = self.stray.get((self.name_of(g), self.name_of(f)))
+        return h if h is None else self.mor_id.get(h, h)
+
+    def name_of(self, m):
+        """The name of a morphism id; anything else as it is."""
+        return self.names[m] if type(m) is int else m
 
     def comp(self, g: str, f: str) -> str:
         """Name of ``g`` after ``f``; raises if the pair is not composable
@@ -176,7 +366,7 @@ class Category:
                 f"{g!r} after {f!r} is not composable: {f!r} ends at "
                 f"{mf.dst!r} but {g!r} starts at {mg.src!r}"
             )
-        h = self.rows.get(f, NO_ROW).get(g)
+        h = self.comp_or_none(g, f)
         if h is None:
             raise MismatchError(
                 f"category {self.name!r} has no table entry for {g!r} after {f!r}"
@@ -184,7 +374,13 @@ class Category:
         return h
 
     def comp_or_none(self, g: str, f: str):
-        return self.rows.get(f, NO_ROW).get(g)
+        ids = self.mor_id
+        gi, fi = ids.get(g, g), ids.get(f, f)
+        if type(gi) is int and type(fi) is int and self.src[gi] == self.dst[fi]:
+            h = self.rows[fi][self.pos[gi]]
+            if h is not None:
+                return self.names[h]
+        return self.name_of(self.after(gi, fi))
 
     def is_identity_name(self, m: str) -> bool:
         mm = self.morphisms.get(m)
@@ -217,6 +413,42 @@ class Category:
         )
 
 
+def _typed_rows(c: Category) -> list[bool]:
+    """Per morphism f: its row has no hole and every entry g after f goes
+    from f's source to g's target."""
+    src, dst = c.src, c.dst
+    targets = [_gather(fs)(dst) if fs else () for fs in c.out]
+    typed = []
+    for s, d, row in zip(src, dst, c.rows):
+        if not row:
+            typed.append(True)
+            continue
+        read = _gather(row)
+        try:
+            typed.append(read(dst) == targets[d] and read(src).count(s) == len(row))
+        except TypeError:  # a hole
+            typed.append(False)
+    return typed
+
+
+def _identity_laws_hold(c: Category) -> bool:
+    """True when every vertex a morphism meets has an identity that is an
+    endomorphism of it, and ``f`` after the one and the other after ``f``
+    are ``f`` for every ``f``: both sides read off the rows by gathers."""
+    if not c.names:
+        return True
+    try:
+        at_src, at_dst = _gather(c.src)(c.ident), _gather(c.dst)(c.ident)
+        if _gather(at_src)(c.dst) != c.src or _gather(at_dst)(c.src) != c.dst:
+            return False
+        left = list(map(tuple.__getitem__, _gather(at_src)(c.rows), c.pos))
+        right = list(map(tuple.__getitem__, c.rows, _gather(at_dst)(c.pos)))
+    except TypeError:  # a vertex whose identity is no morphism
+        return False
+    ids = list(c.mor_id.values())
+    return left == ids and right == ids
+
+
 def validate_category(c: Category) -> ValidationReport:
     """Exhaustively check the category axioms; empty report iff they all hold.
 
@@ -227,7 +459,6 @@ def validate_category(c: Category) -> ValidationReport:
     violations: list[Violation] = []
     mors = c.morphisms
     objset = set(c.objects)
-    rows = c.rows
 
     for m in mors.values():
         if m.src not in objset:
@@ -263,100 +494,114 @@ def validate_category(c: Category) -> ValidationReport:
                 Violation("identity-extra", (x,), "identity assigned to a non-object")
             )
 
-    # each table entry yields at most one violation here and the report sorts
-    # its violations, so the rows are walked in their own order
-    for f, row in rows.items():
-        mf = mors.get(f)
-        for g, h in row.items():
-            mg = mors.get(g)
-            if mf is None or mg is None:
-                violations.append(
-                    Violation("compose-unknown", (g, f), "table entry for unknown morphism(s)")
+    # each table entry yields at most one violation here and the report
+    # sorts its violations, so the entries are walked in id order; a stray
+    # entry names something that is no morphism or is ill-typed
+    for (g, f), h in c.stray.items():
+        mf, mg = mors.get(f), mors.get(g)
+        if mf is None or mg is None:
+            violations.append(
+                Violation("compose-unknown", (g, f), "table entry for unknown morphism(s)")
+            )
+        elif mf.dst != mg.src:
+            violations.append(
+                Violation(
+                    "compose-ill-typed-pair",
+                    (g, f),
+                    f"pair is not composable: {f!r} ends at {mf.dst!r}, {g!r} starts at {mg.src!r}",
                 )
-                continue
-            if mf.dst != mg.src:
-                violations.append(
-                    Violation(
-                        "compose-ill-typed-pair",
-                        (g, f),
-                        f"pair is not composable: {f!r} ends at {mf.dst!r}, {g!r} starts at {mg.src!r}",
+            )
+        else:
+            violations.append(
+                Violation("compose-unknown-result", (g, f), f"composite {h!r} is not a morphism")
+            )
+
+    names, src, dst, out, rows = c.names, c.src, c.dst, c.out, c.rows
+    n_objects = len(c.objects)
+    typed = _typed_rows(c)
+    for f, row in enumerate(rows):
+        if typed[f]:
+            continue
+        s, x = src[f], dst[f]
+        for g, h in zip(out[x], row):
+            if h is None:
+                # a composable pair is missing unless a stray entry names an
+                # unknown composite for it; only pairs meeting at an object
+                if x < n_objects and (names[g], names[f]) not in c.stray:
+                    violations.append(
+                        Violation(
+                            "compose-missing",
+                            (names[g], names[f]),
+                            "composable pair has no table entry",
+                        )
                     )
-                )
-                continue
-            mh = mors.get(h)
-            if mh is None:
-                violations.append(
-                    Violation("compose-unknown-result", (g, f), f"composite {h!r} is not a morphism")
-                )
-                continue
-            if not (mh.src == mf.src and mh.dst == mg.dst):
+            elif src[h] != s or dst[h] != dst[g]:
+                mf, mg, mh = mors[names[f]], mors[names[g]], mors[names[h]]
                 violations.append(
                     Violation(
                         "compose-endpoints",
-                        (g, f),
+                        (mg.name, mf.name),
                         f"composite should go {mf.src!r} -> {mg.dst!r} but "
-                        f"{h!r} goes {mh.src!r} -> {mh.dst!r}",
+                        f"{mh.name!r} goes {mh.src!r} -> {mh.dst!r}",
                     )
                 )
 
-    # morphisms are stored in name order, so every out-list comes out sorted
-    out_of: dict[str, list[str]] = {x: [] for x in c.objects}
-    for m in mors.values():
-        if m.src in out_of:
-            out_of[m.src].append(m.name)
-
-    for f, mf in mors.items():
-        after_f = rows.get(f, NO_ROW)
-        for g in out_of.get(mf.dst, ()):
-            if g not in after_f:
-                violations.append(
-                    Violation("compose-missing", (g, f), "composable pair has no table entry")
-                )
-
-    for f, mf in mors.items():
-        id_src = c.identity.get(mf.src)
-        id_dst = c.identity.get(mf.dst)
-        if id_src in mors:
-            got = rows.get(id_src, NO_ROW).get(f)
-            if got != f:
-                violations.append(
-                    Violation(
-                        "identity-law",
-                        (f, id_src),
-                        f"{f!r} after identity should be {f!r}, got {got!r}",
+    ident, after = c.ident, c.after
+    if not _identity_laws_hold(c):
+        for f, (s, d) in enumerate(zip(src, dst)):
+            i = ident[s]
+            if type(i) is int:
+                got = after(f, i)
+                if got != f:
+                    violations.append(
+                        Violation(
+                            "identity-law",
+                            (names[f], names[i]),
+                            f"{names[f]!r} after identity should be {names[f]!r}, "
+                            f"got {c.name_of(got)!r}",
+                        )
                     )
-                )
-        if id_dst in mors:
-            got = rows.get(f, NO_ROW).get(id_dst)
-            if got != f:
-                violations.append(
-                    Violation(
-                        "identity-law",
-                        (id_dst, f),
-                        f"identity after {f!r} should be {f!r}, got {got!r}",
+            j = ident[d]
+            if type(j) is int:
+                got = after(j, f)
+                if got != f:
+                    violations.append(
+                        Violation(
+                            "identity-law",
+                            (names[j], names[f]),
+                            f"identity after {names[f]!r} should be {names[f]!r}, "
+                            f"got {c.name_of(got)!r}",
+                        )
                     )
-                )
 
-    for f, mf in mors.items():
-        after_f = rows.get(f, NO_ROW)
-        for g in out_of.get(mf.dst, ()):
-            gf = after_f.get(g)
-            if gf is None or gf not in mors:
+    # h after (g after f) against (h after g) after f over every composable
+    # triple meeting at objects; where the rows of f and g are typed, the
+    # first is the row of g after f and the second is f's row read at the
+    # slots of g's entries, so each (f, g) compares two tuples
+    at_slots = [
+        _gather(_gather(row)(c.pos)) if ok and row else None for ok, row in zip(typed, rows)
+    ]
+    for f, row_f in enumerate(rows):
+        x = dst[f]
+        if x >= n_objects:
+            continue
+        for g, gf in zip(out[x], row_f):
+            y = dst[g]
+            if gf is None or y >= n_objects or not rows[g]:
                 continue
-            after_g, after_gf = rows.get(g, NO_ROW), rows.get(gf, NO_ROW)
-            for h in out_of.get(mors[g].dst, ()):
-                hg = after_g.get(h)
-                if hg is None or hg not in mors:
+            if typed[f] and at_slots[g] is not None and at_slots[g](row_f) == rows[gf]:
+                continue
+            for h, hg in zip(out[y], rows[g]):
+                if hg is None:
                     continue
-                left = after_gf.get(h)
-                right = after_f.get(hg)
+                left, right = after(h, gf), after(hg, f)
                 if left != right:
                     violations.append(
                         Violation(
                             "associativity",
-                            (h, g, f),
-                            f"({h!r} after {gf!r}) = {left!r} but "
-                            f"({hg!r} after {f!r}) = {right!r}",
+                            (names[h], names[g], names[f]),
+                            f"({names[h]!r} after {names[gf]!r}) = {c.name_of(left)!r} but "
+                            f"({names[hg]!r} after {names[f]!r}) = {c.name_of(right)!r}",
                         )
                     )
 
@@ -372,13 +617,20 @@ def hom_set(c: Category, a: str, b: str) -> list[str]:
 
 def inverse_of(c: Category, m: str):
     """Name of a two-sided inverse of ``m``, or None.  Exhaustive search."""
-    mm = c.mor(m)
-    id_src = c.identity.get(mm.src)
-    id_dst = c.identity.get(mm.dst)
-    after_m = c.rows.get(m, NO_ROW)
-    for g in c.hom(mm.dst, mm.src):
-        if after_m.get(g) == id_src and c.rows.get(g, NO_ROW).get(m) == id_dst:
-            return g
+    f = c.mor_id.get(m)
+    if f is None:
+        c.mor(m)  # raises
+    s, d = c.src[f], c.dst[f]
+    id_src, id_dst = c.ident[s], c.ident[d]
+    rows, pos = c.rows, c.pos
+    row_f, at_f = rows[f], pos[f]
+    for g in c.hom_ids(d, s):
+        # g starts where f ends and ends where f starts: both slots exist
+        gf, fg = row_f[pos[g]], rows[g][at_f]
+        if c.stray and (gf is None or fg is None):
+            gf, fg = c.after(g, f), c.after(f, g)
+        if gf == id_src and fg == id_dst:
+            return c.names[g]
     return None
 
 
@@ -405,50 +657,60 @@ def opposite(c: Category) -> Category:
     to the original.
     """
     mors = [Mor(m.name, m.dst, m.src) for m in c.morphisms.values()]
-    return Category(f"op({c.name})", c.objects, mors, c.identity, rows=transposed(c.rows))
+    return Category(f"op({c.name})", c.objects, mors, c.identity, fill=transposing(c))
 
 
-def transposed(rows: Rows, rename: Callable[[str], str] | None = None) -> Rows:
-    """The rows of the opposite table, ``out[g][f] = rows[f][g]``, with every
-    name passed through ``rename`` if one is given."""
-    name = rename or (lambda x: x)
-    out: Rows = {}
-    for f, row in rows.items():
-        nf = name(f)
-        for g, h in row.items():
-            ng = name(g)
-            into = out.get(ng)
-            if into is None:
-                into = out[ng] = {}
-            into[nf] = name(h)
-    return out
+def transposing(c: Category, suffix: str = ""):
+    """A ``fill`` for the opposite of ``c`` with ``suffix`` added to every
+    name: ``g after f`` in ``c`` is ``f after g`` there.  Its rows are
+    ``c``'s columns, carried through one permutation of the morphism ids."""
+
+    def fill(d: Category) -> tuple[Rows, Stray]:
+        perm = [d.mor_id[m + suffix] for m in c.names]
+        back = [0] * len(perm)
+        for i, j in zip(c.mor_id.values(), perm):
+            back[j] = i
+        rows: Rows = [None] * len(perm)
+        c_rows, pos = c.rows, c.pos
+        for x, leaving in zip(c.vertices, c.out):
+            # d's rows leaving x are c's columns entering x, in d's order of
+            # the morphisms into x
+            entering = [c_rows[back[f]] for f in d.out[d.vid[x + suffix]]]
+            for g in leaving:
+                p = pos[g]
+                column = [row[p] for row in entering]
+                try:
+                    rows[perm[g]] = _gather(column)(perm) if column else ()
+                except TypeError:  # a hole
+                    rows[perm[g]] = [None if h is None else perm[h] for h in column]
+        stray = {(f + suffix, g + suffix): h + suffix for (g, f), h in c.stray.items()}
+        return rows, stray
+
+    return fill
 
 
 class View(NamedTuple):
-    """How a sweep reads a category: hom-sets, composition (``after(g, f)``
-    is g after f, or None) and the endpoints ``(src, dst)`` of a :class:`Mor`."""
+    """How a sweep reads a category, on ids: hom-sets between vertices,
+    composition (``after(g, f)`` is g after f, or None) and the endpoint
+    lists ``src`` and ``dst``."""
 
-    hom: Callable[[str, str], tuple[str, ...]]
-    after: Callable[[str, str], str | None]
-    ends: Callable[[Mor], tuple[str, str]]
+    hom: Callable[[int, int], Sequence[int]]
+    after: Callable[[int, int], int | None]
+    src: Sequence[int]
+    dst: Sequence[int]
 
 
 def oriented(c: Category, flip: bool = False) -> View:
     """``c`` as it is, or with ``flip`` read as its opposite.
 
     The flipped view reads ``c``'s own tables: ``hom(a, b)`` is
-    ``c.hom(b, a)``, ``after(g, f)`` is ``c.rows[g][f]`` (``f`` after
-    ``g`` in ``c``) and each morphism's endpoints are swapped.  No opposite
-    category is built, and a lookup costs one call either way.
+    ``c.hom_ids(b, a)``, ``after(g, f)`` is ``c.after(f, g)`` and the
+    endpoint lists are swapped.  No opposite category is built.
     """
     if not flip:
-        return View(c.hom, c.comp_or_none, attrgetter("src", "dst"))
-    homs, rows = c._hom.get, c.rows.get
-    return View(
-        lambda a, b: homs((b, a), ()),
-        lambda g, f: rows(g, NO_ROW).get(f),
-        attrgetter("dst", "src"),
-    )
+        return View(c.hom_ids, c.after, c.src, c.dst)
+    hom, after = c.hom_ids, c.after
+    return View(lambda a, b: hom(b, a), lambda g, f: after(f, g), c.dst, c.src)
 
 
 def full_subcategory(c: Category, objs: Iterable[str]):
@@ -464,14 +726,32 @@ def full_subcategory(c: Category, objs: Iterable[str]):
         c.require_object(x)
     keepset = set(keep)
     mors = [m for m in c.morphisms.values() if m.src in keepset and m.dst in keepset]
-    names = {m.name for m in mors}
+    names = [m.name for m in mors]
     identity = {x: c.identity[x] for x in keep if x in c.identity}
-    rows = {
-        f: {g: h for g, h in row.items() if g in names}
-        for f, row in c.rows.items()
-        if f in names
-    }
-    sub = Category(f"full({c.name})", keep, mors, identity, rows=rows)
+
+    def fill(sub: Category) -> tuple[Rows, Stray]:
+        # kept ids keep their order, so a kept row is c's row at the kept
+        # slots; an entry whose composite was dropped is no morphism here
+        new = [None] * len(c.names)
+        for i, name in zip(map(c.mor_id.__getitem__, names), sub.names):
+            new[i] = sub.mor_id[name]
+        rows: Rows = []
+        stray: Stray = {}
+        for f in map(c.mor_id.__getitem__, names):
+            row = []
+            for g, h in zip(c.out[c.dst[f]], c.rows[f]):
+                if new[g] is not None:
+                    if h is not None and new[h] is None:
+                        stray[(c.names[g], c.names[f])] = c.names[h]
+                        h = None
+                    row.append(h if h is None else new[h])
+            rows.append(row)
+        for (g, f), h in c.stray.items():
+            if g in sub.mor_id and f in sub.mor_id:
+                stray[(g, f)] = h
+        return rows, stray
+
+    sub = Category(f"full({c.name})", keep, mors, identity, fill=fill)
     inclusion = Functor(
         sub,
         c,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core import Category, inverse_of, oriented
+from .core import Category, inverse_of
 from .errors import (
     InvalidArtifactError,
     MismatchError,
@@ -25,7 +25,7 @@ from .functors import (
     NaturalTransformation,
     compose_functors,
     identity_functor,
-    iso_violations,
+    iso_report,
     left_components,
     validate_nat,
 )
@@ -53,6 +53,8 @@ class MNPair:
     reflection: ReflectionPackage
     coreflection: CoreflectionPackage
     _report: ValidationReport | None = report_field()
+    # the inverses check_mn_hypotheses found, per label and object
+    _inverses: dict[str, dict[str, str | None]] | None = report_field()
 
     @property
     def category(self) -> Category:
@@ -76,7 +78,9 @@ def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     They are natural because their factors are: the monad's and comonad's
     own (remembered) reports are read first, and when either fails it is
     returned as it stands.  Otherwise every component is searched for an
-    inverse, and failures name the component object.  Computed once per pair.
+    inverse, and failures name the component object; the inverses found are
+    kept on the pair for :func:`verify_factorizations`.  Computed once per
+    pair.
     """
     factors = check_idempotent_monad(p.monad).merged(check_idempotent_comonad(p.comonad))
     if not factors.ok:
@@ -87,7 +91,10 @@ def check_mn_hypotheses(p: MNPair) -> ValidationReport:
         ("monad-of-counit", left_components(N, psi)),  # N(psi_x): NMx -> Nx
         ("comonad-of-unit", left_components(M, eta)),  # M(eta_x): Mx -> MNx
     )
-    return ValidationReport(_whiskered_iso_violations("mn-hypothesis", p.category, labelled))
+    inverses: dict[str, dict[str, str | None]] = {}
+    violations = _whiskered_iso_violations("mn-hypothesis", p.category, labelled, inverses)
+    object.__setattr__(p, "_inverses", inverses)
+    return ValidationReport(violations)
 
 
 @dataclass
@@ -156,9 +163,11 @@ def build_mn_equivalence(p: MNPair) -> EquivalenceResult:
 def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
     """Check the data of an adjoint equivalence: unit/counit are valid
     natural isomorphisms and both triangle identities hold."""
+    isos = [
+        iso_report(nat, "equivalence-not-iso", label)
+        for label, nat in (("unit", e.unit), ("counit", e.counit))
+    ]
     violations: list[Violation] = []
-    for label, nat in (("unit", e.unit), ("counit", e.counit)):
-        violations.extend(iso_violations(nat, "equivalence-not-iso", label))
 
     # counit_{Fx} after F(unit_x) = id_{Fx}, and G(counit_y) after unit_{Gy}
     # = id_{Gy}: the same equation read on the flipped view of the target
@@ -167,7 +176,7 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
         ("triangle-backward", e.backward, e.unit, e.counit, True, "backward(counit) . unit"),
     ):
         cod = H.target
-        after = oriented(cod, flip).after
+        after = (lambda g, f: cod.comp_or_none(f, g)) if flip else cod.comp_or_none
         for x in H.source.objects:
             try:
                 Hx = H.on_obj(x)
@@ -183,7 +192,7 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
                 violations.append(
                     Violation(rule, (x,), f"{text} is {got!r}, expected identity {want!r}")
                 )
-    return ValidationReport(violations)
+    return ValidationReport(violations).merged(*isos)
 
 
 def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
@@ -201,27 +210,39 @@ def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
     eta, psi = p.monad.unit.components, p.comonad.counit.components
     R, Q = p.reflection.reflector, p.coreflection.coreflector
     # the reflector's candidate inverts N(psi_x), which is then its inverse,
-    # in hand; a component without an inverse stays, and the candidate fails
-    reflector, lacking = {}, {"reflector": []}
+    # in hand; a component without an inverse stays, and the candidate fails.
+    # The searches check_mn_hypotheses made on these components are read back
+    searched = p._inverses or {}
+
+    def inverse(label: str, x: str, m: str):
+        known = searched.get(label)
+        return known[x] if known is not None else inverse_of(cat, m)
+
+    reflector, lacking = {}, {"reflector": [], "coreflector": []}
     for x in cat.objects:
         m = N.on_mor(psi[x])
-        inv = inverse_of(cat, m)
+        inv = inverse("monad-of-counit", x, m)
         if inv is None:
             lacking["reflector"].append(x)
         reflector[x] = m if inv is None else inv
     coreflector = {x: M.on_mor(eta[x]) for x in cat.objects}
-    lacking["coreflector"] = [x for x, m in coreflector.items() if inverse_of(cat, m) is None]
+    for x, m in coreflector.items():
+        if inverse("comonad-of-unit", x, m) is None:
+            lacking["coreflector"].append(x)
 
     violations: list[Violation] = []
+    omitted = 0
     for side, label, lhs, rhs, components in (
         ("reflector", "monad-of-counit", R, (e.forward, Q), reflector),
         ("coreflector", "comonad-of-unit", Q, (e.backward, R), coreflector),
     ):
         tag = f"factorization-{side}"
         candidate = NaturalTransformation(lhs, compose_functors(*rhs), components, name=tag)
-        found = validate_nat(candidate).violations or [
+        report = validate_nat(candidate)
+        found = report.violations or [
             Violation("not-iso", (label, x), f"component {components[x]!r} is not invertible")
             for x in lacking[side]
         ]
         violations.extend(Violation(f"{tag}-{v.rule}", v.subject, v.detail) for v in found)
-    return ValidationReport(violations)
+        omitted += report.omitted
+    return ValidationReport(violations, omitted=omitted)

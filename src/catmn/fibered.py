@@ -29,7 +29,7 @@ from .errors import (
     LiftError,
     SizeLimitError,
 )
-from .core import NO_ROW, Category, Mor, oriented, validate_category
+from .core import Category, Mor, Rows, _gather, oriented, validate_category
 from .functors import Functor, NaturalTransformation, identity_functor
 from .monads import COMONAD, MONAD, ComonadDatum, MonadDatum, Side
 from .report import ValidationReport, Violation, remembered, report_field
@@ -93,22 +93,66 @@ def poset_from_pairs(elements, pairs, bottom, top) -> FiberPoset:
     """Build a fiber poset from generating pairs, closing under
     reflexivity and transitivity; pairs naming a non-element are dropped."""
     elems = tuple(sorted(set(elements)))
-    reach: dict[str, set[str]] = {x: {x} for x in elems}
     adj: dict[str, set[str]] = {x: set() for x in elems}
     for a, b in pairs:
         if a in adj and b in adj:
             adj[a].add(b)
-    for x in elems:
-        stack = [x]
-        seen = reach[x]
-        while stack:
-            cur = stack.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+    reach = _reachable(elems, adj)
     leq = frozenset((a, b) for a in elems for b in reach[a])
     return FiberPoset(elems, leq, bottom, top)
+
+
+def _reachable(elems, adj: dict[str, set[str]]) -> dict[str, set[str]]:
+    """Everything each element reaches along ``adj``, itself included.
+
+    Nuutila's algorithm: Tarjan's search finds the strongly connected
+    components, each completed after every component it reaches, and the
+    members of a component share one set, the union of what its members'
+    successors reach.  A successor already in that set adds nothing, so
+    each shared upper part is walked once, not once per element below it.
+    A cycle closes like anything else; validation reports it.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    reach: dict[str, set[str]] = {}
+    for root in elems:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            x, successors = work[-1]
+            for y in successors:
+                if y not in index:
+                    index[y] = low[y] = len(index)
+                    stack.append(y)
+                    work.append((y, iter(adj[y])))
+                    break
+                if y not in reach and index[y] < low[x]:  # on the stack
+                    low[x] = index[y]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] != index[x]:
+                    continue
+                if stack[-1] == x:  # a component of one element
+                    stack.pop()
+                    members = (x,)
+                else:
+                    at = stack.index(x)
+                    members = tuple(stack[at:])
+                    del stack[at:]
+                shared = set(members)
+                for m in members:
+                    for y in adj[m]:
+                        if y not in shared:
+                            shared |= reach[y]
+                for m in members:
+                    reach[m] = shared
+    return reach
 
 
 def chain_poset(names) -> FiberPoset:
@@ -275,30 +319,28 @@ def validate_spec(s: FiberedSpec) -> ValidationReport:
                         )
                     )
 
-    # the report sorts its violations, so the rows are walked in their order
-    for f, row in s.base.rows.items():
+    # the report sorts its violations, so the entries are walked in their order
+    for g, f, h in s.base.entries():
         mf = basemors.get(f)
         if f not in s.actions or mf is None or mf.src not in s.fibers:
             continue
-        act_f = s.actions[f]
-        for g, h in row.items():
-            if g not in s.actions or h not in s.actions:
+        if g not in s.actions or h not in s.actions:
+            continue
+        act_f, act_g, act_h = s.actions[f], s.actions[g], s.actions[h]
+        for k in s.fibers[mf.src].elements:
+            if k not in act_f or act_f[k] not in act_g or k not in act_h:
                 continue
-            act_g, act_h = s.actions[g], s.actions[h]
-            for k in s.fibers[mf.src].elements:
-                if k not in act_f or act_f[k] not in act_g or k not in act_h:
-                    continue
-                if act_g[act_f[k]] != act_h[k]:
-                    violations.append(
-                        Violation(
-                            "action-functorial",
-                            (g, f, k),
-                            f"acting by the composite gives {act_h[k]!r} but acting in "
-                            f"stages gives {act_g[act_f[k]]!r}",
-                        )
+            if act_g[act_f[k]] != act_h[k]:
+                violations.append(
+                    Violation(
+                        "action-functorial",
+                        (g, f, k),
+                        f"acting by the composite gives {act_h[k]!r} but acting in "
+                        f"stages gives {act_g[act_f[k]]!r}",
                     )
+                )
 
-    return ValidationReport(violations)
+    return ValidationReport(violations, omitted=report.omitted)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +407,11 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
             objects.append(name)
 
     # every table below holds the one name string made here per morphism;
-    # lifts[f, k] maps k2 to the name of (f, k, k2), and out_of[x] pairs each
-    # base arrow g leaving x = (b, k1) with lifts[g, k1], in morphism order
+    # lifts[f, k] maps k2 to the name of (f, k, k2)
     mors: list[Mor] = []
     mor_proj: dict[str, str] = {}
-    mor_data: dict[str, tuple[str, str]] = {}
+    mor_data: dict[str, tuple[str, str, str]] = {}
     lifts: dict[tuple[str, str], dict[str, str]] = {}
-    out_of: dict[str, list[tuple[str, dict[str, str]]]] = {}
     for fname, m in base.morphisms.items():
         act, ends = s.actions[fname], above[m.dst]
         for k in s.fibers[m.src].elements:
@@ -383,9 +423,8 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
                     raise InvalidArtifactError(f"total morphism name collision at {name!r}")
                 mors.append(Mor(name, src, _obj_name(m.dst, k2)))
                 mor_proj[name] = fname
-                mor_data[name] = (fname, k)
+                mor_data[name] = (fname, k, k2)
                 lifted[k2] = name
-            out_of.setdefault(src, []).append((fname, lifted))
 
     def missing(key):
         return InvalidArtifactError(
@@ -397,30 +436,43 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
     for b in base.objects:
         idb = base.identity.get(b)
         for k in s.fibers[b].elements:
-            name = lifts.get((idb, k), NO_ROW).get(k)
+            name = lifts.get((idb, k), {}).get(k)
             if name is None:
                 raise missing((idb, k, k))
             identity[_obj_name(b, k)] = name
-    # (g, k1, k2) after (f, k, k1) is (g o f, k, k2): the row of (f, k, k1)
-    # is read off the lifts of the base composites g o f at k
-    rows: dict[str, dict[str, str]] = {}
-    base_rows = base.rows
-    try:
-        for u in mors:
-            f, k = mor_data[u.name]
-            after_f = base_rows.get(f, NO_ROW)
-            row = rows[u.name] = {}
-            for g, targets in out_of.get(u.dst, ()):
-                gf = after_f.get(g)
-                if gf is None:
-                    raise missing((g, f))
-                composites = lifts.get((gf, k), NO_ROW)
-                for k2, v in targets.items():
-                    row[v] = composites[k2]
-    except KeyError as exc:
-        raise missing((gf, k, exc.args[0])) from None
 
-    total = Category(f"total({s.name})", objects, mors, identity, rows=rows)
+    # after[f][g] is g o f in the base; tables keyed in two steps, so no
+    # per-entry lookup below builds a key
+    after: dict[str, dict[str, str]] = {}
+    for g, f, h in base.entries():
+        after.setdefault(f, {})[g] = h
+
+    def fill(total: Category):
+        # (g, k1, k2) after (f, k, k1) is (g o f, k, k2): the row of
+        # (f, k, k1) reads, at each slot (g, k1, k2), the lift of the base
+        # composite g o f at k that ends at k2; lift_ids[f][k][k2] is the id
+        # of (f, k, k2)
+        ids = total.mor_id
+        lift_ids: dict[str, dict[str, dict[str, int]]] = {}
+        for (f, k), lifted in lifts.items():
+            lift_ids.setdefault(f, {})[k] = {k2: ids[name] for k2, name in lifted.items()}
+        # per total vertex: the base arrow and target element of each slot
+        slots = [[mor_data[total.names[v]][::2] for v in leaving] for leaving in total.out]
+        rows: Rows = []
+        for u, x in zip(total.names, total.dst):
+            f, k, _ = mor_data[u]
+            after_f = after.get(f, {})
+            try:
+                rows.append([lift_ids[after_f[g]][k][k2] for g, k2 in slots[x]])
+            except KeyError:  # only on a spec that fails validate_spec
+                for g, k2 in slots[x]:
+                    if g not in after_f:
+                        raise missing((g, f)) from None
+                    if k2 not in lift_ids.get(after_f[g], {}).get(k, {}):
+                        raise missing((after_f[g], k, k2)) from None
+        return rows, {}
+
+    total = Category(f"total({s.name})", objects, mors, identity, fill=fill)
     projection = Functor(
         total,
         base,
@@ -435,16 +487,20 @@ def fiber_objects(t: TotalCategory, b: str) -> list[str]:
     return sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
 
 
-def _in_fiber_hom(t: TotalCategory, hom, x: str, y: str, idb: str) -> list[str]:
-    return [u for u in hom(x, y) if t.projection.mor_map.get(u) == idb]
+def _over(t: TotalCategory) -> list:
+    """Per morphism id of the total category, the base morphism it lies over."""
+    return list(map(t.projection.mor_map.get, t.total.names))
 
 
-def _fiber_extremum(t: TotalCategory, b: str, hom):
+def _fiber_extremum(t: TotalCategory, b: str, hom, over: list):
+    """The fiber object over ``b`` that every fiber object reaches by exactly
+    one in-fiber morphism of ``hom`` (on vertex ids), or None."""
     idb = t.projection.target.identity.get(b)
-    objs = fiber_objects(t, b)
+    vid = t.total.vid
+    objs = [vid[x] for x in fiber_objects(t, b)]
     for cand in objs:
-        if all(len(_in_fiber_hom(t, hom, y, cand, idb)) == 1 for y in objs):
-            return cand
+        if all(list(map(over.__getitem__, hom(y, cand))).count(idb) == 1 for y in objs):
+            return t.total.vertices[cand]
     return None
 
 
@@ -452,13 +508,13 @@ def fiber_final(t: TotalCategory, b: str):
     """The object of the fiber over b that every fiber object reaches by
     exactly one in-fiber morphism, or None.  Ties broken lexicographically
     (impossible for genuine posets)."""
-    return _fiber_extremum(t, b, t.total.hom)
+    return _fiber_extremum(t, b, t.total.hom_ids, _over(t))
 
 
 def fiber_initial(t: TotalCategory, b: str):
     """:func:`fiber_final` on the flipped view of the total category: the
     object reaching every fiber object by exactly one in-fiber morphism."""
-    return _fiber_extremum(t, b, oriented(t.total, flip=True).hom)
+    return _fiber_extremum(t, b, oriented(t.total, flip=True).hom, _over(t))
 
 
 def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None):
@@ -469,12 +525,13 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
     object) and the morphism map (the unique lift making the naturality
     square commute).  Without ``found`` the first failure raises; with it,
     each failure is appended as a violation and whatever depends on it is
-    skipped.
+    skipped.  The searches run on ids.
     """
     cat = t.total
     base = t.projection.target
-    hom, after, ends = oriented(cat, side.flip)
-    over = {x: b for x, (b, _) in t.object_decoding.items()}
+    hom, after, src, dst = oriented(cat, side.flip)
+    over = _over(t)
+    names, vid = cat.names, cat.vid
 
     def fail(error: Exception, rule: str, where: str, detail: str) -> None:
         if found is None:
@@ -483,7 +540,7 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
 
     finals: dict[str, str] = {}
     for b in base.objects:
-        cand = _fiber_extremum(t, b, hom)
+        cand = _fiber_extremum(t, b, hom, over)
         if cand is None:
             fail(
                 ExtremumError(b, side.final),
@@ -493,13 +550,17 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
             )
         else:
             finals[b] = cand
-    obj_map = {x: finals[over[x]] for x in cat.objects if over[x] in finals}
+    base_of = {x: b for x, (b, _) in t.object_decoding.items()}
+    obj_map = {x: finals[base_of[x]] for x in cat.objects if base_of[x] in finals}
 
-    eta: dict[str, str] = {}
+    # per vertex id: the unit there and the vertex it collapses to
+    eta = [None] * len(cat.vertices)
+    image = [None] * len(cat.vertices)
     for x, top in obj_map.items():
-        arrows = _in_fiber_hom(t, hom, x, top, base.identity.get(over[x]))
+        idb = base.identity.get(base_of[x])
+        arrows = [u for u in hom(vid[x], vid[top]) if over[u] == idb]
         if len(arrows) == 1:
-            eta[x] = arrows[0]
+            eta[vid[x]], image[vid[x]] = arrows[0], vid[top]
         else:
             fail(
                 LiftError(f"{side.unit} at {x}", len(arrows)),
@@ -508,27 +569,60 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
                 f"{len(arrows)} in-fiber arrows {side.to} the {side.final} object",
             )
 
+    lifts = _sole_lifts(cat, side.flip, src, dst, eta, image)
+    if lifts is not None:
+        return obj_map, _units(obj_map, eta, vid, names), dict(zip(names, map(names.__getitem__, lifts)))
     mor_map: dict[str, str] = {}
-    for u, m in cat.morphisms.items():  # stored in name order
-        src, dst = ends(m)
-        if src not in eta or dst not in eta:
+    for u, (a, b) in enumerate(zip(src, dst)):  # ids follow name order
+        eta_a, eta_b = eta[a], eta[b]
+        if eta_a is None or eta_b is None:
             continue
-        target_side = after(eta[dst], u)
-        lifts = [
-            v
-            for v in hom(obj_map[src], obj_map[dst])
-            if after(v, eta[src]) == target_side
-        ]
+        target_side = after(eta_b, u)
+        lifts = [v for v in hom(image[a], image[b]) if after(v, eta_a) == target_side]
         if len(lifts) == 1:
-            mor_map[u] = lifts[0]
+            mor_map[names[u]] = names[lifts[0]]
         else:
             fail(
-                LiftError(u, len(lifts)),
+                LiftError(names[u], len(lifts)),
                 f"{side.final}-lift",
-                u,
+                names[u],
                 f"{len(lifts)} lifts between the fiber {side.top}s",
             )
-    return obj_map, eta, mor_map
+    return obj_map, _units(obj_map, eta, vid, names), mor_map
+
+
+def _units(obj_map, eta: list, vid: dict, names) -> dict[str, str]:
+    return {x: names[eta[vid[x]]] for x in obj_map if eta[vid[x]] is not None}
+
+
+def _sole_lifts(cat: Category, flip: bool, src, dst, eta: list, image: list):
+    """The lift of every morphism, when each has a unit at both ends, exactly
+    one candidate between the collapsed ends, and a commuting square: per
+    morphism ``u: a -> b``, the one ``v: image[a] -> image[b]``, and the
+    squares ``v after eta[a]`` against ``eta[b] after u`` read off the rows
+    by gathers.  None when any of that fails; the caller then walks the
+    morphisms one by one.  (A thin total category, such as every fibered
+    spec over a preorder base gives, has one candidate everywhere.)"""
+    if not src:
+        return []
+    try:
+        at_a, at_b = _gather(src)(eta), _gather(dst)(eta)
+        ends = zip(_gather(dst if flip else src)(image), _gather(src if flip else dst)(image))
+        n_vertices = len(cat.vertices)
+        found = [cat.homs.get(x * n_vertices + y, ()) for x, y in ends]
+        if set(map(len, found)) != {1}:
+            return None
+        lifts = [v for (v,) in found]
+        rows, pos = cat.rows, cat.pos
+        if flip:  # eta[b] after u is u o eta[b] in cat, and so on
+            left = list(map(tuple.__getitem__, _gather(at_b)(rows), pos))
+            right = list(map(tuple.__getitem__, _gather(lifts)(rows), _gather(at_a)(pos)))
+        else:
+            left = list(map(tuple.__getitem__, rows, _gather(at_b)(pos)))
+            right = list(map(tuple.__getitem__, _gather(at_a)(rows), _gather(lifts)(pos)))
+    except TypeError:  # an end without a unit
+        return None
+    return lifts if left == right and None not in left else None
 
 
 def _build(t: TotalCategory, side: Side):

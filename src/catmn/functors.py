@@ -12,10 +12,12 @@ full whiskerings as the reference for that.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import attrgetter, itemgetter
 
-from .core import NO_ROW, Category, inverse_of, oriented
+from .core import Category, _gather, inverse_of
 from .errors import (
     InvalidArtifactError,
     MismatchError,
@@ -23,6 +25,13 @@ from .errors import (
     UnknownObjectError,
 )
 from .report import ValidationReport, Violation
+
+
+def _images_field():
+    """The private field a functor keeps its morphism table over ids in; see
+    :func:`_mor_images`.  Like a remembered report, it assumes the tables are
+    not edited in place once used."""
+    return field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,7 @@ class Functor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
     name: str = field(default="", compare=False)
+    _images: list | None = _images_field()
 
     def on_obj(self, x: str) -> str:
         try:
@@ -53,18 +63,38 @@ class Functor:
 
 
 def identity_functor(c: Category) -> Functor:
-    return Functor(
-        c,
-        c,
-        {x: x for x in c.objects},
-        {m: m for m in c.morphisms},
-        name=f"1[{c.name}]",
-    )
+    """The identity functor of ``c``.  Its tables are made once per category
+    and shared, so identity functors of one category compare equal at once."""
+    maps = c._identity_maps
+    if maps is None:
+        maps = c._identity_maps = (
+            {x: x for x in c.objects},
+            {m: m for m in c.morphisms},
+            list(c.mor_id.values()),
+        )
+    F = Functor(c, c, maps[0], maps[1], name=f"1[{c.name}]")
+    object.__setattr__(F, "_images", maps[2])
+    return F
+
+
+def _mor_images(F, source: Category) -> list:
+    """``F``'s morphism table over the ids of ``source``: the target id of
+    each image, the image's name where it is no target morphism, None where
+    there is none.  Made on first use and kept on ``F``."""
+    images = F._images
+    if images is None:
+        tid, names = F.target.mor_id, source.names
+        try:
+            images = list(_gather(_gather(names)(F.mor_map))(tid)) if names else []
+        except (KeyError, TypeError):  # an image missing, or no target morphism
+            images = [tid.get(m, m) for m in map(F.mor_map.get, names)]
+        object.__setattr__(F, "_images", images)
+    return images
 
 
 def validate_functor(F: Functor) -> ValidationReport:
     """Check totality, typing, identity and composition preservation."""
-    return _functor_report(F.source, F.target, F.obj_map, F.mor_map)
+    return _functor_report(F.source, F.target, F.obj_map, F.mor_map, _mor_images(F, F.source))
 
 
 def _functor_report(
@@ -72,15 +102,17 @@ def _functor_report(
     tgt: Category,
     obj_map: dict[str, str],
     mor_map: dict[str, str],
+    img: list,
     flip: bool = False,
 ) -> ValidationReport:
     """:func:`validate_functor` on tables from ``src`` to ``tgt``, with
     ``flip`` reading ``src`` as its opposite: endpoints swapped and each
-    entry ``g after f`` read as ``f after g``.  The subjects are the ones a
-    check on the real opposite gives."""
+    entry ``g after f`` read as ``f after g``; ``img`` is ``mor_map`` over
+    the ids (:func:`_mor_images`).  The subjects are the ones a check on the
+    real opposite gives."""
     violations: list[Violation] = []
     src_objects, tgt_objects = set(src.objects), set(tgt.objects)
-    ends = oriented(src, flip).ends
+    ends = attrgetter("dst", "src") if flip else attrgetter("src", "dst")
 
     for x in src.objects:
         if x not in obj_map:
@@ -95,51 +127,57 @@ def _functor_report(
                 Violation("functor-object-extra", (x,), "image assigned to a non-object")
             )
 
-    for f, mf in src.morphisms.items():
-        if f not in mor_map:
-            violations.append(Violation("functor-morphism-missing", (f,), "no image assigned"))
-            continue
-        Ff = mor_map[f]
-        if Ff not in tgt.morphisms:
-            violations.append(
-                Violation("functor-morphism-image", (f,), f"image {Ff!r} is not a target morphism")
-            )
-            continue
-        mFf = tgt.morphisms[Ff]
-        a, b = ends(mf)
-        want_src = obj_map.get(a)
-        want_dst = obj_map.get(b)
-        if want_src is None or want_dst is None:
-            # an endpoint with no image is reported once: as
-            # functor-object-missing when it is a source object, here if not
-            for end, x, want in (("source", a, want_src), ("target", b, want_dst)):
-                if want is None and x not in src_objects:
-                    violations.append(
-                        Violation(
-                            "functor-endpoints",
-                            (f,),
-                            f"{end} {x!r} is not a source object, so its image is unchecked",
-                        )
+    # when every image is typed, the per-morphism checks have nothing to find
+    at = _images_typed(src, tgt, obj_map, img, flip)
+    if at is None:
+        for f, mf in src.morphisms.items():
+            if f not in mor_map:
+                violations.append(
+                    Violation("functor-morphism-missing", (f,), "no image assigned")
+                )
+                continue
+            Ff = mor_map[f]
+            if Ff not in tgt.morphisms:
+                violations.append(
+                    Violation(
+                        "functor-morphism-image", (f,), f"image {Ff!r} is not a target morphism"
                     )
-        if want_src is not None and mFf.src != want_src:
-            violations.append(
-                Violation(
-                    "functor-endpoints",
-                    (f,),
-                    f"image source is {mFf.src!r}, expected {want_src!r}",
                 )
-            )
-        if want_dst is not None and mFf.dst != want_dst:
-            violations.append(
-                Violation(
-                    "functor-endpoints",
-                    (f,),
-                    f"image target is {mFf.dst!r}, expected {want_dst!r}",
+                continue
+            mFf = tgt.morphisms[Ff]
+            a, b = ends(mf)
+            want_src = obj_map.get(a)
+            want_dst = obj_map.get(b)
+            if want_src is None or want_dst is None:
+                # an endpoint with no image is reported once: as
+                # functor-object-missing when it is a source object, here if not
+                for end, x, want in (("source", a, want_src), ("target", b, want_dst)):
+                    if want is None and x not in src_objects:
+                        violations.append(
+                            Violation(
+                                "functor-endpoints",
+                                (f,),
+                                f"{end} {x!r} is not a source object, so its image is unchecked",
+                            )
+                        )
+            if want_src is not None and mFf.src != want_src:
+                violations.append(
+                    Violation(
+                        "functor-endpoints",
+                        (f,),
+                        f"image source is {mFf.src!r}, expected {want_src!r}",
+                    )
                 )
-            )
-    for f in mor_map:
-        if f not in src.morphisms:
-            violations.append(
+            if want_dst is not None and mFf.dst != want_dst:
+                violations.append(
+                    Violation(
+                        "functor-endpoints",
+                        (f,),
+                        f"image target is {mFf.dst!r}, expected {want_dst!r}",
+                    )
+                )
+    for f in mor_map.keys() - src.morphisms.keys():
+        violations.append(
                 Violation("functor-morphism-extra", (f,), "image assigned to a non-morphism")
             )
 
@@ -157,31 +195,106 @@ def _functor_report(
                 )
             )
 
-    # each table entry yields at most one violation and the report sorts its
-    # violations, so the rows are walked in their own order; entry g o f = h
-    # of the source, read flipped, is f o g = h in the opposite
-    image = mor_map.get
-    tgt_rows = tgt.rows
-    for f, row in src.rows.items():
-        Ff = image(f)
-        if Ff is None:
-            continue
-        after_Ff = tgt_rows.get(Ff, NO_ROW)
-        for g, h in row.items():
-            Fg, Fh = image(g), image(h)
-            if Fg is None or Fh is None:
-                continue
-            got = tgt_rows.get(Fg, NO_ROW).get(Ff) if flip else after_Ff.get(Fg)
-            if got != Fh:
-                violations.append(
-                    Violation(
-                        "functor-composition",
-                        (f, g) if flip else (g, f),
-                        f"image of composite is {Fh!r} but composite of images is {got!r}",
-                    )
-                )
-
+    violations.extend(_composition_sweep(src, tgt, mor_map, img, at, flip))
     return ValidationReport(violations)
+
+
+def _images_typed(src: Category, tgt: Category, obj_map: dict[str, str], img: list, flip: bool):
+    """The target vertex of each source vertex's image, when every image in
+    ``img`` is a target morphism going between the images of its morphism's
+    ends (flipped, swapped); then the per-morphism checks of
+    :func:`_functor_report` have nothing to report.  None otherwise.  Two
+    gathers over the morphism ids decide it."""
+    at = list(map(tgt.vid.get, map(obj_map.get, src.vertices)))
+    if not img:
+        return at
+    read = _gather(img)
+    try:
+        starts, ends = read(tgt.src), read(tgt.dst)
+    except TypeError:  # an image missing, or no target morphism
+        return None
+    a, b = (src.dst, src.src) if flip else (src.src, src.dst)
+    return at if starts == _gather(a)(at) and ends == _gather(b)(at) else None
+
+
+def _composition_sweep(
+    src: Category, tgt: Category, mor_map: dict[str, str], img: list, at: list | None, flip: bool
+) -> list[Violation]:
+    """The functor-composition violations of :func:`_functor_report`.
+
+    Every entry ``g o f = h`` of the source table is checked against ``Fg o
+    Ff`` in the target, or, read flipped, against ``Ff o Fg`` (the entry is
+    ``f o g = h`` in the opposite).  The images are turned into target ids
+    once; an image that is no target morphism stays a name.  Where the
+    images of a whole row are typed alike, the row is compared as one tuple:
+    covariantly it is the target row of ``Ff`` read at the slots of the
+    ``Fg``, flipped it is the column of ``Ff`` in the target rows of the
+    ``Fg``.  Any other row, and any entry kept by name, is checked entry by
+    entry.  ``img`` holds the images by id, and ``at`` the image of each
+    source vertex when :func:`_images_typed` found every image typed.
+    """
+    tid = tgt.mor_id
+    after, name_of, names = tgt.after, tgt.name_of, src.names
+    found: list[Violation] = []
+
+    def check(f: str, g: str, Ff, Fg, Fh) -> None:
+        got = after(Ff, Fg) if flip else after(Fg, Ff)
+        if got != Fh:
+            found.append(
+                Violation(
+                    "functor-composition",
+                    (f, g) if flip else (g, f),
+                    f"image of composite is {name_of(Fh)!r} but composite of images is "
+                    f"{name_of(got)!r}",
+                )
+            )
+
+    # the rows are walked grouped by the vertex x they end at: every image
+    # of a morphism leaving x should start at one target vertex t (end at
+    # it, flipped), and then the images' target slots (covariant) or the
+    # columns of their target rows (flipped) serve every row into x
+    t_start, t_end = (tgt.dst, tgt.src) if flip else (tgt.src, tgt.dst)
+    tpos, trows, src_out, src_rows = tgt.pos, tgt.rows, src.out, src.rows
+    for x, entering in enumerate(src.into):
+        if not src_out[x]:
+            continue  # every row into x is empty
+        t = columns = at_slots = None
+        try:
+            images = _gather(src_out[x])(img)
+            if at is not None:
+                t = at[x]
+            else:
+                starts = set(_gather(images)(t_start))
+                t = starts.pop() if len(starts) == 1 else None
+            if t is not None and flip:
+                columns = list(zip(*_gather(images)(trows)))
+            elif t is not None:
+                at_slots = _gather(_gather(images)(tpos))
+        except TypeError:  # an image is none
+            t = None
+        for f in entering:
+            Ff, row = img[f], src_rows[f]
+            if Ff is None or not row:
+                continue
+            if t is not None and type(Ff) is int and t_end[Ff] == t:
+                try:
+                    got = columns[tpos[Ff]] if flip else at_slots(trows[Ff])
+                    if got == (itemgetter(*row)(img) if len(row) > 1 else (img[row[0]],)):
+                        continue
+                except TypeError:  # a hole
+                    pass
+            fname = names[f]
+            for g, h in zip(src_out[x], row):
+                if h is not None:
+                    Fg, Fh = img[g], img[h]
+                    if Fg is not None and Fh is not None:
+                        check(fname, names[g], Ff, Fg, Fh)
+
+    for (g, f), h in src.stray.items():
+        Ff, Fg, Fh = (tid.get(Fm, Fm) for Fm in map(mor_map.get, (f, g, h)))
+        if Ff is not None and Fg is not None and Fh is not None:
+            check(f, g, Ff, Fg, Fh)
+    return found
 
 
 def composite_tables(source: Category, *chain) -> tuple[dict[str, str], dict[str, str]]:
@@ -234,6 +347,7 @@ class ContravariantFunctor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
     name: str = field(default="", compare=False)
+    _images: list | None = _images_field()
 
     on_obj = Functor.on_obj
     on_mor = Functor.on_mor
@@ -253,7 +367,8 @@ def validate_contravariant(F: ContravariantFunctor) -> ValidationReport:
     """:func:`validate_functor` on the opposite of the presented source, read
     off the presented source itself: the same violations, subjects and
     details a check against ``opposite(F.presented_source)`` reports."""
-    return _functor_report(F.presented_source, F.target, F.obj_map, F.mor_map, flip=True)
+    images = _mor_images(F, F.presented_source)
+    return _functor_report(F.presented_source, F.target, F.obj_map, F.mor_map, images, flip=True)
 
 
 @dataclass(frozen=True)
@@ -321,45 +436,69 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
                 Violation("component-extra", (x,), "component assigned to a non-object")
             )
 
-    components = alpha.components
     # a square is checked only between good components; an end that is no
     # object has none, and validate_category reports it as morphism-endpoints
-    good = components.keys() - bad_at
-    cod_rows = cod.rows
-    for f, mf in dom.morphisms.items():
-        if mf.src not in good or mf.dst not in good:
-            continue
-        Ff, Gf = F.mor_map.get(f), G.mor_map.get(f)
-        if Ff is None or Gf is None:
-            continue
-        left = cod_rows.get(Ff, NO_ROW).get(components[mf.dst])
-        right = cod_rows.get(components[mf.src], NO_ROW).get(Gf)
-        if left != right or left is None:
-            violations.append(
-                Violation(
-                    "naturality-square",
-                    (f,),
-                    f"square does not commute: component-after-image is {left!r}, "
-                    f"image-after-component is {right!r}",
+    good = alpha.components.keys() - bad_at
+    cid = cod.mor_id
+    component = [
+        cid.get(alpha.components[x], alpha.components[x]) if x in good else None
+        for x in dom.vertices
+    ]
+    image_F, image_G = _mor_images(F, dom), _mor_images(G, dom)
+    if dom.names and not _squares_commute(cod, component, dom.src, dom.dst, image_F, image_G):
+        after, name_of = cod.after, cod.name_of
+        for f, (s, d) in enumerate(zip(dom.src, dom.dst)):
+            at_s, at_d = component[s], component[d]
+            Ff, Gf = image_F[f], image_G[f]
+            if at_s is None or at_d is None or Ff is None or Gf is None:
+                continue
+            left = after(at_d, Ff)
+            right = after(Gf, at_s)
+            if left != right or left is None:
+                violations.append(
+                    Violation(
+                        "naturality-square",
+                        (dom.names[f],),
+                        f"square does not commute: component-after-image is {name_of(left)!r}, "
+                        f"image-after-component is {name_of(right)!r}",
+                    )
                 )
-            )
 
     return ValidationReport(violations)
 
 
-def iso_violations(alpha: NaturalTransformation, rule: str, label: str) -> list[Violation]:
-    """Why ``alpha`` is not a natural isomorphism: its own violations, or
-    when it is valid one under ``rule`` for each component without an
+def _squares_commute(
+    cod: Category, component: list, src: Sequence, dst: Sequence, image_F: list, image_G: list
+) -> bool:
+    """True when every naturality square commutes with every component and
+    image a morphism of ``cod`` and every pair typed: the composites
+    ``alpha_y o F f`` and ``G f o alpha_x`` are read off ``cod``'s rows by
+    gathers over the morphism ids, with no lookup per square."""
+    try:
+        at_s, at_d = _gather(src)(component), _gather(dst)(component)
+        read_F, read_G = _gather(image_F), _gather(image_G)
+        if read_F(cod.dst) != _gather(at_d)(cod.src) or _gather(at_s)(cod.dst) != read_G(cod.src):
+            return False
+        left = list(map(tuple.__getitem__, read_F(cod.rows), _gather(at_d)(cod.pos)))
+        right = list(map(tuple.__getitem__, _gather(at_s)(cod.rows), read_G(cod.pos)))
+    except TypeError:  # a component or image missing, or no morphism
+        return False
+    return left == right and None not in left
+
+
+def iso_report(alpha: NaturalTransformation, rule: str, label: str) -> ValidationReport:
+    """Why ``alpha`` is not a natural isomorphism: its own report, or when
+    it is valid one violation under ``rule`` for each component without an
     inverse, with subject ``(label, object)``."""
     report = validate_nat(alpha)
     if not report.ok:
-        return list(report.violations)
+        return report
     cod = alpha.source_functor.target
-    return [
+    return ValidationReport(
         Violation(rule, (label, x), f"component {alpha.components[x]!r} is not invertible")
         for x in alpha.source_functor.source.objects
         if inverse_of(cod, alpha.components[x]) is None
-    ]
+    )
 
 
 def is_natural_iso(alpha: NaturalTransformation) -> bool:

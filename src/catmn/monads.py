@@ -152,21 +152,30 @@ COMONAD = Side(
 )
 
 
-def _whiskered_iso_violations(rule: str, cat: Category, labelled) -> list[Violation]:
+def _whiskered_iso_violations(
+    rule: str, cat: Category, labelled, inverses: dict | None = None
+) -> list[Violation]:
     """Why the ``(label, components)`` pairs, the component tables on ``cat``
     of whiskered transformations, are not all natural isomorphisms: every
-    component without an inverse, under ``rule``.
+    component without an inverse, under ``rule``.  The inverse found for
+    each component, or None, is kept in ``inverses[label][x]`` when a dict
+    is given.
 
     Naturality is not swept.  A functor whiskered with a natural
     transformation, on either side, is natural (Mac Lane, *CWM* II.5), so
     callers pass only tables whose functor passed its composition sweep and
     whose transformation passed its own squares."""
-    return [
-        Violation(rule, (label, x), f"whiskered component {components[x]!r} is not invertible")
-        for label, components in labelled
-        for x in cat.objects
-        if inverse_of(cat, components[x]) is None
-    ]
+    violations = []
+    for label, components in labelled:
+        found = {x: inverse_of(cat, components[x]) for x in cat.objects}
+        if inverses is not None:
+            inverses[label] = found
+        violations.extend(
+            Violation(rule, (label, x), f"whiskered component {components[x]!r} is not invertible")
+            for x, inv in found.items()
+            if inv is None
+        )
+    return violations
 
 
 def _check_idempotent(N: Functor, unit: NaturalTransformation, side: Side) -> ValidationReport:
@@ -264,9 +273,17 @@ def _verify(
     unit_inverses: dict[str, str],
     side: Side,
 ) -> ValidationReport:
-    hom, after, _ = oriented(cat, side.flip)
+    hom, after, _, _ = oriented(cat, side.flip)
     tag = f"{side.reflect}ion"
     components = unit.components
+    names, mor_id, vid = cat.names, cat.mor_id, cat.vid
+    # the subcategory's objects with their vertex ids and the ids of the
+    # inverses of their units; an object that is none of cat's has no arrows
+    targets = [
+        (y, vid[y], mor_id.get(unit_inverses.get(y), unit_inverses.get(y)))
+        for y in sub.objects
+        if y in vid
+    ]
 
     def sweep(x: str) -> list[Violation]:
         found: list[Violation] = []
@@ -279,15 +296,19 @@ def _verify(
                 )
             )
             return found
-        for y in sub.objects:
-            inv_y = unit_inverses.get(y)
-            for f in hom(x, y):
-                mediators = [g for g in hom(Nx, y) if after(g, eta_x) == f]
+        eta_x = mor_id.get(eta_x, eta_x)
+        vx, vNx = vid[x], vid.get(Nx)
+        for y, vy, inv_y in targets:
+            for f in hom(vx, vy):
+                mediators = (
+                    [g for g in hom(vNx, vy) if after(g, eta_x) == f] if vNx is not None else []
+                )
+                subject = (*side.orient(x, y), names[f])
                 if len(mediators) == 0:
                     found.append(
                         Violation(
                             f"{tag}-no-mediator",
-                            (*side.orient(x, y), f),
+                            subject,
                             f"no morphism {side.mediator} the {side.reflect}ed object "
                             f"factors f through the {side.unit}",
                         )
@@ -297,15 +318,15 @@ def _verify(
                     found.append(
                         Violation(
                             f"{tag}-ambiguous-mediator",
-                            (*side.orient(x, y), f),
+                            subject,
                             f"{len(mediators)} morphisms factor f through the {side.unit}: "
-                            + ", ".join(mediators),
+                            + ", ".join(names[g] for g in mediators),
                         )
                     )
                     continue
-                Nf = reflector.mor_map.get(f)
+                Nf = reflector.mor_map.get(names[f])
                 closed = (
-                    after(inv_y, Nf)
+                    after(inv_y, mor_id.get(Nf, Nf))
                     if (inv_y is not None and Nf is not None)
                     else None
                 )
@@ -313,9 +334,9 @@ def _verify(
                     found.append(
                         Violation(
                             f"{tag}-closed-form",
-                            (*side.orient(x, y), f),
-                            f"unique mediator is {mediators[0]!r} but the closed form "
-                            f"gives {closed!r}",
+                            subject,
+                            f"unique mediator is {names[mediators[0]]!r} but the closed form "
+                            f"gives {cat.name_of(closed)!r}",
                         )
                     )
         return found

@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .core import NO_ROW, Category, Mor, Rows, validate_category
+from .core import Category, Mor, validate_category
 from .errors import InvalidArtifactError, ParseError
 from .fibered import FiberedSpec, FiberPoset, poset_from_pairs, validate_spec
 from .functors import (
@@ -70,62 +70,79 @@ class LoadedArtifact:
 # documents: the common shape behind both encodings
 
 
-def _complete_table(mors: list[Mor], identity: dict[str, str], rows: Rows) -> Rows:
-    """Fill omitted compose entries into ``rows`` (``rows[f][g] = g after
-    f``): identity laws first, then unique-choice hom-sets.  Pairs that stay
-    underdetermined are left for the validator."""
-    by_name = {m.name: m for m in mors}
-    identities = {
-        name for name, m in by_name.items() if m.src == m.dst and identity.get(m.src) == name
-    }
-    hom: dict[tuple[str, str], list[str]] = {}
-    out_of: dict[str, list[Mor]] = {}
-    for m in mors:
-        hom.setdefault((m.src, m.dst), []).append(m.name)
-        out_of.setdefault(m.src, []).append(m)
-    for f in mors:
-        f_is_identity = f.name in identities
-        row = rows.get(f.name, NO_ROW)
-        for g in out_of.get(f.dst, ()):
-            if g.name in row:
-                continue
-            if f_is_identity:
-                h = g.name
-            elif g.name in identities:
-                h = f.name
-            else:
-                cands = hom.get((f.src, g.dst), ())
-                if len(cands) != 1:
-                    continue
-                h = cands[0]
-            if row is NO_ROW:
-                row = rows[f.name] = {}
-            row[g.name] = h
-    return rows
+def _completing(entries: dict[tuple[str, str], str]):
+    """A ``fill`` holding ``entries`` plus the omitted ones: identity laws
+    first, then unique-choice hom-sets.  Pairs that stay underdetermined are
+    left for the validator."""
+
+    def fill(c: Category):
+        rows, stray = c.table_of(entries)
+        ids = list(c.mor_id.values())
+        is_identity = _identity_flags(c)
+        n_vertices = len(c.vertices)
+        for f, (s, d, row) in enumerate(zip(c.src, c.dst, rows)):
+            for i, (g, h) in enumerate(zip(c.out[d], row)):
+                if h is not None or (stray and (c.names[g], c.names[f]) in stray):
+                    continue  # given, possibly naming no morphism
+                if is_identity[f]:
+                    row[i] = g
+                elif is_identity[g]:
+                    row[i] = ids[f]
+                else:
+                    cands = c.homs.get(s * n_vertices + c.dst[g], ())
+                    if len(cands) == 1:
+                        row[i] = cands[0]
+        return rows, stray
+
+    return fill
+
+
+def _identity_flags(c: Category) -> list[bool]:
+    """Per morphism id: whether it is the identity its category assigns to
+    its source, which it also ends at."""
+    return [
+        s == d and ident == f
+        for f, (s, d, ident) in enumerate(zip(c.src, c.dst, map(c.ident.__getitem__, c.src)))
+    ]
 
 
 def _nonderivable_entries(c: Category) -> list[tuple[str, str, str]]:
     """The compose entries the completion rules cannot reconstruct, sorted;
     these are exactly what the canonical form writes out."""
-    by_name = c.morphisms
-    identities = {m for m in c.identity.values() if c.is_identity_name(m)}
+    is_identity = _identity_flags(c)
+    names, out, homs = c.names, c.out, c.homs
+    n_vertices = len(c.vertices)
     keep = []
-    for f, row in c.rows.items():
-        mf = by_name.get(f)
-        f_is_identity = f in identities
-        for g, h in row.items():
-            mg = by_name.get(g)
-            if f_is_identity:
-                derived = g
-            elif g in identities:
-                derived = f
-            elif mf is not None and mg is not None:
-                cands = c.hom(mf.src, mg.dst)
-                derived = cands[0] if len(cands) == 1 else None
-            else:
-                derived = None
-            if h != derived:
-                keep.append((g, f, h))
+    for f, (s, d, row) in enumerate(zip(c.src, c.dst, c.rows)):
+        leaving = out[d]
+        if is_identity[f]:
+            if row == leaving:
+                continue
+            derived_row = leaving
+        else:
+            derived_row = []
+            for g in leaving:
+                if is_identity[g]:
+                    derived_row.append(f)
+                else:
+                    cands = homs.get(s * n_vertices + c.dst[g], ())
+                    derived_row.append(cands[0] if len(cands) == 1 else None)
+        for g, h, derived in zip(leaving, row, derived_row):
+            if h is not None and h != derived:
+                keep.append((names[g], names[f], names[h]))
+    for (g, f), h in c.stray.items():
+        mf, mg = c.morphisms.get(f), c.morphisms.get(g)
+        if c.is_identity_name(f):
+            derived = g
+        elif c.is_identity_name(g):
+            derived = f
+        elif mf is not None and mg is not None:
+            cands = c.hom(mf.src, mg.dst)
+            derived = cands[0] if len(cands) == 1 else None
+        else:
+            derived = None
+        if h != derived:
+            keep.append((g, f, h))
     return sorted(keep)
 
 
@@ -582,12 +599,8 @@ def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
 def _build_category(doc: dict, name: str) -> Category:
     mors = [Mor(m["name"], m["src"], m["dst"]) for m in doc["morphisms"]]
     identity = dict(doc["identities"])
-    rows: Rows = {}
-    for g, f, h in doc["compose"]:
-        rows.setdefault(f, {})[g] = h
-    return Category(
-        name, doc["objects"], mors, identity, rows=_complete_table(mors, identity, rows)
-    )
+    entries = {(g, f): h for g, f, h in doc["compose"]}
+    return Category(name, doc["objects"], mors, identity, fill=_completing(entries))
 
 
 def _build_spec(doc: dict) -> FiberedSpec:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Category, Mor, inverse_of, transposed
+from .core import Category, Mor, inverse_of, transposing
 from .errors import InvalidArtifactError, MismatchError
 from .functors import (
     ContravariantFunctor,
@@ -29,7 +29,7 @@ from .functors import (
     composite_tables,
     contravariant_functor,
     identity_functor,
-    iso_violations,
+    iso_report,
     left_components,
     validate_contravariant,
 )
@@ -108,7 +108,7 @@ def validate_equivalence(e: ContravariantEquivalence) -> ValidationReport:
                 )
             )
             continue
-        violations.extend(iso_violations(nat, "equivalence-comparison-iso", label))
+        report = report.merged(iso_report(nat, "equivalence-comparison-iso", label))
     return report.merged(ValidationReport(violations))
 
 
@@ -258,18 +258,23 @@ def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> Contravari
 
     The copy is built straight from ``c``'s tables through one relabeling
     map for objects and one for morphisms, so each new name is made once and
-    shared by every table that holds it; its rows are ``c``'s rows
-    transposed through the relabeling.  No opposite category is built.
+    shared by every table that holds it; its rows are ``c``'s columns,
+    carried through one permutation of the morphism ids.  No opposite
+    category is built.
     """
     objs = {x: x + suffix for x in c.objects}
     mors = {f: f + suffix for f in c.morphisms}
+    # an entry naming no morphism has nothing to be relabeled to
+    unknown = [x for (g, f), h in c.stray.items() for x in (f, g, h) if x not in mors]
     try:
+        if unknown:
+            raise KeyError(unknown[0])
         d = Category(
             c.name + suffix + "op",
             objs.values(),
             [Mor(mors[m.name], objs[m.dst], objs[m.src]) for m in c.morphisms.values()],
             {objs[x]: mors[m] for x, m in c.identity.items()},
-            rows=transposed(c.rows, mors.__getitem__),
+            fill=transposing(c, suffix),
         )
     except KeyError as exc:
         raise InvalidArtifactError(

@@ -29,6 +29,7 @@ from catmn import (
     render_spec_dot,
 )
 from catmn.cli import main
+from catmn.report import MAX_PER_RULE
 from helpers import orbit, spy
 
 # ``python -m catmn.cli`` in a child process, on the sources under test
@@ -171,6 +172,31 @@ def test_validate_command(capsys, tmp_path):
     assert code == 1
     assert "category orbit: FAIL" in out
     assert "associativity" in out
+
+
+def test_validate_report_is_bounded_per_rule(capsys, tmp_path):
+    # one object, 600 endomorphisms besides the identity, no COMPOSE: the
+    # loader completes the identity laws and leaves 600 x 600 pairs missing
+    names = [f"m{i:03d}" for i in range(600)]
+    lines = ["CATEGORY big", "  OBJECTS", "    x", "  MORPHISMS", "    id_x: x -> x"]
+    lines += [f"    {m}: x -> x" for m in names]
+    lines += ["  IDENTITIES", "    x: id_x", "END"]
+    path = tmp_path / "big.cm"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    out_lines = out.splitlines()
+    assert out_lines[0] == "category big: FAIL"
+    assert len(out_lines) == 1 + MAX_PER_RULE + 1
+    shown = out_lines[1:-1]
+    assert all(line.startswith("  compose-missing [") for line in shown)
+    # the first violations in sorted order are the ones kept
+    assert shown[0] == "  compose-missing [m000, m000]: composable pair has no table entry"
+    assert shown[-1].startswith(f"  compose-missing [m000, {names[MAX_PER_RULE - 1]}]")
+    assert out_lines[-1] == (
+        f"  ... and {600 * 600 - MAX_PER_RULE} more violations, not shown "
+        f"(at most {MAX_PER_RULE} of each rule are)"
+    )
 
 
 def test_export_dot(capsys, tmp_path, c2_file):

@@ -1,7 +1,8 @@
 """Differential and oracle tests for the row-indexed composition tables.
 
-``Category`` keeps composition as rows ``rows[f] = {g: g after f}`` and
-shows the pair-keyed ``compose`` mapping as a read-only view of them.  The
+``Category`` keeps composition as rows over interned ids (``rows[f][i]`` is
+``out[dst f][i]`` after ``f``) and shows the pair-keyed ``compose`` mapping
+as a read-only view of them.  The
 tests here pin that representation against answers computed without it:
 the total category's table from the spec alone, the relabeled dual's table
 from C's pairs, and the validator reports of every corrupted table in the
@@ -261,9 +262,12 @@ def test_round_trips_through_pairs_and_opposites(c):
 
 def test_rowless_morphisms_compare_equal_to_empty_rows():
     c = _odd_tables()[1]
-    assert "id_a" not in c.rows
+    id_a = c.mor_id["id_a"]
+    assert c.rows[id_a] == (None,) * len(c.out[c.dst[id_a]])
+    assert ("id_a", "id_a") not in c.compose and ("f", "id_a") not in c.compose
+    rows = [list(row) for row in c.rows]
     with_empty = Category(
-        c.name, c.objects, c.morphisms.values(), c.identity, rows={**c.rows, "id_a": {}}
+        c.name, c.objects, c.morphisms.values(), c.identity, fill=lambda d: (rows, {})
     )
     assert with_empty == c and c == with_empty
     assert len(with_empty.compose) == len(c.compose)
