@@ -59,8 +59,7 @@ Stray = dict[tuple[str, str], str]
 
 def _gather(indices) -> Callable:
     """A function reading a sequence at each of ``indices`` in turn, as a
-    tuple: one C-level call per row where a sweep would otherwise index
-    entry by entry.  ``indices`` must not be empty."""
+    tuple, in one C-level call.  ``indices`` must not be empty."""
     if len(indices) == 1:
         (i,) = indices
         return lambda seq: (seq[i],)
@@ -230,20 +229,6 @@ class Category:
         mor_id, src, dst, pos = self.mor_id, self.src, self.dst, self.pos
         rows: Rows = [[None] * len(self.out[d]) for d in dst]
         stray: Stray = {}
-        if not pairs:
-            return rows, stray
-        try:
-            # every name a morphism and every pair composable: three gathers
-            (gs, fs), hs = zip(*pairs), pairs.values()
-            gi, fi, hi = _gather(gs)(mor_id), _gather(fs)(mor_id), _gather(list(hs))(mor_id)
-            if _gather(gi)(src) != _gather(fi)(dst):
-                raise KeyError
-        except (KeyError, TypeError, ValueError):
-            gi = None
-        if gi is not None:
-            for f, p, h in zip(fi, _gather(gi)(pos), hi):
-                rows[f][p] = h
-            return rows, stray
         for (g, f), h in pairs.items():
             try:
                 fi, gi, hi = mor_id[f], mor_id[g], mor_id[h]
@@ -266,6 +251,14 @@ class Category:
                     yield names[g], fname, names[h]
         for (g, f), h in self.stray.items():
             yield g, f, h
+
+    def stray_ids(self):
+        """The stray entries as ``(g, f, g after f)``, each the morphism id
+        or, for something that is no morphism, its name: the one place the
+        id passes turn them from names."""
+        mor_id = self.mor_id
+        for (g, f), h in self.stray.items():
+            yield mor_id.get(g, g), mor_id.get(f, f), mor_id.get(h, h)
 
     # ---- lookups ----
 
@@ -413,42 +406,6 @@ class Category:
         )
 
 
-def _typed_rows(c: Category) -> list[bool]:
-    """Per morphism f: its row has no hole and every entry g after f goes
-    from f's source to g's target."""
-    src, dst = c.src, c.dst
-    targets = [_gather(fs)(dst) if fs else () for fs in c.out]
-    typed = []
-    for s, d, row in zip(src, dst, c.rows):
-        if not row:
-            typed.append(True)
-            continue
-        read = _gather(row)
-        try:
-            typed.append(read(dst) == targets[d] and read(src).count(s) == len(row))
-        except TypeError:  # a hole
-            typed.append(False)
-    return typed
-
-
-def _identity_laws_hold(c: Category) -> bool:
-    """True when every vertex a morphism meets has an identity that is an
-    endomorphism of it, and ``f`` after the one and the other after ``f``
-    are ``f`` for every ``f``: both sides read off the rows by gathers."""
-    if not c.names:
-        return True
-    try:
-        at_src, at_dst = _gather(c.src)(c.ident), _gather(c.dst)(c.ident)
-        if _gather(at_src)(c.dst) != c.src or _gather(at_dst)(c.src) != c.dst:
-            return False
-        left = list(map(tuple.__getitem__, _gather(at_src)(c.rows), c.pos))
-        right = list(map(tuple.__getitem__, c.rows, _gather(at_dst)(c.pos)))
-    except TypeError:  # a vertex whose identity is no morphism
-        return False
-    ids = list(c.mor_id.values())
-    return left == ids and right == ids
-
-
 def validate_category(c: Category) -> ValidationReport:
     """Exhaustively check the category axioms; empty report iff they all hold.
 
@@ -496,38 +453,37 @@ def validate_category(c: Category) -> ValidationReport:
 
     # each table entry yields at most one violation here and the report
     # sorts its violations, so the entries are walked in id order; a stray
-    # entry names something that is no morphism or is ill-typed
-    for (g, f), h in c.stray.items():
-        mf, mg = mors.get(f), mors.get(g)
-        if mf is None or mg is None:
+    # entry names something that is no morphism or pairs two that do not
+    # compose
+    names, vertices, name_of = c.names, c.vertices, c.name_of
+    src, dst, out, pos, rows, after = c.src, c.dst, c.out, c.pos, c.rows, c.after
+    for g, f, h in c.stray_ids():
+        subject = (name_of(g), name_of(f))
+        if type(g) is not int or type(f) is not int:
             violations.append(
-                Violation("compose-unknown", (g, f), "table entry for unknown morphism(s)")
+                Violation("compose-unknown", subject, "table entry for unknown morphism(s)")
             )
-        elif mf.dst != mg.src:
+        elif dst[f] != src[g]:
             violations.append(
                 Violation(
                     "compose-ill-typed-pair",
-                    (g, f),
-                    f"pair is not composable: {f!r} ends at {mf.dst!r}, {g!r} starts at {mg.src!r}",
+                    subject,
+                    f"pair is not composable: {names[f]!r} ends at {vertices[dst[f]]!r}, "
+                    f"{names[g]!r} starts at {vertices[src[g]]!r}",
                 )
             )
         else:
             violations.append(
-                Violation("compose-unknown-result", (g, f), f"composite {h!r} is not a morphism")
+                Violation("compose-unknown-result", subject, f"composite {h!r} is not a morphism")
             )
 
-    names, src, dst, out, rows = c.names, c.src, c.dst, c.out, c.rows
     n_objects = len(c.objects)
-    typed = _typed_rows(c)
-    for f, row in enumerate(rows):
-        if typed[f]:
-            continue
-        s, x = src[f], dst[f]
+    for f, (s, x, row) in enumerate(zip(src, dst, rows)):
         for g, h in zip(out[x], row):
             if h is None:
-                # a composable pair is missing unless a stray entry names an
-                # unknown composite for it; only pairs meeting at an object
-                if x < n_objects and (names[g], names[f]) not in c.stray:
+                # missing unless a stray entry names an unknown composite for
+                # it; only pairs meeting at an object are composable
+                if x < n_objects and after(g, f) is None:
                     violations.append(
                         Violation(
                             "compose-missing",
@@ -536,63 +492,60 @@ def validate_category(c: Category) -> ValidationReport:
                         )
                     )
             elif src[h] != s or dst[h] != dst[g]:
-                mf, mg, mh = mors[names[f]], mors[names[g]], mors[names[h]]
                 violations.append(
                     Violation(
                         "compose-endpoints",
-                        (mg.name, mf.name),
-                        f"composite should go {mf.src!r} -> {mg.dst!r} but "
-                        f"{mh.name!r} goes {mh.src!r} -> {mh.dst!r}",
+                        (names[g], names[f]),
+                        f"composite should go {vertices[s]!r} -> {vertices[dst[g]]!r} but "
+                        f"{names[h]!r} goes {vertices[src[h]]!r} -> {vertices[dst[h]]!r}",
                     )
                 )
 
-    ident, after = c.ident, c.after
-    if not _identity_laws_hold(c):
-        for f, (s, d) in enumerate(zip(src, dst)):
-            i = ident[s]
-            if type(i) is int:
-                got = after(f, i)
-                if got != f:
-                    violations.append(
-                        Violation(
-                            "identity-law",
-                            (names[f], names[i]),
-                            f"{names[f]!r} after identity should be {names[f]!r}, "
-                            f"got {c.name_of(got)!r}",
-                        )
+    ident = c.ident
+    for f, (s, d) in enumerate(zip(src, dst)):
+        i = ident[s]
+        if type(i) is int:
+            got = after(f, i)
+            if got != f:
+                violations.append(
+                    Violation(
+                        "identity-law",
+                        (names[f], names[i]),
+                        f"{names[f]!r} after identity should be {names[f]!r}, "
+                        f"got {name_of(got)!r}",
                     )
-            j = ident[d]
-            if type(j) is int:
-                got = after(j, f)
-                if got != f:
-                    violations.append(
-                        Violation(
-                            "identity-law",
-                            (names[j], names[f]),
-                            f"identity after {names[f]!r} should be {names[f]!r}, "
-                            f"got {c.name_of(got)!r}",
-                        )
+                )
+        j = ident[d]
+        if type(j) is int:
+            got = after(j, f)
+            if got != f:
+                violations.append(
+                    Violation(
+                        "identity-law",
+                        (names[j], names[f]),
+                        f"identity after {names[f]!r} should be {names[f]!r}, "
+                        f"got {name_of(got)!r}",
                     )
+                )
 
     # h after (g after f) against (h after g) after f over every composable
-    # triple meeting at objects; where the rows of f and g are typed, the
-    # first is the row of g after f and the second is f's row read at the
-    # slots of g's entries, so each (f, g) compares two tuples
-    at_slots = [
-        _gather(_gather(row)(c.pos)) if ok and row else None for ok, row in zip(typed, rows)
-    ]
-    for f, row_f in enumerate(rows):
-        x = dst[f]
+    # triple meeting at objects.  Each side is read straight off a row where
+    # its pair is typed; after() settles any triple where that gives no
+    # equal pair of entries
+    for f, (x, row_f) in enumerate(zip(dst, rows)):
         if x >= n_objects:
             continue
         for g, gf in zip(out[x], row_f):
             y = dst[g]
-            if gf is None or y >= n_objects or not rows[g]:
+            if gf is None or y >= n_objects:
                 continue
-            if typed[f] and at_slots[g] is not None and at_slots[g](row_f) == rows[gf]:
-                continue
+            row_gf = rows[gf] if dst[gf] == y else None
             for h, hg in zip(out[y], rows[g]):
                 if hg is None:
+                    continue
+                left = row_gf[pos[h]] if row_gf is not None else None
+                right = row_f[pos[hg]] if src[hg] == x else None
+                if left is not None and left == right:
                     continue
                 left, right = after(h, gf), after(hg, f)
                 if left != right:
@@ -600,8 +553,8 @@ def validate_category(c: Category) -> ValidationReport:
                         Violation(
                             "associativity",
                             (names[h], names[g], names[f]),
-                            f"({names[h]!r} after {names[gf]!r}) = {c.name_of(left)!r} but "
-                            f"({names[hg]!r} after {names[f]!r}) = {c.name_of(right)!r}",
+                            f"({names[h]!r} after {names[gf]!r}) = {name_of(left)!r} but "
+                            f"({names[hg]!r} after {names[f]!r}) = {name_of(right)!r}",
                         )
                     )
 

@@ -449,27 +449,40 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
 
     def fill(total: Category):
         # (g, k1, k2) after (f, k, k1) is (g o f, k, k2): the row of
-        # (f, k, k1) reads, at each slot (g, k1, k2), the lift of the base
-        # composite g o f at k that ends at k2; lift_ids[f][k][k2] is the id
-        # of (f, k, k2)
+        # (f, k, k1) reads, for each base arrow g leaving k1's base object,
+        # the lifts of the base composite g o f at k that end at the k2 of
+        # g's slots; lift_ids[f][k] maps k2 to the id of (f, k, k2)
         ids = total.mor_id
         lift_ids: dict[str, dict[str, dict[str, int]]] = {}
         for (f, k), lifted in lifts.items():
             lift_ids.setdefault(f, {})[k] = {k2: ids[name] for k2, name in lifted.items()}
-        # per total vertex: the base arrow and target element of each slot
-        slots = [[mor_data[total.names[v]][::2] for v in leaving] for leaving in total.out]
+        # per total vertex: its slots in runs of one base arrow g, each with
+        # the k2 of its slots and a reader of a lift table at them
+        runs = []
+        for leaving in total.out:
+            here: list[tuple[str, list[str]]] = []
+            for g, _, k2 in map(mor_data.__getitem__, map(total.names.__getitem__, leaving)):
+                if here and here[-1][0] == g:
+                    here[-1][1].append(k2)
+                else:
+                    here.append((g, [k2]))
+            runs.append([(g, k2s, _gather(k2s)) for g, k2s in here])
         rows: Rows = []
         for u, x in zip(total.names, total.dst):
             f, k, _ = mor_data[u]
             after_f = after.get(f, {})
+            row: list[int] = []
             try:
-                rows.append([lift_ids[after_f[g]][k][k2] for g, k2 in slots[x]])
+                for g, _, read in runs[x]:
+                    row += read(lift_ids[after_f[g]][k])
             except KeyError:  # only on a spec that fails validate_spec
-                for g, k2 in slots[x]:
+                for g, k2s, _ in runs[x]:
                     if g not in after_f:
                         raise missing((g, f)) from None
-                    if k2 not in lift_ids.get(after_f[g], {}).get(k, {}):
-                        raise missing((after_f[g], k, k2)) from None
+                    for k2 in k2s:
+                        if k2 not in lift_ids.get(after_f[g], {}).get(k, {}):
+                            raise missing((after_f[g], k, k2)) from None
+            rows.append(row)
         return rows, {}
 
     total = Category(f"total({s.name})", objects, mors, identity, fill=fill)
@@ -569,9 +582,6 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
                 f"{len(arrows)} in-fiber arrows {side.to} the {side.final} object",
             )
 
-    lifts = _sole_lifts(cat, side.flip, src, dst, eta, image)
-    if lifts is not None:
-        return obj_map, _units(obj_map, eta, vid, names), dict(zip(names, map(names.__getitem__, lifts)))
     mor_map: dict[str, str] = {}
     for u, (a, b) in enumerate(zip(src, dst)):  # ids follow name order
         eta_a, eta_b = eta[a], eta[b]
@@ -588,41 +598,8 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
                 names[u],
                 f"{len(lifts)} lifts between the fiber {side.top}s",
             )
-    return obj_map, _units(obj_map, eta, vid, names), mor_map
-
-
-def _units(obj_map, eta: list, vid: dict, names) -> dict[str, str]:
-    return {x: names[eta[vid[x]]] for x in obj_map if eta[vid[x]] is not None}
-
-
-def _sole_lifts(cat: Category, flip: bool, src, dst, eta: list, image: list):
-    """The lift of every morphism, when each has a unit at both ends, exactly
-    one candidate between the collapsed ends, and a commuting square: per
-    morphism ``u: a -> b``, the one ``v: image[a] -> image[b]``, and the
-    squares ``v after eta[a]`` against ``eta[b] after u`` read off the rows
-    by gathers.  None when any of that fails; the caller then walks the
-    morphisms one by one.  (A thin total category, such as every fibered
-    spec over a preorder base gives, has one candidate everywhere.)"""
-    if not src:
-        return []
-    try:
-        at_a, at_b = _gather(src)(eta), _gather(dst)(eta)
-        ends = zip(_gather(dst if flip else src)(image), _gather(src if flip else dst)(image))
-        n_vertices = len(cat.vertices)
-        found = [cat.homs.get(x * n_vertices + y, ()) for x, y in ends]
-        if set(map(len, found)) != {1}:
-            return None
-        lifts = [v for (v,) in found]
-        rows, pos = cat.rows, cat.pos
-        if flip:  # eta[b] after u is u o eta[b] in cat, and so on
-            left = list(map(tuple.__getitem__, _gather(at_b)(rows), pos))
-            right = list(map(tuple.__getitem__, _gather(lifts)(rows), _gather(at_a)(pos)))
-        else:
-            left = list(map(tuple.__getitem__, rows, _gather(at_b)(pos)))
-            right = list(map(tuple.__getitem__, _gather(at_a)(rows), _gather(lifts)(pos)))
-    except TypeError:  # an end without a unit
-        return None
-    return lifts if left == right and None not in left else None
+    units = {x: names[eta[vid[x]]] for x in obj_map if eta[vid[x]] is not None}
+    return obj_map, units, mor_map
 
 
 def _build(t: TotalCategory, side: Side):

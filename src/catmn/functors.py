@@ -12,10 +12,9 @@ full whiskerings as the reference for that.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .core import Category, _gather, inverse_of
 from .errors import (
@@ -83,11 +82,8 @@ def _mor_images(F, source: Category) -> list:
     there is none.  Made on first use and kept on ``F``."""
     images = F._images
     if images is None:
-        tid, names = F.target.mor_id, source.names
-        try:
-            images = list(_gather(_gather(names)(F.mor_map))(tid)) if names else []
-        except (KeyError, TypeError):  # an image missing, or no target morphism
-            images = [tid.get(m, m) for m in map(F.mor_map.get, names)]
+        tid = F.target.mor_id
+        images = [tid.get(m, m) for m in map(F.mor_map.get, source.names)]
         object.__setattr__(F, "_images", images)
     return images
 
@@ -127,57 +123,58 @@ def _functor_report(
                 Violation("functor-object-extra", (x,), "image assigned to a non-object")
             )
 
-    # when every image is typed, the per-morphism checks have nothing to find
-    at = _images_typed(src, tgt, obj_map, img, flip)
-    if at is None:
-        for f, mf in src.morphisms.items():
-            if f not in mor_map:
-                violations.append(
-                    Violation("functor-morphism-missing", (f,), "no image assigned")
-                )
-                continue
-            Ff = mor_map[f]
-            if Ff not in tgt.morphisms:
-                violations.append(
-                    Violation(
-                        "functor-morphism-image", (f,), f"image {Ff!r} is not a target morphism"
-                    )
-                )
-                continue
-            mFf = tgt.morphisms[Ff]
-            a, b = ends(mf)
-            want_src = obj_map.get(a)
-            want_dst = obj_map.get(b)
-            if want_src is None or want_dst is None:
-                # an endpoint with no image is reported once: as
-                # functor-object-missing when it is a source object, here if not
-                for end, x, want in (("source", a, want_src), ("target", b, want_dst)):
-                    if want is None and x not in src_objects:
-                        violations.append(
-                            Violation(
-                                "functor-endpoints",
-                                (f,),
-                                f"{end} {x!r} is not a source object, so its image is unchecked",
-                            )
+    # the target vertex of each source vertex's image: a morphism whose image
+    # is a target morphism going between the images of its ends has nothing
+    # to report here
+    at = list(map(tgt.vid.get, map(obj_map.get, src.vertices)))
+    a_ends, b_ends = (src.dst, src.src) if flip else (src.src, src.dst)
+    for (f, mf), image, a, b in zip(src.morphisms.items(), img, a_ends, b_ends):
+        if type(image) is int and tgt.src[image] == at[a] and tgt.dst[image] == at[b]:
+            continue
+        if f not in mor_map:
+            violations.append(Violation("functor-morphism-missing", (f,), "no image assigned"))
+            continue
+        Ff = mor_map[f]
+        if Ff not in tgt.morphisms:
+            violations.append(
+                Violation("functor-morphism-image", (f,), f"image {Ff!r} is not a target morphism")
+            )
+            continue
+        mFf = tgt.morphisms[Ff]
+        a, b = ends(mf)
+        want_src = obj_map.get(a)
+        want_dst = obj_map.get(b)
+        if want_src is None or want_dst is None:
+            # an endpoint with no image is reported once: as
+            # functor-object-missing when it is a source object, here if not
+            for end, x, want in (("source", a, want_src), ("target", b, want_dst)):
+                if want is None and x not in src_objects:
+                    violations.append(
+                        Violation(
+                            "functor-endpoints",
+                            (f,),
+                            f"{end} {x!r} is not a source object, so its image is unchecked",
                         )
-            if want_src is not None and mFf.src != want_src:
-                violations.append(
-                    Violation(
-                        "functor-endpoints",
-                        (f,),
-                        f"image source is {mFf.src!r}, expected {want_src!r}",
                     )
+        if want_src is not None and mFf.src != want_src:
+            violations.append(
+                Violation(
+                    "functor-endpoints",
+                    (f,),
+                    f"image source is {mFf.src!r}, expected {want_src!r}",
                 )
-            if want_dst is not None and mFf.dst != want_dst:
-                violations.append(
-                    Violation(
-                        "functor-endpoints",
-                        (f,),
-                        f"image target is {mFf.dst!r}, expected {want_dst!r}",
-                    )
+            )
+        if want_dst is not None and mFf.dst != want_dst:
+            violations.append(
+                Violation(
+                    "functor-endpoints",
+                    (f,),
+                    f"image target is {mFf.dst!r}, expected {want_dst!r}",
                 )
-    for f in mor_map.keys() - src.morphisms.keys():
-        violations.append(
+            )
+    for f in mor_map:
+        if f not in src.morphisms:
+            violations.append(
                 Violation("functor-morphism-extra", (f,), "image assigned to a non-morphism")
             )
 
@@ -195,51 +192,38 @@ def _functor_report(
                 )
             )
 
-    violations.extend(_composition_sweep(src, tgt, mor_map, img, at, flip))
+    violations.extend(_composition_sweep(src, tgt, mor_map, img, flip))
     return ValidationReport(violations)
 
 
-def _images_typed(src: Category, tgt: Category, obj_map: dict[str, str], img: list, flip: bool):
-    """The target vertex of each source vertex's image, when every image in
-    ``img`` is a target morphism going between the images of its morphism's
-    ends (flipped, swapped); then the per-morphism checks of
-    :func:`_functor_report` have nothing to report.  None otherwise.  Two
-    gathers over the morphism ids decide it."""
-    at = list(map(tgt.vid.get, map(obj_map.get, src.vertices)))
-    if not img:
-        return at
-    read = _gather(img)
-    try:
-        starts, ends = read(tgt.src), read(tgt.dst)
-    except TypeError:  # an image missing, or no target morphism
-        return None
-    a, b = (src.dst, src.src) if flip else (src.src, src.dst)
-    return at if starts == _gather(a)(at) and ends == _gather(b)(at) else None
-
-
 def _composition_sweep(
-    src: Category, tgt: Category, mor_map: dict[str, str], img: list, at: list | None, flip: bool
+    src: Category, tgt: Category, mor_map: dict[str, str], img: list, flip: bool
 ) -> list[Violation]:
     """The functor-composition violations of :func:`_functor_report`.
 
     Every entry ``g o f = h`` of the source table is checked against ``Fg o
-    Ff`` in the target, or, read flipped, against ``Ff o Fg`` (the entry is
-    ``f o g = h`` in the opposite).  The images are turned into target ids
-    once; an image that is no target morphism stays a name.  Where the
-    images of a whole row are typed alike, the row is compared as one tuple:
-    covariantly it is the target row of ``Ff`` read at the slots of the
-    ``Fg``, flipped it is the column of ``Ff`` in the target rows of the
-    ``Fg``.  Any other row, and any entry kept by name, is checked entry by
-    entry.  ``img`` holds the images by id, and ``at`` the image of each
-    source vertex when :func:`_images_typed` found every image typed.
+    Ff`` in the target or, read flipped, against ``Ff o Fg`` (the entry is
+    ``f o g = h`` in the opposite).  ``img`` holds the images by source id:
+    target ids, or names where they are no target morphism.
+
+    The rows are walked grouped by the vertex ``x`` they end at.  When the
+    images of the morphisms leaving ``x`` all start at one target vertex
+    ``t`` (flipped: end at it), as they do for a functor, the composites of
+    any ``Ff`` ending at ``t`` (flipped: starting at it) with all of them
+    are one tuple: the target row of ``Ff`` read at their slots, or
+    flipped, the column of ``Ff`` in their target rows.  A row equal to the
+    images of its entries holds nothing to report; any other row is checked
+    entry by entry.
     """
-    tid = tgt.mor_id
-    after, name_of, names = tgt.after, tgt.name_of, src.names
+    after, name_of = tgt.after, tgt.name_of
     found: list[Violation] = []
 
-    def check(f: str, g: str, Ff, Fg, Fh) -> None:
+    def check(f, g, Ff, Fg, Fh) -> None:
+        if Ff is None or Fg is None or Fh is None:
+            return
         got = after(Ff, Fg) if flip else after(Fg, Ff)
         if got != Fh:
+            f, g = src.name_of(f), src.name_of(g)
             found.append(
                 Violation(
                     "functor-composition",
@@ -249,28 +233,23 @@ def _composition_sweep(
                 )
             )
 
-    # the rows are walked grouped by the vertex x they end at: every image
-    # of a morphism leaving x should start at one target vertex t (end at
-    # it, flipped), and then the images' target slots (covariant) or the
-    # columns of their target rows (flipped) serve every row into x
     t_start, t_end = (tgt.dst, tgt.src) if flip else (tgt.src, tgt.dst)
     tpos, trows, src_out, src_rows = tgt.pos, tgt.rows, src.out, src.rows
     for x, entering in enumerate(src.into):
-        if not src_out[x]:
+        leaving = src_out[x]
+        if not leaving:
             continue  # every row into x is empty
         t = columns = at_slots = None
         try:
-            images = _gather(src_out[x])(img)
-            if at is not None:
-                t = at[x]
-            else:
-                starts = set(_gather(images)(t_start))
-                t = starts.pop() if len(starts) == 1 else None
-            if t is not None and flip:
-                columns = list(zip(*_gather(images)(trows)))
-            elif t is not None:
-                at_slots = _gather(_gather(images)(tpos))
-        except TypeError:  # an image is none
+            images = _gather(leaving)(img)
+            starts = set(_gather(images)(t_start))
+            if len(starts) == 1:
+                (t,) = starts
+                if flip:
+                    columns = list(zip(*_gather(images)(trows)))
+                else:
+                    at_slots = _gather(_gather(images)(tpos))
+        except TypeError:  # an image missing, or no target morphism
             t = None
         for f in entering:
             Ff, row = img[f], src_rows[f]
@@ -279,21 +258,22 @@ def _composition_sweep(
             if t is not None and type(Ff) is int and t_end[Ff] == t:
                 try:
                     got = columns[tpos[Ff]] if flip else at_slots(trows[Ff])
-                    if got == (itemgetter(*row)(img) if len(row) > 1 else (img[row[0]],)):
+                    if got == _gather(row)(img):
                         continue
-                except TypeError:  # a hole
+                except TypeError:  # a hole in the row
                     pass
-            fname = names[f]
-            for g, h in zip(src_out[x], row):
+            for g, h in zip(leaving, row):
                 if h is not None:
-                    Fg, Fh = img[g], img[h]
-                    if Fg is not None and Fh is not None:
-                        check(fname, names[g], Ff, Fg, Fh)
+                    check(f, g, Ff, img[g], img[h])
 
-    for (g, f), h in src.stray.items():
-        Ff, Fg, Fh = (tid.get(Fm, Fm) for Fm in map(mor_map.get, (f, g, h)))
-        if Ff is not None and Fg is not None and Fh is not None:
-            check(f, g, Ff, Fg, Fh)
+    # a stray entry's ends that are no source morphism have images by name
+    tid = tgt.mor_id
+    for g, f, h in src.stray_ids():
+        Ff, Fg, Fh = (
+            img[m] if type(m) is int else tid.get(mor_map.get(m), mor_map.get(m))
+            for m in (f, g, h)
+        )
+        check(f, g, Ff, Fg, Fh)
     return found
 
 
@@ -445,45 +425,37 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
         for x in dom.vertices
     ]
     image_F, image_G = _mor_images(F, dom), _mor_images(G, dom)
-    if dom.names and not _squares_commute(cod, component, dom.src, dom.dst, image_F, image_G):
-        after, name_of = cod.after, cod.name_of
-        for f, (s, d) in enumerate(zip(dom.src, dom.dst)):
-            at_s, at_d = component[s], component[d]
-            Ff, Gf = image_F[f], image_G[f]
-            if at_s is None or at_d is None or Ff is None or Gf is None:
+    after, name_of = cod.after, cod.name_of
+    rows, pos, cod_src, cod_dst = cod.rows, cod.pos, cod.src, cod.dst
+    for f, (s, d) in enumerate(zip(dom.src, dom.dst)):
+        at_s, at_d = component[s], component[d]
+        Ff, Gf = image_F[f], image_G[f]
+        if at_s is None or at_d is None or Ff is None or Gf is None:
+            continue
+        # both sides read straight off the rows where their pairs are typed
+        # ids; after() settles every square where that gives no match
+        if (
+            type(Ff) is int
+            and type(Gf) is int
+            and cod_src[at_d] == cod_dst[Ff]
+            and cod_src[Gf] == cod_dst[at_s]
+        ):
+            left = rows[Ff][pos[at_d]]
+            if left is not None and left == rows[at_s][pos[Gf]]:
                 continue
-            left = after(at_d, Ff)
-            right = after(Gf, at_s)
-            if left != right or left is None:
-                violations.append(
-                    Violation(
-                        "naturality-square",
-                        (dom.names[f],),
-                        f"square does not commute: component-after-image is {name_of(left)!r}, "
-                        f"image-after-component is {name_of(right)!r}",
-                    )
+        left = after(at_d, Ff)
+        right = after(Gf, at_s)
+        if left != right or left is None:
+            violations.append(
+                Violation(
+                    "naturality-square",
+                    (dom.names[f],),
+                    f"square does not commute: component-after-image is {name_of(left)!r}, "
+                    f"image-after-component is {name_of(right)!r}",
                 )
+            )
 
     return ValidationReport(violations)
-
-
-def _squares_commute(
-    cod: Category, component: list, src: Sequence, dst: Sequence, image_F: list, image_G: list
-) -> bool:
-    """True when every naturality square commutes with every component and
-    image a morphism of ``cod`` and every pair typed: the composites
-    ``alpha_y o F f`` and ``G f o alpha_x`` are read off ``cod``'s rows by
-    gathers over the morphism ids, with no lookup per square."""
-    try:
-        at_s, at_d = _gather(src)(component), _gather(dst)(component)
-        read_F, read_G = _gather(image_F), _gather(image_G)
-        if read_F(cod.dst) != _gather(at_d)(cod.src) or _gather(at_s)(cod.dst) != read_G(cod.src):
-            return False
-        left = list(map(tuple.__getitem__, read_F(cod.rows), _gather(at_d)(cod.pos)))
-        right = list(map(tuple.__getitem__, _gather(at_s)(cod.rows), read_G(cod.pos)))
-    except TypeError:  # a component or image missing, or no morphism
-        return False
-    return left == right and None not in left
 
 
 def iso_report(alpha: NaturalTransformation, rule: str, label: str) -> ValidationReport:

@@ -71,79 +71,60 @@ class LoadedArtifact:
 
 
 def _completing(entries: dict[tuple[str, str], str]):
-    """A ``fill`` holding ``entries`` plus the omitted ones: identity laws
-    first, then unique-choice hom-sets.  Pairs that stay underdetermined are
-    left for the validator."""
+    """A ``fill`` holding ``entries`` plus the omitted ones that
+    :func:`_derivation` gives.  Pairs that stay underdetermined are left for
+    the validator."""
 
     def fill(c: Category):
         rows, stray = c.table_of(entries)
-        ids = list(c.mor_id.values())
-        is_identity = _identity_flags(c)
-        n_vertices = len(c.vertices)
-        for f, (s, d, row) in enumerate(zip(c.src, c.dst, rows)):
+        derive, names = _derivation(c), c.names
+        # ids from mor_id, so every id stored is the shared one
+        for f, d, row in zip(c.mor_id.values(), c.dst, rows):
             for i, (g, h) in enumerate(zip(c.out[d], row)):
-                if h is not None or (stray and (c.names[g], c.names[f]) in stray):
-                    continue  # given, possibly naming no morphism
-                if is_identity[f]:
-                    row[i] = g
-                elif is_identity[g]:
-                    row[i] = ids[f]
-                else:
-                    cands = c.homs.get(s * n_vertices + c.dst[g], ())
-                    if len(cands) == 1:
-                        row[i] = cands[0]
+                if h is None and not (stray and (names[g], names[f]) in stray):
+                    row[i] = derive(g, f)
         return rows, stray
 
     return fill
 
 
-def _identity_flags(c: Category) -> list[bool]:
-    """Per morphism id: whether it is the identity its category assigns to
-    its source, which it also ends at."""
-    return [
-        s == d and ident == f
-        for f, (s, d, ident) in enumerate(zip(c.src, c.dst, map(c.ident.__getitem__, c.src)))
-    ]
+def _derivation(c: Category):
+    """The completion rules on ``c``'s ids: ``derive(g, f)`` is what they
+    give for ``g`` after ``f`` (identity laws first, then unique-choice
+    hom-sets), or None.  Each of ``g`` and ``f`` is a morphism id or, for
+    something that is no morphism, its name."""
+    src, dst, ident, homs = c.src, c.dst, c.ident, c.homs
+    n_vertices = len(c.vertices)
+    # per morphism id: whether it is the identity of its source, which it
+    # also ends at
+    is_identity = [s == d and ident[s] == f for f, (s, d) in enumerate(zip(src, dst))]
+
+    def derive(g, f):
+        if type(f) is int:
+            if is_identity[f]:
+                return g
+            if type(g) is int:
+                if is_identity[g]:
+                    return f
+                cands = homs.get(src[f] * n_vertices + dst[g], ())
+                return cands[0] if len(cands) == 1 else None
+        return f if type(g) is int and is_identity[g] else None
+
+    return derive
 
 
 def _nonderivable_entries(c: Category) -> list[tuple[str, str, str]]:
     """The compose entries the completion rules cannot reconstruct, sorted;
     these are exactly what the canonical form writes out."""
-    is_identity = _identity_flags(c)
-    names, out, homs = c.names, c.out, c.homs
-    n_vertices = len(c.vertices)
-    keep = []
-    for f, (s, d, row) in enumerate(zip(c.src, c.dst, c.rows)):
-        leaving = out[d]
-        if is_identity[f]:
-            if row == leaving:
-                continue
-            derived_row = leaving
-        else:
-            derived_row = []
-            for g in leaving:
-                if is_identity[g]:
-                    derived_row.append(f)
-                else:
-                    cands = homs.get(s * n_vertices + c.dst[g], ())
-                    derived_row.append(cands[0] if len(cands) == 1 else None)
-        for g, h, derived in zip(leaving, row, derived_row):
-            if h is not None and h != derived:
-                keep.append((names[g], names[f], names[h]))
-    for (g, f), h in c.stray.items():
-        mf, mg = c.morphisms.get(f), c.morphisms.get(g)
-        if c.is_identity_name(f):
-            derived = g
-        elif c.is_identity_name(g):
-            derived = f
-        elif mf is not None and mg is not None:
-            cands = c.hom(mf.src, mg.dst)
-            derived = cands[0] if len(cands) == 1 else None
-        else:
-            derived = None
-        if h != derived:
-            keep.append((g, f, h))
-    return sorted(keep)
+    derive, name_of = _derivation(c), c.name_of
+    keep = [
+        (g, f, h)
+        for f, (d, row) in enumerate(zip(c.dst, c.rows))
+        for g, h in zip(c.out[d], row)
+        if h is not None and h != derive(g, f)
+    ]
+    keep += [(g, f, h) for g, f, h in c.stray_ids() if h != derive(g, f)]
+    return sorted((name_of(g), name_of(f), name_of(h)) for g, f, h in keep)
 
 
 def _category_sections_doc(c: Category) -> dict:
