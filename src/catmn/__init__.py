@@ -15,11 +15,7 @@ from .core import (
     Category,
     Mor,
     full_subcategory,
-    hom_set,
     inverse_of,
-    is_final,
-    is_initial,
-    is_isomorphism,
     opposite,
     validate_category,
 )
@@ -60,8 +56,6 @@ from .fibered import (
     canonical_c2,
     chain_poset,
     check_extension_property,
-    fiber_final,
-    fiber_initial,
     fiber_objects,
     poset_from_pairs,
     random_spec,
@@ -76,14 +70,9 @@ from .functors import (
     contravariant_functor,
     identity_functor,
     identity_nat,
-    inverse_nat,
-    is_natural_iso,
     validate_contravariant,
     validate_functor,
     validate_nat,
-    vertical_compose,
-    whisker_left,
-    whisker_right,
 )
 from .monads import (
     ComonadDatum,
@@ -102,7 +91,6 @@ from .monads import (
 from .report import ValidationReport, Violation
 from .textio import (
     LoadedArtifact,
-    Workspace,
     artifact_doc,
     load_path,
     load_text,
@@ -110,9 +98,7 @@ from .textio import (
     parse_text,
     render_artifacts,
     render_category,
-    render_functor,
     render_json,
-    render_nat,
     render_spec,
     validator_for,
 )

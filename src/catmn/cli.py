@@ -145,7 +145,7 @@ def _load_first_spec(path):
     for a in artifacts:
         if a.kind == "spec":
             return a.value
-    raise ParseError("file contains no SPEC artifact", str(path))
+    raise ParseError("file contains no SPEC artifact", str(path), 1)
 
 
 def _build_stages(run: _Run, spec):

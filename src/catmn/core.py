@@ -561,13 +561,6 @@ def validate_category(c: Category) -> ValidationReport:
     return ValidationReport(violations)
 
 
-def hom_set(c: Category, a: str, b: str) -> list[str]:
-    """All morphisms from ``a`` to ``b``, lexicographically sorted."""
-    c.require_object(a)
-    c.require_object(b)
-    return list(c.hom(a, b))
-
-
 def inverse_of(c: Category, m: str):
     """Name of a two-sided inverse of ``m``, or None.  Exhaustive search."""
     f = c.mor_id.get(m)
@@ -585,22 +578,6 @@ def inverse_of(c: Category, m: str):
         if gf == id_src and fg == id_dst:
             return c.names[g]
     return None
-
-
-def is_isomorphism(c: Category, m: str) -> bool:
-    return inverse_of(c, m) is not None
-
-
-def is_initial(c: Category, x: str) -> bool:
-    """True iff there is exactly one morphism from ``x`` to every object."""
-    c.require_object(x)
-    return all(len(c.hom(x, y)) == 1 for y in c.objects)
-
-
-def is_final(c: Category, x: str) -> bool:
-    """True iff there is exactly one morphism into ``x`` from every object."""
-    c.require_object(x)
-    return all(len(c.hom(y, x)) == 1 for y in c.objects)
 
 
 def opposite(c: Category) -> Category:

@@ -11,7 +11,7 @@ counit, triangle identities, and the two factorization isomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .core import Category, inverse_of
 from .errors import (
@@ -106,7 +106,6 @@ class EquivalenceResult:
     backward: Functor
     unit: NaturalTransformation
     counit: NaturalTransformation
-    name: str = field(default="", compare=False)
 
 
 def build_mn_equivalence(p: MNPair) -> EquivalenceResult:

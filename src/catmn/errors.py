@@ -60,7 +60,7 @@ class ExtremumError(EngineError):
 class ParseError(EngineError):
     """A text or JSON artifact file could not be parsed."""
 
-    def __init__(self, message, filename="<input>", line=0, column=1):
+    def __init__(self, message, filename, line, column=1):
         super().__init__(f"{filename}:{line}:{column}: {message}")
         self.filename = filename
         self.line = line

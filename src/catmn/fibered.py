@@ -517,19 +517,6 @@ def _fiber_extremum(t: TotalCategory, b: str, hom, over: list):
     return None
 
 
-def fiber_final(t: TotalCategory, b: str):
-    """The object of the fiber over b that every fiber object reaches by
-    exactly one in-fiber morphism, or None.  Ties broken lexicographically
-    (impossible for genuine posets)."""
-    return _fiber_extremum(t, b, t.total.hom_ids, _over(t))
-
-
-def fiber_initial(t: TotalCategory, b: str):
-    """:func:`fiber_final` on the flipped view of the total category: the
-    object reaching every fiber object by exactly one in-fiber morphism."""
-    return _fiber_extremum(t, b, oriented(t.total, flip=True).hom, _over(t))
-
-
 def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None):
     """Collapse every fiber onto its ``side.final`` object, reading the total
     category flipped for the comonad.

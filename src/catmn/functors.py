@@ -4,10 +4,10 @@ A contravariant functor keeps the same tables as a covariant one; its laws
 are the covariant ones read on a flipped view of its source
 (:func:`catmn.core.oriented`), so one set of law checks covers both
 variances without building the opposite category.
-Whiskering on either side builds the whole whiskered transformation, with
-both composite functors.  The monad/comonad checks take only its components
-(:func:`left_components`, :func:`right_components`), and the tests sweep the
-full whiskerings as the reference for that.
+Whiskering is taken by its components only (:func:`left_components`,
+:func:`right_components`), which is all the monad/comonad checks read; the
+tests build the full whiskered transformations, with both composite
+functors, as the reference for that.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from operator import attrgetter
 
 from .core import Category, _gather, inverse_of
 from .errors import (
-    InvalidArtifactError,
     MismatchError,
     UnknownMorphismError,
     UnknownObjectError,
@@ -473,85 +472,17 @@ def iso_report(alpha: NaturalTransformation, rule: str, label: str) -> Validatio
     )
 
 
-def is_natural_iso(alpha: NaturalTransformation) -> bool:
-    """True iff ``alpha`` is valid and every component has a two-sided
-    inverse; raises on an invalid transformation."""
-    report = validate_nat(alpha)
-    if not report.ok:
-        raise InvalidArtifactError("invalid natural transformation", report)
-    cod = alpha.source_functor.target
-    return all(
-        inverse_of(cod, alpha.components[x]) is not None
-        for x in alpha.source_functor.source.objects
-    )
-
-
-def inverse_nat(alpha: NaturalTransformation) -> NaturalTransformation:
-    """Componentwise inverse; requires a natural isomorphism."""
-    if not is_natural_iso(alpha):
-        raise InvalidArtifactError(
-            f"transformation {alpha.name!r} is not a natural isomorphism"
-        )
-    cod = alpha.source_functor.target
-    return NaturalTransformation(
-        alpha.target_functor,
-        alpha.source_functor,
-        {x: inverse_of(cod, m) for x, m in alpha.components.items()},
-        name=f"inv[{alpha.name}]",
-    )
-
-
-def vertical_compose(
-    beta: NaturalTransformation, alpha: NaturalTransformation
-) -> NaturalTransformation:
-    """``beta`` after ``alpha`` (componentwise composition)."""
-    if alpha.target_functor != beta.source_functor:
-        raise MismatchError("vertical composition: middle functors differ")
-    cod = alpha.source_functor.target
-    return NaturalTransformation(
-        alpha.source_functor,
-        beta.target_functor,
-        {
-            x: cod.comp(beta.components[x], alpha.components[x])
-            for x in alpha.source_functor.source.objects
-        },
-        name=f"{beta.name}.{alpha.name}",
-    )
-
-
 def left_components(F: Functor, alpha: NaturalTransformation) -> dict[str, str]:
-    """The components ``F(alpha_x)`` of :func:`whisker_left`, without its
-    composite functors."""
+    """The components ``F(alpha_x)`` of the left whiskering ``F alpha``,
+    without its composite functors."""
     if alpha.source_functor.target != F.source:
         raise MismatchError("whisker_left: functor does not start where the transformation lands")
     return {x: F.on_mor(m) for x, m in alpha.components.items()}
 
 
 def right_components(alpha: NaturalTransformation, F: Functor) -> dict[str, str]:
-    """The components ``alpha_{F(x)}`` of :func:`whisker_right`, without its
-    composite functors."""
+    """The components ``alpha_{F(x)}`` of the right whiskering ``alpha F``,
+    without its composite functors."""
     if F.target != alpha.source_functor.source:
         raise MismatchError("whisker_right: functor does not land where the transformation starts")
     return {x: alpha.components[F.on_obj(x)] for x in F.source.objects}
-
-
-def whisker_left(F: Functor, alpha: NaturalTransformation) -> NaturalTransformation:
-    """Post-compose with a functor: component at x is ``F(alpha_x)``."""
-    components = left_components(F, alpha)
-    return NaturalTransformation(
-        compose_functors(F, alpha.source_functor),
-        compose_functors(F, alpha.target_functor),
-        components,
-        name=f"{F.name}.{alpha.name}",
-    )
-
-
-def whisker_right(alpha: NaturalTransformation, F: Functor) -> NaturalTransformation:
-    """Pre-compose with a functor: component at x is ``alpha_{F(x)}``."""
-    components = right_components(alpha, F)
-    return NaturalTransformation(
-        compose_functors(alpha.source_functor, F),
-        compose_functors(alpha.target_functor, F),
-        components,
-        name=f"{alpha.name}.{F.name}",
-    )

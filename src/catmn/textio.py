@@ -43,7 +43,7 @@ caught by the validators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .core import Category, Mor, validate_category
@@ -56,7 +56,6 @@ from .functors import (
     validate_functor,
     validate_nat,
 )
-from .report import ValidationReport
 
 
 @dataclass
@@ -307,14 +306,6 @@ def render_category(c: Category, name: str | None = None) -> str:
 
 def render_spec(s: FiberedSpec, name: str | None = None) -> str:
     return render_artifacts([LoadedArtifact("spec", name or s.name, s)])
-
-
-def render_functor(F: Functor, name: str | None = None) -> str:
-    return render_artifacts([LoadedArtifact("functor", name or F.name, F)])
-
-
-def render_nat(alpha: NaturalTransformation, name: str | None = None) -> str:
-    return render_artifacts([LoadedArtifact("nat", name or alpha.name, alpha)])
 
 
 # ---------------------------------------------------------------------------
@@ -620,24 +611,19 @@ def _resolve_functor_ref(
     return F
 
 
-def _build_all(
-    docs: list[tuple[int, dict]], namespace: dict, filename: str
-) -> list[LoadedArtifact]:
+def _build_all(docs: list[tuple[int, dict]], filename: str) -> list[LoadedArtifact]:
     """Build each ``(line, doc)`` in turn; an error in a document is a
     :class:`ParseError` at its line."""
-    ns = {
-        "category": dict(namespace.get("category", {})),
-        "functor": dict(namespace.get("functor", {})),
-        "nat": dict(namespace.get("nat", {})),
-        "spec": dict(namespace.get("spec", {})),
-    }
+    ns: dict[str, dict] = {"category": {}, "functor": {}, "nat": {}, "spec": {}}
     out: list[LoadedArtifact] = []
     for lineno, doc in docs:
         kind, name = doc["kind"], doc["name"]
-        if kind == "category":
-            value = _build_category(doc, name)
-        elif kind == "spec":
-            value = _build_spec(doc)
+        if kind in ("category", "spec"):
+            try:
+                value = _build_category(doc, name) if kind == "category" else _build_spec(doc)
+            except InvalidArtifactError as exc:
+                # a category with duplicate object or morphism names
+                raise ParseError(str(exc), filename, lineno) from None
         elif kind == "functor":
             src = ns["category"].get(doc["source"])
             dst = ns["category"].get(doc["target"])
@@ -657,12 +643,12 @@ def _build_all(
     return out
 
 
-def parse_text(text: str, filename: str = "<input>", namespace: dict | None = None):
+def parse_text(text: str, filename: str = "<input>"):
     cur = _Cursor(text, filename)
     if not cur.lines:
         raise ParseError("empty file: no artifact blocks", filename, 1)
     docs = _parse_blocks(cur)
-    return _build_all(docs, namespace or {}, filename)
+    return _build_all(docs, filename)
 
 
 # The shape of each JSON artifact, as ``artifact_doc`` writes it.  ``str`` is
@@ -728,7 +714,7 @@ def _shape_error(doc: dict, shape: dict):
     return f"field {text[1:]} {problem}"
 
 
-def parse_json_text(text: str, filename: str = "<input>", namespace: dict | None = None):
+def parse_json_text(text: str, filename: str = "<input>"):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -749,18 +735,18 @@ def parse_json_text(text: str, filename: str = "<input>", namespace: dict | None
         if err:
             raise ParseError(f"artifact {i}: {err}", filename, 1)
     # JSON has no block lines; its artifact errors are all placed on line 1
-    return _build_all([(1, doc) for doc in docs], namespace or {}, filename)
+    return _build_all([(1, doc) for doc in docs], filename)
 
 
-def load_text(text: str, filename: str = "<input>", namespace: dict | None = None):
+def load_text(text: str, filename: str = "<input>"):
     """Parse either encoding, sniffing JSON by the leading brace."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return parse_json_text(text, filename, namespace)
-    return parse_text(text, filename, namespace)
+        return parse_json_text(text, filename)
+    return parse_text(text, filename)
 
 
-def load_path(path, namespace: dict | None = None) -> list[LoadedArtifact]:
+def load_path(path) -> list[LoadedArtifact]:
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -773,11 +759,11 @@ def load_path(path, namespace: dict | None = None) -> list[LoadedArtifact]:
             raise ParseError(
                 f"not UTF-8 text: cannot decode byte 0x{bad:02x}", str(path), line, column
             ) from None
-    return load_text(text, str(path), namespace)
+    return load_text(text, str(path))
 
 
 # ---------------------------------------------------------------------------
-# workspace
+# validators
 
 
 def validator_for(kind: str):
@@ -787,50 +773,3 @@ def validator_for(kind: str):
         "nat": validate_nat,
         "spec": validate_spec,
     }[kind]
-
-
-@dataclass
-class Workspace:
-    """Named store of loaded artifacts with provenance.
-
-    Names are unique per kind.  Nothing is validated on entry; artifacts
-    are validated explicitly and remembered as such, so a workspace can
-    hold a corrupted artifact while it is being diagnosed.
-    """
-
-    store: dict[str, dict[str, object]] = field(
-        default_factory=lambda: {"category": {}, "functor": {}, "nat": {}, "spec": {}}
-    )
-    provenance: dict[tuple[str, str], str] = field(default_factory=dict)
-    validated: set[tuple[str, str]] = field(default_factory=set)
-
-    def add(self, kind: str, name: str, value, source: str = "<api>") -> None:
-        if kind not in self.store:
-            raise InvalidArtifactError(f"unknown artifact kind {kind!r}")
-        if name in self.store[kind]:
-            raise InvalidArtifactError(f"duplicate {kind} name {name!r}")
-        self.store[kind][name] = value
-        self.provenance[(kind, name)] = source
-
-    def get(self, kind: str, name: str):
-        try:
-            return self.store[kind][name]
-        except KeyError:
-            raise InvalidArtifactError(f"no {kind} named {name!r}") from None
-
-    def namespace(self) -> dict[str, dict[str, object]]:
-        return {kind: dict(values) for kind, values in self.store.items()}
-
-    def load(self, path) -> list[LoadedArtifact]:
-        artifacts = load_path(path, self.namespace())
-        for a in artifacts:
-            self.add(a.kind, a.name, a.value, source=str(path))
-        return artifacts
-
-    def validate(self, kind: str, name: str) -> ValidationReport:
-        report = validator_for(kind)(self.get(kind, name))
-        if report.ok:
-            self.validated.add((kind, name))
-        else:
-            self.validated.discard((kind, name))
-        return report

@@ -13,9 +13,10 @@ from catmn import (
     MonadDatum,
     Mor,
     NaturalTransformation,
-    hom_set,
+    compose_functors,
     identity_functor,
 )
+from catmn.functors import left_components, right_components
 
 
 def walking_arrow() -> Category:
@@ -223,7 +224,7 @@ def collapse_monad(sets: Category) -> MonadDatum:
     """Send every object of the two-set demo category to the singleton.
     Idempotent, but its unit is not pointwise invertible."""
     only = {
-        (a, b): hom_set(sets, a, b)[0] for a in sets.objects for b in sets.objects
+        (a, b): sets.hom(a, b)[0] for a in sets.objects for b in sets.objects
     }
     N = Functor(
         sets,
@@ -239,6 +240,28 @@ def collapse_monad(sets: Category) -> MonadDatum:
         name="collapse-unit",
     )
     return MonadDatum(N, unit, name="collapse")
+
+
+def whisker_left(F: Functor, alpha: NaturalTransformation) -> NaturalTransformation:
+    """Post-compose with a functor: component at x is ``F(alpha_x)``."""
+    components = left_components(F, alpha)
+    return NaturalTransformation(
+        compose_functors(F, alpha.source_functor),
+        compose_functors(F, alpha.target_functor),
+        components,
+        name=f"{F.name}.{alpha.name}",
+    )
+
+
+def whisker_right(alpha: NaturalTransformation, F: Functor) -> NaturalTransformation:
+    """Pre-compose with a functor: component at x is ``alpha_{F(x)}``."""
+    components = right_components(alpha, F)
+    return NaturalTransformation(
+        compose_functors(alpha.source_functor, F),
+        compose_functors(alpha.target_functor, F),
+        components,
+        name=f"{alpha.name}.{F.name}",
+    )
 
 
 def spy(monkeypatch, module, name, calls):

@@ -32,10 +32,9 @@ from catmn import (
     verify_factorizations,
     verify_reflection,
     verify_transfer,
-    whisker_left,
-    whisker_right,
 )
 from catmn.cli import main
+from helpers import whisker_left, whisker_right
 
 LIMITS = SizeLimits(max_base_objects=4, max_fiber_elements=5)
 SEEDS = range(200)

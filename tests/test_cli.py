@@ -229,7 +229,35 @@ def test_error_exit_codes(capsys, tmp_path):
     no_spec.write_text(render_category(orbit()))
     code, out = run_cli(capsys, "mn-check", str(no_spec))
     assert code == 2
-    assert "contains no SPEC artifact" in out
+    assert out == f"error: {no_spec}:1:1: file contains no SPEC artifact\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, place",
+    [
+        (
+            "twice.cm",
+            "# objects named twice\nCATEGORY c\n  OBJECTS\n    a a\n  MORPHISMS\n"
+            "    id_a: a -> a\n  IDENTITIES\n    a: id_a\n  COMPOSE\nEND\n",
+            "2:1: category 'c' has duplicate object names",
+        ),
+        (
+            "twice.json",
+            json.dumps({"artifacts": [{
+                "kind": "category", "name": "c", "objects": ["a"],
+                "morphisms": [{"name": "id_a", "src": "a", "dst": "a"}] * 2,
+                "identities": {"a": "id_a"}, "compose": [],
+            }]}),
+            "1:1: category 'c' has duplicate morphism name 'id_a'",
+        ),
+    ],
+)
+def test_duplicate_names_are_a_parse_error_at_the_block(capsys, tmp_path, name, text, place):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == f"error: {path}:{place}\n"
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -32,7 +32,6 @@ from catmn import (
     check_extension_property,
     check_idempotent_comonad,
     check_idempotent_monad,
-    fiber_initial,
     fixed_subcategory_comonad,
     full_subcategory,
     identity_comonad,
@@ -355,8 +354,18 @@ def _bottom_tables(t: TotalCategory) -> ComonadDatum:
     the functor, so a mutant gives a datum that fails its check."""
     c = t.total
     base_id = t.projection.target.identity
-    bottoms = {b: fiber_initial(t, b) for b in t.projection.target.objects}
     over = {x: t.object_decoding[x][0] for x in c.objects}
+
+    def in_fiber(x, y):
+        return [u for u in c.hom(x, y) if t.projection.mor_map[u] == base_id[over[x]]]
+
+    # the fiber object reaching each object of its fiber by exactly one
+    # in-fiber morphism
+    bottoms = {
+        over[x]: x
+        for x in c.objects
+        if all(len(in_fiber(x, y)) == 1 for y in c.objects if over[y] == over[x])
+    }
     obj_map = {x: bottoms[over[x]] for x in c.objects}
     counit = {
         x: next(

@@ -26,8 +26,6 @@ from catmn import (
     check_extension_property,
     check_idempotent_comonad,
     check_idempotent_monad,
-    fiber_final,
-    fiber_initial,
     fiber_objects,
     poset_from_pairs,
     random_spec,
@@ -330,13 +328,16 @@ def test_c2_projection(c2_total):
     assert t.projection.on_mor("id_b0|bot0|top0") == "id_b0"
 
 
-def test_fiber_queries(c2_total):
+def test_fiber_queries(c2_spec, c2_total, c2_monad, c2_comonad):
     t = c2_total
     assert fiber_objects(t, "b0") == ["b0|bot0", "b0|mid0", "b0|top0"]
     assert fiber_objects(t, "b1") == ["b1|bot1", "b1|top1"]
-    assert fiber_final(t, "b0") == "b0|top0"
-    assert fiber_initial(t, "b0") == "b0|bot0"
-    assert fiber_final(t, "nowhere") is None
+    assert fiber_objects(t, "nowhere") == []
+    # each fiber collapses onto the top and the bottom the spec declares
+    for b, fiber in c2_spec.fibers.items():
+        objs = fiber_objects(t, b)
+        assert {c2_monad.functor.on_obj(x) for x in objs} == {f"{b}|{fiber.top}"}
+        assert {c2_comonad.functor.on_obj(x) for x in objs} == {f"{b}|{fiber.bottom}"}
 
 
 def test_terminal_spec_total_is_terminal():

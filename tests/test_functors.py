@@ -5,7 +5,6 @@ import pytest
 import catmn.core
 from catmn import (
     Functor,
-    InvalidArtifactError,
     MismatchError,
     NaturalTransformation,
     UnknownMorphismError,
@@ -14,17 +13,14 @@ from catmn import (
     contravariant_functor,
     identity_functor,
     identity_nat,
-    inverse_nat,
-    is_natural_iso,
+    inverse_of,
     opposite,
     validate_contravariant,
     validate_functor,
     validate_nat,
-    vertical_compose,
-    whisker_left,
-    whisker_right,
 )
-from helpers import orbit, parallel_pair, spy, walking_arrow
+from catmn.functors import iso_report
+from helpers import orbit, parallel_pair, spy, walking_arrow, whisker_left, whisker_right
 
 
 def rules_of(report):
@@ -188,7 +184,7 @@ def test_identity_nat_valid_and_iso():
     one = identity_functor(orbit())
     alpha = identity_nat(one)
     assert validate_nat(alpha).ok
-    assert is_natural_iso(alpha)
+    assert iso_report(alpha, "not-iso", "identity").ok
 
 
 def test_nat_parallel_rule():
@@ -233,24 +229,11 @@ def test_twist_comparison_is_a_natural_iso():
         identity_functor(c), orbit_automorphism(c), {"a": "id_a", "b": "e"}
     )
     assert validate_nat(alpha).ok
-    assert is_natural_iso(alpha)
-    inv = inverse_nat(alpha)
-    assert inv.components == {"a": "id_a", "b": "e"}  # e is its own inverse
-    assert vertical_compose(inv, alpha) == identity_nat(identity_functor(c))
-
-
-def test_inverse_nat_requires_an_iso(c2_monad):
-    assert not is_natural_iso(c2_monad.unit)
-    with pytest.raises(InvalidArtifactError, match="natural isomorphism"):
-        inverse_nat(c2_monad.unit)
-
-
-def test_vertical_compose_requires_matching_middle():
-    c = orbit()
-    alpha = identity_nat(identity_functor(c))
-    beta = identity_nat(orbit_automorphism(c))
-    with pytest.raises(MismatchError):
-        vertical_compose(beta, alpha)
+    assert iso_report(alpha, "not-iso", "twist").ok
+    inv = {x: inverse_of(c, m) for x, m in alpha.components.items()}
+    assert inv == {"a": "id_a", "b": "e"}  # e is its own inverse
+    back = {x: c.comp(inv[x], m) for x, m in alpha.components.items()}
+    assert back == identity_nat(identity_functor(c)).components
 
 
 def test_whiskering_components():

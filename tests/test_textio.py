@@ -1,5 +1,5 @@
 """Text and JSON serialization: canonical rendering, the completion rules,
-parse errors, and the workspace."""
+and parse errors."""
 
 import importlib.resources
 
@@ -11,12 +11,10 @@ from test_cli import LINE_MUTATIONS, MUTATION_BASES, mutated
 from catmn import (
     EngineError,
     Functor,
-    InvalidArtifactError,
     LoadedArtifact,
     NaturalTransformation,
     ParseError,
     ValidationReport,
-    Workspace,
     canonical_c2,
     identity_functor,
     load_path,
@@ -232,53 +230,6 @@ def test_reference_error_carries_the_block_line(block, message):
     with pytest.raises(ParseError, match=message) as exc:
         parse_text(head + block, filename="bad.cm")
     assert str(exc.value).startswith(f"bad.cm:{head.count(chr(10)) + 1}:1: ")
-
-
-# ---------------------------------------------------------------------------
-# the workspace
-
-
-def test_workspace_add_get_and_duplicates():
-    ws = Workspace()
-    ws.add("category", "orbit", orbit())
-    assert ws.get("category", "orbit") == orbit()
-    with pytest.raises(InvalidArtifactError, match="duplicate category name"):
-        ws.add("category", "orbit", orbit())
-    with pytest.raises(InvalidArtifactError, match="unknown artifact kind"):
-        ws.add("poset", "p", None)
-    with pytest.raises(InvalidArtifactError, match="no functor named"):
-        ws.get("functor", "nope")
-
-
-def test_workspace_namespace_is_a_copy():
-    ws = Workspace()
-    ws.add("category", "orbit", orbit())
-    ns = ws.namespace()
-    ns["category"]["intruder"] = walking_arrow()
-    with pytest.raises(InvalidArtifactError):
-        ws.get("category", "intruder")
-
-
-def test_workspace_load_resolves_against_the_store(tmp_path):
-    ws = Workspace()
-    ws.add("category", "orbit", orbit())
-    path = tmp_path / "twist.cm"
-    path.write_text(render_artifacts([LoadedArtifact("functor", "twist", twist())]))
-    loaded = ws.load(path)
-    assert [(a.kind, a.name) for a in loaded] == [("functor", "twist")]
-    assert ws.get("functor", "twist") == twist()
-    assert ws.provenance[("functor", "twist")] == str(path)
-
-
-def test_workspace_validate_tracks_status():
-    ws = Workspace()
-    ws.add("category", "orbit", orbit())
-    assert ws.validate("category", "orbit").ok
-    assert ("category", "orbit") in ws.validated
-    crooked = render_category(orbit()).replace("e o e = id_b", "e o e = e")
-    ws.add("category", "crooked", parse_text(crooked)[0].value)
-    assert not ws.validate("category", "crooked").ok
-    assert ("category", "crooked") not in ws.validated
 
 
 def test_load_path_reads_files(tmp_path):

@@ -18,7 +18,6 @@ from catmn import (
     covariant_composite,
     fixed_subcategory_comonad,
     fixed_subcategory_monad,
-    hom_set,
     identity_comonad,
     identity_functor,
     identity_monad,
@@ -145,7 +144,7 @@ def test_powerset_demo_frozen_shape():
     for cat in (sets, algs):
         assert validate_category(cat).ok
         profile = sorted(
-            len(hom_set(cat, a, b)) for a in cat.objects for b in cat.objects
+            len(cat.hom(a, b)) for a in cat.objects for b in cat.objects
         )
         assert profile == POWERSET_HOM_PROFILE
 
@@ -157,8 +156,8 @@ def test_powerset_demo_equivalence_is_valid():
     assert e.source == dual.sets_category
     assert e.dual == dual.algebras_category
     # preimage reverses functions, so hom sizes transpose across the duality
-    assert len(hom_set(dual.sets_category, "set1", "set12")) == len(
-        hom_set(dual.algebras_category, "alg12", "alg1")
+    assert len(dual.sets_category.hom("set1", "set12")) == len(
+        dual.algebras_category.hom("alg12", "alg1")
     )
 
 

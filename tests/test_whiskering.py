@@ -35,10 +35,8 @@ from catmn import (
     transport_pair,
     validate_functor,
     validate_nat,
-    whisker_left,
-    whisker_right,
 )
-from helpers import idem_endo, orbit
+from helpers import idem_endo, orbit, whisker_left, whisker_right
 
 CORPUS = Path(__file__).parent / "fixtures" / "corrupted"
 
