@@ -67,7 +67,6 @@ from .functors import (
     Functor,
     NaturalTransformation,
     compose_functors,
-    contravariant_functor,
     identity_functor,
     identity_nat,
     validate_contravariant,

@@ -28,7 +28,7 @@ Values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -102,30 +102,9 @@ class ComposeView(Mapping):
                     yield names[g], fname
         yield from c.stray
 
-    def items(self):
-        return _Entries(self)
-
     def __len__(self):
         c = self._c
         return sum(len(row) - row.count(None) for row in c.rows) + len(c.stray)
-
-    def __eq__(self, other):
-        if not isinstance(other, ComposeView):
-            return super().__eq__(other)
-        mine, theirs = self._c, other._c
-        if (mine.names, mine.vertices, mine.src, mine.dst) == (
-            theirs.names, theirs.vertices, theirs.src, theirs.dst
-        ):
-            return mine.rows == theirs.rows and mine.stray == theirs.stray
-        return super().__eq__(other)
-
-
-class _Entries(ItemsView):
-    """``compose.items()``, read off the rows without a lookup per entry."""
-
-    def __iter__(self):
-        for g, f, h in self._mapping._c.entries():
-            yield (g, f), h
 
 
 class Category:
@@ -367,13 +346,7 @@ class Category:
         return h
 
     def comp_or_none(self, g: str, f: str):
-        ids = self.mor_id
-        gi, fi = ids.get(g, g), ids.get(f, f)
-        if type(gi) is int and type(fi) is int and self.src[gi] == self.dst[fi]:
-            h = self.rows[fi][self.pos[gi]]
-            if h is not None:
-                return self.names[h]
-        return self.name_of(self.after(gi, fi))
+        return self.compose.get((g, f))
 
     def is_identity_name(self, m: str) -> bool:
         mm = self.morphisms.get(m)
@@ -394,7 +367,8 @@ class Category:
             self.objects == other.objects
             and self.morphisms == other.morphisms
             and self.identity == other.identity
-            and self.compose == other.compose
+            and self.rows == other.rows
+            and self.stray == other.stray
         )
 
     __hash__ = None  # content-mutable-looking dicts inside; not hashable

@@ -30,12 +30,11 @@ def render_dot(
     c: Category,
     double_ring: Iterable[str] = (),
     filled: Iterable[str] = (),
-    graph_name: str | None = None,
 ) -> str:
     """The category as a DOT digraph; styling sets are object names."""
     rings = set(double_ring)
     fills = set(filled)
-    lines = [f"digraph {_quote(graph_name or c.name)} {{", "  rankdir=LR;"]
+    lines = [f"digraph {_quote(c.name)} {{", "  rankdir=LR;"]
     for x in c.objects:
         attrs = []
         if x in rings:

@@ -53,8 +53,6 @@ class MNPair:
     reflection: ReflectionPackage
     coreflection: CoreflectionPackage
     _report: ValidationReport | None = report_field()
-    # the inverses check_mn_hypotheses found, per label and object
-    _inverses: dict[str, dict[str, str | None]] | None = report_field()
 
     @property
     def category(self) -> Category:
@@ -78,8 +76,7 @@ def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     They are natural because their factors are: the monad's and comonad's
     own (remembered) reports are read first, and when either fails it is
     returned as it stands.  Otherwise every component is searched for an
-    inverse, and failures name the component object; the inverses found are
-    kept on the pair for :func:`verify_factorizations`.  Computed once per
+    inverse, and failures name the component object.  Computed once per
     pair.
     """
     factors = check_idempotent_monad(p.monad).merged(check_idempotent_comonad(p.comonad))
@@ -91,10 +88,7 @@ def check_mn_hypotheses(p: MNPair) -> ValidationReport:
         ("monad-of-counit", left_components(N, psi)),  # N(psi_x): NMx -> Nx
         ("comonad-of-unit", left_components(M, eta)),  # M(eta_x): Mx -> MNx
     )
-    inverses: dict[str, dict[str, str | None]] = {}
-    violations = _whiskered_iso_violations("mn-hypothesis", p.category, labelled, inverses)
-    object.__setattr__(p, "_inverses", inverses)
-    return ValidationReport(violations)
+    return ValidationReport(_whiskered_iso_violations("mn-hypothesis", p.category, labelled))
 
 
 @dataclass
@@ -209,24 +203,17 @@ def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
     eta, psi = p.monad.unit.components, p.comonad.counit.components
     R, Q = p.reflection.reflector, p.coreflection.coreflector
     # the reflector's candidate inverts N(psi_x), which is then its inverse,
-    # in hand; a component without an inverse stays, and the candidate fails.
-    # The searches check_mn_hypotheses made on these components are read back
-    searched = p._inverses or {}
-
-    def inverse(label: str, x: str, m: str):
-        known = searched.get(label)
-        return known[x] if known is not None else inverse_of(cat, m)
-
+    # in hand; a component without an inverse stays, and the candidate fails
     reflector, lacking = {}, {"reflector": [], "coreflector": []}
     for x in cat.objects:
         m = N.on_mor(psi[x])
-        inv = inverse("monad-of-counit", x, m)
+        inv = inverse_of(cat, m)
         if inv is None:
             lacking["reflector"].append(x)
         reflector[x] = m if inv is None else inv
     coreflector = {x: M.on_mor(eta[x]) for x in cat.objects}
     for x, m in coreflector.items():
-        if inverse("comonad-of-unit", x, m) is None:
+        if inverse_of(cat, m) is None:
             lacking["coreflector"].append(x)
 
     violations: list[Violation] = []

@@ -332,16 +332,6 @@ class ContravariantFunctor:
     on_mor = Functor.on_mor
 
 
-def contravariant_functor(
-    source: Category,
-    target: Category,
-    obj_map: dict[str, str],
-    mor_map: dict[str, str],
-    name: str = "",
-) -> ContravariantFunctor:
-    return ContravariantFunctor(source, target, dict(obj_map), dict(mor_map), name=name)
-
-
 def validate_contravariant(F: ContravariantFunctor) -> ValidationReport:
     """:func:`validate_functor` on the opposite of the presented source, read
     off the presented source itself: the same violations, subjects and

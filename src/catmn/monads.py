@@ -152,30 +152,21 @@ COMONAD = Side(
 )
 
 
-def _whiskered_iso_violations(
-    rule: str, cat: Category, labelled, inverses: dict | None = None
-) -> list[Violation]:
+def _whiskered_iso_violations(rule: str, cat: Category, labelled) -> list[Violation]:
     """Why the ``(label, components)`` pairs, the component tables on ``cat``
     of whiskered transformations, are not all natural isomorphisms: every
-    component without an inverse, under ``rule``.  The inverse found for
-    each component, or None, is kept in ``inverses[label][x]`` when a dict
-    is given.
+    component without an inverse, under ``rule``.
 
     Naturality is not swept.  A functor whiskered with a natural
     transformation, on either side, is natural (Mac Lane, *CWM* II.5), so
     callers pass only tables whose functor passed its composition sweep and
     whose transformation passed its own squares."""
-    violations = []
-    for label, components in labelled:
-        found = {x: inverse_of(cat, components[x]) for x in cat.objects}
-        if inverses is not None:
-            inverses[label] = found
-        violations.extend(
-            Violation(rule, (label, x), f"whiskered component {components[x]!r} is not invertible")
-            for x, inv in found.items()
-            if inv is None
-        )
-    return violations
+    return [
+        Violation(rule, (label, x), f"whiskered component {components[x]!r} is not invertible")
+        for label, components in labelled
+        for x in cat.objects
+        if inverse_of(cat, components[x]) is None
+    ]
 
 
 def _check_idempotent(N: Functor, unit: NaturalTransformation, side: Side) -> ValidationReport:

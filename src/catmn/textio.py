@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .core import Category, Mor, validate_category
-from .errors import InvalidArtifactError, ParseError
+from .errors import InvalidArtifactError, ParseError, SizeLimitError
 from .fibered import FiberedSpec, FiberPoset, poset_from_pairs, validate_spec
 from .functors import (
     Functor,
@@ -300,12 +300,12 @@ def render_json(artifacts: list[LoadedArtifact]) -> str:
     return json.dumps({"artifacts": docs}, indent=2, sort_keys=True) + "\n"
 
 
-def render_category(c: Category, name: str | None = None) -> str:
-    return render_artifacts([LoadedArtifact("category", name or c.name, c)])
+def render_category(c: Category) -> str:
+    return render_artifacts([LoadedArtifact("category", c.name, c)])
 
 
-def render_spec(s: FiberedSpec, name: str | None = None) -> str:
-    return render_artifacts([LoadedArtifact("spec", name or s.name, s)])
+def render_spec(s: FiberedSpec) -> str:
+    return render_artifacts([LoadedArtifact("spec", s.name, s)])
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +612,9 @@ def _resolve_functor_ref(
 
 
 def _build_all(docs: list[tuple[int, dict]], filename: str) -> list[LoadedArtifact]:
-    """Build each ``(line, doc)`` in turn; an error in a document is a
-    :class:`ParseError` at its line."""
+    """Build each ``(line, doc)`` in turn; an error in a document, or a name
+    an earlier document of its kind already took, is a :class:`ParseError`
+    at its line."""
     ns: dict[str, dict] = {"category": {}, "functor": {}, "nat": {}, "spec": {}}
     out: list[LoadedArtifact] = []
     for lineno, doc in docs:
@@ -621,8 +622,9 @@ def _build_all(docs: list[tuple[int, dict]], filename: str) -> list[LoadedArtifa
         if kind in ("category", "spec"):
             try:
                 value = _build_category(doc, name) if kind == "category" else _build_spec(doc)
-            except InvalidArtifactError as exc:
-                # a category with duplicate object or morphism names
+            except (InvalidArtifactError, SizeLimitError) as exc:
+                # a category with duplicate object or morphism names, or
+                # over the morphism limit
                 raise ParseError(str(exc), filename, lineno) from None
         elif kind == "functor":
             src = ns["category"].get(doc["source"])
@@ -638,6 +640,8 @@ def _build_all(docs: list[tuple[int, dict]], filename: str) -> list[LoadedArtifa
             value = NaturalTransformation(F, G, dict(doc["components"]), name=name)
         else:
             raise ParseError(f"unknown artifact kind {kind!r}", filename, lineno)
+        if name in ns[kind]:
+            raise ParseError(f"duplicate {kind} name {name!r}", filename, lineno)
         ns[kind][name] = value
         out.append(LoadedArtifact(kind, name, value))
     return out

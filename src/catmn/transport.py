@@ -27,7 +27,6 @@ from .functors import (
     Functor,
     NaturalTransformation,
     composite_tables,
-    contravariant_functor,
     identity_functor,
     iso_report,
     left_components,
@@ -252,9 +251,9 @@ def _strict_equivalence(
     return ContravariantEquivalence(forward, backward, *comparisons, name=name)
 
 
-def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> ContravariantEquivalence:
+def relabeled_opposite_equivalence(c: Category) -> ContravariantEquivalence:
     """The tautological duality between a category and a relabeled copy of
-    its opposite.
+    its opposite, whose every name is ``c``'s with ``~`` appended.
 
     The copy is built straight from ``c``'s tables through one relabeling
     map for objects and one for morphisms, so each new name is made once and
@@ -262,6 +261,7 @@ def relabeled_opposite_equivalence(c: Category, suffix: str = "~") -> Contravari
     carried through one permutation of the morphism ids.  No opposite
     category is built.
     """
+    suffix = "~"
     objs = {x: x + suffix for x in c.objects}
     mors = {f: f + suffix for f in c.morphisms}
     # an entry naming no morphism has nothing to be relabeled to
@@ -413,7 +413,7 @@ def powerset_duality_demo() -> PowersetDuality:
             for u in subsets[set_to_alg[b]]
         }
         fwd_mor[f] = hom_name(set_to_alg[b], set_to_alg[a], mapping)
-    forward = contravariant_functor(
+    forward = ContravariantFunctor(
         sets_cat, algs_cat, set_to_alg, fwd_mor, name="powerset"
     )
 
@@ -427,7 +427,7 @@ def powerset_duality_demo() -> PowersetDuality:
             hits = [x for x in carriers[xa] if y in mapping[frozenset({x})]]
             images.append(hits[0])
         bwd_mor[h] = fn_name(xb, xa, tuple(images))
-    backward = contravariant_functor(
+    backward = ContravariantFunctor(
         algs_cat, sets_cat, alg_to_set, bwd_mor, name="atoms"
     )
 

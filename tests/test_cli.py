@@ -232,6 +232,13 @@ def test_error_exit_codes(capsys, tmp_path):
     assert out == f"error: {no_spec}:1:1: file contains no SPEC artifact\n"
 
 
+ONE_OBJECT = (
+    "CATEGORY c\n  OBJECTS\n    a\n  MORPHISMS\n    id_a: a -> a\n  IDENTITIES\n    a: id_a\n"
+    "  COMPOSE\nEND\n"
+)
+IDENTITY_FUNCTOR = "FUNCTOR {}: c -> c\n  OBJMAP\n    a -> a\n  MORMAP\n    id_a -> id_a\nEND\n"
+
+
 @pytest.mark.parametrize(
     "name, text, place",
     [
@@ -250,6 +257,21 @@ def test_error_exit_codes(capsys, tmp_path):
             }]}),
             "1:1: category 'c' has duplicate morphism name 'id_a'",
         ),
+        (
+            # the NAT after the second F never resolves it
+            "twice_functor.cm",
+            ONE_OBJECT + IDENTITY_FUNCTOR.format("F") * 2 + "NAT n: F => F\n  COMPONENTS\nEND\n",
+            "16:1: duplicate functor name 'F'",
+        ),
+        (
+            "twice_category.json",
+            json.dumps({"artifacts": [{
+                "kind": "category", "name": "c", "objects": ["a"],
+                "morphisms": [{"name": "id_a", "src": "a", "dst": "a"}],
+                "identities": {"a": "id_a"}, "compose": [],
+            }] * 2}),
+            "1:1: duplicate category name 'c'",
+        ),
     ],
 )
 def test_duplicate_names_are_a_parse_error_at_the_block(capsys, tmp_path, name, text, place):
@@ -258,6 +280,29 @@ def test_duplicate_names_are_a_parse_error_at_the_block(capsys, tmp_path, name, 
     code, out = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert out == f"error: {path}:{place}\n"
+
+
+def test_names_are_per_kind(capsys, tmp_path):
+    path = tmp_path / "shared.cm"
+    path.write_text(ONE_OBJECT + IDENTITY_FUNCTOR.format("c"))
+    code, out = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (0, "category c: ok\nfunctor c: ok\n")
+
+
+def test_over_limit_category_is_a_parse_error_at_the_block(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "orbit.cm"
+    path.write_text("# five morphisms\n" + render_category(orbit()))
+    monkeypatch.setenv("CATMN_MAX_MORPHISMS", "2")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out == (
+        f"error: {path}:2:1: category 'orbit' has 5 morphisms, over the limit of 2 "
+        "(set CATMN_MAX_MORPHISMS to override)\n"
+    )
+    monkeypatch.setenv("CATMN_MAX_MORPHISMS", "many")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert out.endswith(": CATMN_MAX_MORPHISMS must be an integer, got 'many'\n")
 
 
 def test_unknown_command_is_a_usage_error(capsys):

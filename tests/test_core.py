@@ -1,5 +1,7 @@
 """Category construction, axiom validation, and the small derived helpers."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from catmn import (
     build_total_category,
     full_subcategory,
     inverse_of,
+    load_path,
     morphism_limit,
     opposite,
     random_spec,
@@ -270,6 +273,59 @@ def test_associativity_rule_on_clean_categories():
         c = build()
         assert brute_assoc_failures(c) == set()
         assert "associativity" not in rules_of(validate_category(c))
+
+
+# ---------------------------------------------------------------------------
+# the name-level readers against the plain table
+
+CORRUPTED = Path(__file__).parent / "fixtures" / "corrupted"
+
+
+def with_table(c, table):
+    return Category(c.name, c.objects, list(c.morphisms.values()), c.identity, table)
+
+
+def differential_categories():
+    """orbit, the non-associative table and every category of the corrupted
+    corpus (a spec by its base), each followed by equal copies built two
+    other ways and by copies whose table differs in one entry: dropped,
+    redirected, or added under a name of no morphism."""
+    bases = [orbit(), one_object_nonassociative()]
+    for path in sorted(CORRUPTED.iterdir()):
+        for a in load_path(path):
+            if a.kind in ("category", "spec"):
+                bases.append(a.value if a.kind == "category" else a.value.base)
+    cats = []
+    for c in bases:
+        table = dict(c.compose)
+        (g, f), h = next(iter(table.items()))
+        other = next(m for m in c.morphisms if m != h)
+        cats += [
+            c,
+            with_table(c, table),
+            opposite(opposite(c)),
+            with_table(c, {k: v for k, v in table.items() if k != (g, f)}),
+            with_table(c, {**table, (g, f): other}),
+            with_table(c, {**table, ("zz", f): h}),
+        ]
+    return cats
+
+
+def test_comp_or_none_reads_the_compose_view():
+    for c in differential_categories():
+        table = dict(c.compose)
+        names = {"zz", *c.objects, *c.morphisms, *(x for pair in table for x in pair)}
+        for g in names:
+            for f in names:
+                assert c.comp_or_none(g, f) == table.get((g, f)), (c.name, g, f)
+
+
+def test_category_equality_agrees_with_the_tables():
+    cats = differential_categories()
+    plain = [(c.objects, c.morphisms, c.identity, dict(c.compose)) for c in cats]
+    for a, plain_a in zip(cats, plain):
+        for b, plain_b in zip(cats, plain):
+            assert (a == b) is (plain_a == plain_b), (a.name, b.name)
 
 
 # ---------------------------------------------------------------------------

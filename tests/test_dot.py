@@ -3,6 +3,7 @@
 import dataclasses
 
 from catmn import (
+    Category,
     build_total_category,
     canonical_c2,
     comonad_fixed_objects,
@@ -39,8 +40,10 @@ def test_styling_attributes():
     assert '  "b" [peripheries=2, style=filled];' in text
 
 
-def test_graph_name_override_and_quoting():
-    text = render_dot(orbit(), graph_name='or"bit\\')
+def test_graph_name_is_the_quoted_category_name():
+    c = orbit()
+    named = Category('or"bit\\', c.objects, c.morphisms.values(), c.identity, c.compose)
+    text = render_dot(named)
     assert text.splitlines()[0] == 'digraph "or\\"bit\\\\" {'
 
 

@@ -16,6 +16,8 @@ from catmn import (
     MonadDatum,
     NaturalTransformation,
     ReflectionPackage,
+    build_final_monad,
+    build_initial_comonad,
     build_mn_equivalence,
     canonical_c2,
     check_idempotent_monad,
@@ -87,6 +89,30 @@ def test_build_refuses_failing_hypotheses():
     pair = make_mn_pair(collapse_monad(sets), identity_comonad(sets))
     with pytest.raises(InvalidArtifactError, match="hypotheses"):
         build_mn_equivalence(pair)
+
+
+def c2_pair_anew(c2_total):
+    return make_mn_pair(build_final_monad(c2_total), build_initial_comonad(c2_total))
+
+
+def collapse_pair(c2_total):
+    # the hypotheses fail at set12 (see test_hypothesis_failure_is_located)
+    sets = powerset_duality_demo().equivalence.source
+    return make_mn_pair(collapse_monad(sets), identity_comonad(sets))
+
+
+@pytest.mark.parametrize("build, holds", [(c2_pair_anew, True), (collapse_pair, False)])
+def test_factorizations_do_not_depend_on_the_hypotheses_running_first(build, holds, c2_total):
+    alone, checked = build(c2_total), build(c2_total)
+    assert check_mn_hypotheses(checked).ok is holds
+    # the halves as build_mn_equivalence makes them; it refuses a pair whose
+    # hypotheses fail, and verify_factorizations reads no unit or counit
+    forward = compose_functors(alone.reflection.reflector, alone.coreflection.inclusion)
+    backward = compose_functors(alone.coreflection.coreflector, alone.reflection.inclusion)
+    eq = EquivalenceResult(forward, backward, None, None)
+    reports = [verify_factorizations(p, eq) for p in (alone, checked)]
+    assert reports[0].ok is holds
+    assert len({(r.violations, r.notes, r.omitted) for r in reports}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 
 import catmn.core
 from catmn import (
+    ContravariantFunctor,
     Functor,
     MismatchError,
     NaturalTransformation,
     UnknownMorphismError,
     UnknownObjectError,
     compose_functors,
-    contravariant_functor,
     identity_functor,
     identity_nat,
     inverse_of,
@@ -143,7 +143,7 @@ def test_functor_equality_ignores_name():
 def test_contravariant_functor_is_flat(monkeypatch):
     c = orbit()
     op = opposite(orbit())  # an equal opposite, built from another copy
-    F = contravariant_functor(
+    F = ContravariantFunctor(
         c,
         op,
         {x: x for x in c.objects},
@@ -165,7 +165,7 @@ def test_contravariant_functor_is_flat(monkeypatch):
 
 def test_contravariant_flips_composition():
     c = orbit()
-    broken = contravariant_functor(
+    broken = ContravariantFunctor(
         c,
         opposite(c),
         {x: x for x in c.objects},

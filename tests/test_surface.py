@@ -7,7 +7,10 @@ and comments never count as a use:
 * every name ``catmn/__init__.py`` exports is used as code by a module of
   the package or by the benchmark harness under ``perfbench/``.  A name
   only the tests need lives in ``tests/helpers.py`` instead; the exceptions
-  are the few library functions the tests keep as references.
+  are the few library functions the tests keep as references;
+* every parameter with a default, on a public module-level function of the
+  package, is passed by some call in the package or the harness.  One that
+  only the tests set has one value in use, and is a constant instead.
 """
 
 import ast
@@ -77,3 +80,54 @@ def test_every_export_is_used_by_the_package_or_the_benchmark():
     used = set().union(*(used_names(parse(p)) for p in modules() + bench))
     assert TEST_REFERENCES <= exported
     assert sorted(exported - used - TEST_REFERENCES) == []
+
+
+def defaulted_parameters() -> dict[str, tuple[list[str], set[str]]]:
+    """Each public module-level function of the package by name: its
+    positional parameters in order, and those of its parameters that have a
+    default."""
+    found = {}
+    for path in modules():
+        for node in parse(path).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = set(positional[len(positional) - len(args.defaults):])
+            defaulted.update(
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            )
+            found[node.name] = (positional, defaulted)
+    return found
+
+
+def passed_parameters(tree: ast.AST, functions) -> set[tuple[str, str]]:
+    """``(function, parameter)`` for every parameter a call in ``tree``
+    passes, positionally or by keyword; a call is matched to a function by
+    the name it is called through."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in functions:
+            continue
+        positional, defaulted = functions[name]
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            given = defaulted  # unpacked arguments may pass any of them
+        else:
+            given = set(positional[: len(node.args)]) | {k.arg for k in node.keywords}
+        passed.update((name, p) for p in given)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package_or_the_benchmark():
+    functions = defaulted_parameters()
+    declared = {(f, p) for f, (_, defaulted) in functions.items() for p in defaulted}
+    assert declared
+    bench = sorted(PERFBENCH.glob("*.py"))
+    passed = set().union(*(passed_parameters(parse(p), functions) for p in modules() + bench))
+    assert sorted(declared - passed) == []

@@ -226,7 +226,7 @@ def test_parse_error_carries_location():
     ],
 )
 def test_reference_error_carries_the_block_line(block, message):
-    head = render_category(orbit(), name="c")
+    head = render_artifacts([LoadedArtifact("category", "c", orbit())])
     with pytest.raises(ParseError, match=message) as exc:
         parse_text(head + block, filename="bad.cm")
     assert str(exc.value).startswith(f"bad.cm:{head.count(chr(10)) + 1}:1: ")

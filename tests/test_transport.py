@@ -68,12 +68,6 @@ def test_relabeled_round_trips_are_identities():
         assert e.theta_bar.components[x] == c.identity[x]
 
 
-def test_custom_suffix():
-    e = relabeled_opposite_equivalence(three_chain(), suffix="*")
-    assert e.dual.objects == ("x0*", "x1*", "x2*")
-    assert validate_equivalence(e).ok
-
-
 def test_covariant_composite_middle_mismatch():
     e = relabeled_opposite_equivalence(orbit())
     with pytest.raises(MismatchError, match="middle categories differ"):
