@@ -63,7 +63,6 @@ from .fibered import (
     validate_spec,
 )
 from .functors import (
-    ContravariantFunctor,
     Functor,
     NaturalTransformation,
     compose_functors,
@@ -103,9 +102,7 @@ from .textio import (
 )
 from .transport import (
     ContravariantEquivalence,
-    PowersetDuality,
     TransportResult,
-    covariant_composite,
     induce_comonad,
     induce_monad,
     powerset_duality_demo,

@@ -20,6 +20,7 @@ import os
 import sys
 from importlib import resources
 
+from .config import morphism_limit
 from .dot import render_dot, render_spec_dot
 from .equivalence import (
     build_mn_equivalence,
@@ -199,8 +200,7 @@ def _transport_pipeline(out, spec, mode: str = "relabel-opposite") -> int:
         run.check("duality", lambda: validate_equivalence(eq))
     else:
         run.build("size-gate", lambda: build_total_category(spec))
-        demo = run.build("build-duality", lambda: powerset_duality_demo())
-        eq = demo.equivalence if demo is not None else None
+        eq = run.build("build-duality", powerset_duality_demo)
         run.check("duality", lambda: validate_equivalence(eq))
         source_monad = identity_monad(eq.source) if run.ok else None
         source_comonad = identity_comonad(eq.source) if run.ok else None
@@ -390,6 +390,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     out = _QuietPipe(sys.stdout)
     try:
+        morphism_limit()  # a bad value is no fault of any input file
         code = command(args, out)
     except EngineError as exc:
         out.write(f"error: {exc}\n")

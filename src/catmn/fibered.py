@@ -69,9 +69,6 @@ class FiberPoset:
         object.__setattr__(self, "up", {a: frozenset(bs) for a, bs in above.items()})
         object.__setattr__(self, "down", {b: frozenset(a) for b, a in below.items()})
 
-    def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
-
     def linear_extension(self) -> list[str]:
         """Elements in an order compatible with ``leq``; lexicographic
         tie-break, so deterministic."""

@@ -25,23 +25,21 @@ from .errors import (
 from .report import ValidationReport, Violation
 
 
-def _images_field():
-    """The private field a functor keeps its morphism table over ids in; see
-    :func:`_mor_images`.  Like a remembered report, it assumes the tables are
-    not edited in place once used."""
-    return field(default=None, init=False, compare=False, repr=False)
-
-
 @dataclass(frozen=True)
 class Functor:
-    """A functor as explicit object and morphism tables."""
+    """A functor as explicit object and morphism tables.  A contravariant
+    one has the same shape, its ``mor_map`` sending ``f: a -> b`` to a
+    morphism from the image of ``b`` to the image of ``a``; which laws hold
+    is up to the validator (:func:`validate_contravariant`)."""
 
     source: Category
     target: Category
     obj_map: dict[str, str]
     mor_map: dict[str, str]
     name: str = field(default="", compare=False)
-    _images: list | None = _images_field()
+    # the morphism table over ids (:func:`_mor_images`); like a remembered
+    # report, it assumes the tables are not edited in place once used
+    _images: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def on_obj(self, x: str) -> str:
         try:
@@ -75,36 +73,30 @@ def identity_functor(c: Category) -> Functor:
     return F
 
 
-def _mor_images(F, source: Category) -> list:
-    """``F``'s morphism table over the ids of ``source``: the target id of
+def _mor_images(F: Functor) -> list:
+    """``F``'s morphism table over the ids of its source: the target id of
     each image, the image's name where it is no target morphism, None where
     there is none.  Made on first use and kept on ``F``."""
     images = F._images
     if images is None:
         tid = F.target.mor_id
-        images = [tid.get(m, m) for m in map(F.mor_map.get, source.names)]
+        images = [tid.get(m, m) for m in map(F.mor_map.get, F.source.names)]
         object.__setattr__(F, "_images", images)
     return images
 
 
 def validate_functor(F: Functor) -> ValidationReport:
     """Check totality, typing, identity and composition preservation."""
-    return _functor_report(F.source, F.target, F.obj_map, F.mor_map, _mor_images(F, F.source))
+    return _functor_report(F, flip=False)
 
 
-def _functor_report(
-    src: Category,
-    tgt: Category,
-    obj_map: dict[str, str],
-    mor_map: dict[str, str],
-    img: list,
-    flip: bool = False,
-) -> ValidationReport:
-    """:func:`validate_functor` on tables from ``src`` to ``tgt``, with
-    ``flip`` reading ``src`` as its opposite: endpoints swapped and each
-    entry ``g after f`` read as ``f after g``; ``img`` is ``mor_map`` over
-    the ids (:func:`_mor_images`).  The subjects are the ones a check on the
-    real opposite gives."""
+def _functor_report(F: Functor, flip: bool) -> ValidationReport:
+    """:func:`validate_functor` on ``F``, with ``flip`` reading its source as
+    the opposite: endpoints swapped and each entry ``g after f`` read as
+    ``f after g``.  The subjects are the ones a check on the real opposite
+    gives."""
+    src, tgt, obj_map, mor_map = F.source, F.target, F.obj_map, F.mor_map
+    img = _mor_images(F)
     violations: list[Violation] = []
     src_objects, tgt_objects = set(src.objects), set(tgt.objects)
     ends = attrgetter("dst", "src") if flip else attrgetter("src", "dst")
@@ -311,33 +303,12 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     return Functor(F.source, G.target, *composite_tables(F.source, F, G), name=f"{G.name}.{F.name}")
 
 
-@dataclass(frozen=True)
-class ContravariantFunctor:
-    """A contravariant functor from ``presented_source`` to ``target``.
-
-    The tables are direction-agnostic: ``mor_map`` sends a morphism
-    ``f: a -> b`` to one going from the image of ``b`` to the image of
-    ``a``.  :func:`validate_contravariant` checks that on a flipped reading
-    of ``presented_source``; no opposite category is built.
-    """
-
-    presented_source: Category
-    target: Category
-    obj_map: dict[str, str]
-    mor_map: dict[str, str]
-    name: str = field(default="", compare=False)
-    _images: list | None = _images_field()
-
-    on_obj = Functor.on_obj
-    on_mor = Functor.on_mor
-
-
-def validate_contravariant(F: ContravariantFunctor) -> ValidationReport:
-    """:func:`validate_functor` on the opposite of the presented source, read
-    off the presented source itself: the same violations, subjects and
-    details a check against ``opposite(F.presented_source)`` reports."""
-    images = _mor_images(F, F.presented_source)
-    return _functor_report(F.presented_source, F.target, F.obj_map, F.mor_map, images, flip=True)
+def validate_contravariant(F: Functor) -> ValidationReport:
+    """:func:`validate_functor` for ``F`` read as a contravariant functor, each
+    morphism ``f: a -> b`` sent to one from the image of ``b`` to the image
+    of ``a``: the same violations, subjects and details a check against
+    ``opposite(F.source)`` reports, read off ``F.source`` itself."""
+    return _functor_report(F, flip=True)
 
 
 @dataclass(frozen=True)
@@ -413,7 +384,7 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
         cid.get(alpha.components[x], alpha.components[x]) if x in good else None
         for x in dom.vertices
     ]
-    image_F, image_G = _mor_images(F, dom), _mor_images(G, dom)
+    image_F, image_G = _mor_images(F), _mor_images(G)
     after, name_of = cod.after, cod.name_of
     rows, pos, cod_src, cod_dst = cod.rows, cod.pos, cod.src, cod.dst
     for f, (s, d) in enumerate(zip(dom.src, dom.dst)):

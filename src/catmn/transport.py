@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from .core import Category, Mor, inverse_of, transposing
 from .errors import InvalidArtifactError, MismatchError
 from .functors import (
-    ContravariantFunctor,
     Functor,
     NaturalTransformation,
+    compose_functors,
     composite_tables,
     identity_functor,
     iso_report,
@@ -49,8 +49,8 @@ class ContravariantEquivalence:
     """Contravariant functors both ways plus the two comparison
     isomorphisms."""
 
-    forward: ContravariantFunctor  # F: C -> D
-    backward: ContravariantFunctor  # G: D -> C
+    forward: Functor  # F: C -> D, contravariant
+    backward: Functor  # G: D -> C, contravariant
     theta: NaturalTransformation  # 1_D => F.G
     theta_bar: NaturalTransformation  # 1_C => G.F
     name: str = field(default="", compare=False)
@@ -58,24 +58,11 @@ class ContravariantEquivalence:
 
     @property
     def source(self) -> Category:
-        return self.forward.presented_source
+        return self.forward.source
 
     @property
     def dual(self) -> Category:
         return self.forward.target
-
-
-def covariant_composite(
-    outer: ContravariantFunctor, inner: ContravariantFunctor
-) -> Functor:
-    """The covariant composite of two contravariant functors, as a functor
-    on the inner presented source."""
-    src = inner.presented_source
-    if inner.target != outer.presented_source:
-        raise MismatchError("contravariant composite: middle categories differ")
-    return Functor(
-        src, outer.target, *composite_tables(src, inner, outer), name=f"{outer.name}.{inner.name}"
-    )
 
 
 @remembered
@@ -91,8 +78,8 @@ def validate_equivalence(e: ContravariantEquivalence) -> ValidationReport:
         return report
 
     C, D = e.source, e.dual
-    fg = covariant_composite(e.forward, e.backward)
-    gf = covariant_composite(e.backward, e.forward)
+    fg = compose_functors(e.forward, e.backward)
+    gf = compose_functors(e.backward, e.forward)
 
     for label, nat, cat, composite in (
         ("theta", e.theta, D, fg),
@@ -233,17 +220,17 @@ def verify_transfer(
 
 
 def _strict_equivalence(
-    forward: ContravariantFunctor, backward: ContravariantFunctor, name: str
+    forward: Functor, backward: Functor, name: str
 ) -> ContravariantEquivalence:
     """The equivalence of two functors whose round trips are identities on
     the nose: both comparisons have identity components."""
     comparisons = []
     for label, outer, inner in (("theta", forward, backward), ("theta-bar", backward, forward)):
-        cat = inner.presented_source
+        cat = inner.source
         comparisons.append(
             NaturalTransformation(
                 identity_functor(cat),
-                covariant_composite(outer, inner),
+                compose_functors(outer, inner),
                 {x: cat.id_of(x) for x in cat.objects},
                 name=label,
             )
@@ -281,8 +268,8 @@ def relabeled_opposite_equivalence(c: Category) -> ContravariantEquivalence:
             f"category {c.name!r} names {exc.args[0]!r} in its tables, which is "
             "none of its objects or morphisms"
         ) from None
-    forward = ContravariantFunctor(c, d, objs, mors, name="relabel")
-    backward = ContravariantFunctor(
+    forward = Functor(c, d, objs, mors, name="relabel")
+    backward = Functor(
         d,
         c,
         {y: x for x, y in objs.items()},
@@ -292,21 +279,11 @@ def relabeled_opposite_equivalence(c: Category) -> ContravariantEquivalence:
     return _strict_equivalence(forward, backward, f"relabel-op[{c.name}]")
 
 
-@dataclass
-class PowersetDuality:
-    """The demo duality between two concrete finite sets and their subset
-    algebras."""
-
-    sets_category: Category
-    algebras_category: Category
-    equivalence: ContravariantEquivalence
-
-
 def _encode_subset(s: frozenset) -> str:
     return "e" if not s else "".join(str(x) for x in sorted(s))
 
 
-def powerset_duality_demo() -> PowersetDuality:
+def powerset_duality_demo() -> ContravariantEquivalence:
     """Build the duality for the sets {1} and {1, 2} by exhaustion.
 
     Morphisms of the set side are all functions; morphisms of the algebra
@@ -413,7 +390,7 @@ def powerset_duality_demo() -> PowersetDuality:
             for u in subsets[set_to_alg[b]]
         }
         fwd_mor[f] = hom_name(set_to_alg[b], set_to_alg[a], mapping)
-    forward = ContravariantFunctor(
+    forward = Functor(
         sets_cat, algs_cat, set_to_alg, fwd_mor, name="powerset"
     )
 
@@ -427,9 +404,7 @@ def powerset_duality_demo() -> PowersetDuality:
             hits = [x for x in carriers[xa] if y in mapping[frozenset({x})]]
             images.append(hits[0])
         bwd_mor[h] = fn_name(xb, xa, tuple(images))
-    backward = ContravariantFunctor(
+    backward = Functor(
         algs_cat, sets_cat, alg_to_set, bwd_mor, name="atoms"
     )
-
-    eq = _strict_equivalence(forward, backward, "powerset-duality")
-    return PowersetDuality(sets_cat, algs_cat, eq)
+    return _strict_equivalence(forward, backward, "powerset-duality")

@@ -289,7 +289,7 @@ def test_names_are_per_kind(capsys, tmp_path):
     assert (code, out) == (0, "category c: ok\nfunctor c: ok\n")
 
 
-def test_over_limit_category_is_a_parse_error_at_the_block(capsys, tmp_path, monkeypatch):
+def test_over_limit_category_is_a_parse_error_at_the_block(capsys, tmp_path, monkeypatch, c2_file):
     path = tmp_path / "orbit.cm"
     path.write_text("# five morphisms\n" + render_category(orbit()))
     monkeypatch.setenv("CATMN_MAX_MORPHISMS", "2")
@@ -299,10 +299,14 @@ def test_over_limit_category_is_a_parse_error_at_the_block(capsys, tmp_path, mon
         f"error: {path}:2:1: category 'orbit' has 5 morphisms, over the limit of 2 "
         "(set CATMN_MAX_MORPHISMS to override)\n"
     )
-    monkeypatch.setenv("CATMN_MAX_MORPHISMS", "many")
-    code, out = run_cli(capsys, "validate", str(path))
-    assert code == 2
-    assert out.endswith(": CATMN_MAX_MORPHISMS must be an integer, got 'many'\n")
+    # a bad value is the environment's fault, not the file's, on every command
+    commands = (["validate", str(path)], ["mn-check", c2_file], ["random", "--seed", "1"], ["demo"])
+    for value, error in (("many", "must be an integer, got 'many'"), ("0", "must be positive, got 0")):
+        monkeypatch.setenv("CATMN_MAX_MORPHISMS", value)
+        for argv in commands:
+            code, out = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == f"error: CATMN_MAX_MORPHISMS {error}\n"
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -3,7 +3,7 @@ its source against the covariant check on the real opposite category.
 
 :func:`validate_contravariant` reads the presented source backwards and
 builds no opposite.  Its oracle is :func:`validate_functor` on a functor out
-of ``opposite(presented_source)`` with the same tables; the two must render
+of ``opposite(source)`` with the same tables; the two must render
 the same report, subjects and details included, on valid maps and on maps
 corrupted in each way the functor laws can fail.
 """
@@ -11,7 +11,6 @@ corrupted in each way the functor laws can fail.
 import pytest
 
 from catmn import (
-    ContravariantFunctor,
     Functor,
     build_total_category,
     canonical_c2,
@@ -34,7 +33,7 @@ def _duals():
         e = relabeled_opposite_equivalence(c)
         yield label, e.forward
         yield label, e.backward
-    e = powerset_duality_demo().equivalence
+    e = powerset_duality_demo()
     yield "powerset", e.forward
     yield "powerset", e.backward
 
@@ -47,7 +46,7 @@ def _non_identities(c):
 def _composition(F):
     """Give a non-identity morphism the image of another, parallel to it
     when the source has such a pair."""
-    src = F.presented_source
+    src = F.source
     mors = _non_identities(src)
     parallel = [
         (f, g)
@@ -64,7 +63,7 @@ def _composition(F):
 
 def _endpoints(F):
     """Send the first object to another target object."""
-    x = F.presented_source.objects[0]
+    x = F.source.objects[0]
     others = [y for y in F.target.objects if y != F.obj_map[x]]
     if not others:
         return None
@@ -74,8 +73,8 @@ def _endpoints(F):
 def _identity(F):
     """Send an identity to another morphism, an endomorphism of its object's
     image when there is one."""
-    x = F.presented_source.objects[-1]
-    idx, Fx = F.presented_source.identity[x], F.obj_map[x]
+    x = F.source.objects[-1]
+    idx, Fx = F.source.identity[x], F.obj_map[x]
     candidates = [m for m in F.target.hom(Fx, Fx) if m != F.mor_map[idx]]
     candidates += [m for m in F.target.morphisms if m != F.mor_map[idx]]
     if not candidates:
@@ -85,7 +84,7 @@ def _identity(F):
 
 def _missing(F):
     """Drop the image of the first object and of the last morphism."""
-    x, f = F.presented_source.objects[0], list(F.presented_source.morphisms)[-1]
+    x, f = F.source.objects[0], list(F.source.morphisms)[-1]
     return (
         {y: v for y, v in F.obj_map.items() if y != x},
         {g: v for g, v in F.mor_map.items() if g != f},
@@ -107,8 +106,8 @@ CORRUPTIONS = {
 }
 
 
-def _oracle(F: ContravariantFunctor):
-    op = opposite(F.presented_source)
+def _oracle(F: Functor):
+    op = opposite(F.source)
     return validate_functor(Functor(op, F.target, F.obj_map, F.mor_map, name=F.name))
 
 
@@ -131,7 +130,7 @@ def test_corrupted_maps_agree_with_the_opposite(duals, kind):
         tables = CORRUPTIONS[kind](F)
         if tables is None:
             continue
-        crooked = ContravariantFunctor(F.presented_source, F.target, *tables, name=F.name)
+        crooked = Functor(F.source, F.target, *tables, name=F.name)
         got = validate_contravariant(crooked)
         assert not got.ok, (label, F.name)
         assert got.render() == _oracle(crooked).render(), (label, F.name)

@@ -74,7 +74,7 @@ def test_c2_pair_passes_hypotheses(c2_pair):
 
 
 def test_hypothesis_failure_is_located():
-    sets = powerset_duality_demo().equivalence.source
+    sets = powerset_duality_demo().source
     d = collapse_monad(sets)
     assert check_idempotent_monad(d).ok
     pair = make_mn_pair(d, identity_comonad(sets))
@@ -85,7 +85,7 @@ def test_hypothesis_failure_is_located():
 
 
 def test_build_refuses_failing_hypotheses():
-    sets = powerset_duality_demo().equivalence.source
+    sets = powerset_duality_demo().source
     pair = make_mn_pair(collapse_monad(sets), identity_comonad(sets))
     with pytest.raises(InvalidArtifactError, match="hypotheses"):
         build_mn_equivalence(pair)
@@ -97,7 +97,7 @@ def c2_pair_anew(c2_total):
 
 def collapse_pair(c2_total):
     # the hypotheses fail at set12 (see test_hypothesis_failure_is_located)
-    sets = powerset_duality_demo().equivalence.source
+    sets = powerset_duality_demo().source
     return make_mn_pair(collapse_monad(sets), identity_comonad(sets))
 
 

@@ -67,7 +67,7 @@ def fiber_corruptions(p):
     implied = [
         (a, c)
         for a, c in strict
-        if any(b not in (a, c) and p.le(a, b) and p.le(b, c) for b in p.elements)
+        if any(b not in (a, c) and (a, b) in p.leq and (b, c) in p.leq for b in p.elements)
     ]
     middle = p.elements[len(p.elements) // 2]
     out = {
@@ -95,7 +95,7 @@ def _bend(s):
         src, dst, act = s.fibers[m.src], s.fibers[m.dst], s.actions[f]
         for a, b in sorted(src.leq):
             for y in dst.elements:
-                if a != b and not dst.le(y, act[b]):
+                if a != b and (y, act[b]) not in dst.leq:
                     return f, a, y
     return None
 

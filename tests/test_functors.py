@@ -4,7 +4,6 @@ import pytest
 
 import catmn.core
 from catmn import (
-    ContravariantFunctor,
     Functor,
     MismatchError,
     NaturalTransformation,
@@ -143,14 +142,14 @@ def test_functor_equality_ignores_name():
 def test_contravariant_functor_is_flat(monkeypatch):
     c = orbit()
     op = opposite(orbit())  # an equal opposite, built from another copy
-    F = ContravariantFunctor(
+    F = Functor(
         c,
         op,
         {x: x for x in c.objects},
         {m: m for m in c.morphisms},
         name="transpose",
     )
-    assert (F.presented_source, F.target, F.name) == (c, op, "transpose")
+    assert (F.source, F.target, F.name) == (c, op, "transpose")
     assert F.obj_map == {x: x for x in c.objects}
     assert F.mor_map == {m: m for m in c.morphisms}
     built = []
@@ -165,7 +164,7 @@ def test_contravariant_functor_is_flat(monkeypatch):
 
 def test_contravariant_flips_composition():
     c = orbit()
-    broken = ContravariantFunctor(
+    broken = Functor(
         c,
         opposite(c),
         {x: x for x in c.objects},

@@ -25,7 +25,6 @@ import pytest
 
 from catmn import (
     Category,
-    ContravariantFunctor,
     Functor,
     LoadedArtifact,
     SizeLimits,
@@ -83,7 +82,7 @@ def category_reports(c: Category) -> dict[str, str]:
         "category": validate_category(c).render(),
         "functor-self": validate_functor(Functor(c, c, objs, mors)).render(),
         "contravariant-opposite": validate_contravariant(
-            ContravariantFunctor(c, opposite(c), objs, mors)
+            Functor(c, opposite(c), objs, mors)
         ).render(),
         "inverses": json.dumps([[m, inverse_of(c, m)] for m in c.morphisms]),
     }
@@ -187,7 +186,7 @@ def test_every_sweep_reaches_the_last_entry(seed):
 
     covariant = validate_functor(Functor(bad, clean, objs, mors))
     assert [(v.rule, v.subject) for v in covariant.violations] == [("functor-composition", (g, f))]
-    flipped = validate_contravariant(ContravariantFunctor(bad, opposite(clean), objs, mors))
+    flipped = validate_contravariant(Functor(bad, opposite(clean), objs, mors))
     assert [(v.rule, v.subject) for v in flipped.violations] == [("functor-composition", (f, g))]
     found = validate_category(bad).violations
     assert ("compose-endpoints", (g, f)) in {(v.rule, v.subject) for v in found}

@@ -21,7 +21,6 @@ import pytest
 
 from catmn import (
     Category,
-    ContravariantFunctor,
     Functor,
     Mor,
     NaturalTransformation,
@@ -131,8 +130,8 @@ def table_reports(c, clean=None) -> dict[str, str]:
         "category": validate_category(c),
         "functor-self": validate_functor(into_self),
         "functor-opposite": validate_functor(Functor(c, op, objs, mors)),
-        "contravariant-self": validate_contravariant(ContravariantFunctor(c, c, objs, mors)),
-        "contravariant-opposite": validate_contravariant(ContravariantFunctor(c, op, objs, mors)),
+        "contravariant-self": validate_contravariant(Functor(c, c, objs, mors)),
+        "contravariant-opposite": validate_contravariant(Functor(c, op, objs, mors)),
     }
     if all(m.src in objs and m.dst in objs for m in c.morphisms.values()):
         # validate_nat assumes its functors are valid, so it is given none
@@ -149,7 +148,7 @@ def table_reports(c, clean=None) -> dict[str, str]:
         out["functor-to-clean"] = validate_functor(Functor(c, clean, objs, mors))
         out["functor-from-clean"] = validate_functor(Functor(clean, c, cobjs, cmors))
         out["contravariant-to-clean-opposite"] = validate_contravariant(
-            ContravariantFunctor(c, opposite(clean), objs, mors)
+            Functor(c, opposite(clean), objs, mors)
         )
     return {check: report.render() for check, report in out.items()}
 
@@ -212,10 +211,10 @@ def total_table_from_spec(s) -> dict[tuple[str, str], str]:
         fib_a, fib_b, fib_c = s.fibers[mf.src], s.fibers[mf.dst], s.fibers[mg.dst]
         for k in fib_a.elements:
             for k1 in fib_b.elements:
-                if not fib_b.le(s.actions[f][k], k1):
+                if (s.actions[f][k], k1) not in fib_b.leq:
                     continue
                 for k2 in fib_c.elements:
-                    if fib_c.le(s.actions[g][k1], k2):
+                    if (s.actions[g][k1], k2) in fib_c.leq:
                         table[(f"{g}|{k1}|{k2}", f"{f}|{k}|{k1}")] = f"{gf}|{k}|{k2}"
     return table
 

@@ -1,7 +1,7 @@
 """The package's public surface carries no dead weight.
 
-Two static checks on the sources, read with :mod:`ast` so that docstrings
-and comments never count as a use:
+Static checks on the sources, read with :mod:`ast` so that docstrings and
+comments never count as a use:
 
 * no module under ``src/catmn`` imports a name it never uses;
 * every name ``catmn/__init__.py`` exports is used as code by a module of
@@ -10,7 +10,10 @@ and comments never count as a use:
   are the few library functions the tests keep as references;
 * every parameter with a default, on a public module-level function of the
   package, is passed by some call in the package or the harness.  One that
-  only the tests set has one value in use, and is a constant instead.
+  only the tests set has one value in use, and is a constant instead;
+* every public method of a class of the package is used as code by the
+  package or the harness.  Like the export check, it matches by attribute
+  name, so a method shares its use with any namesake.
 """
 
 import ast
@@ -131,3 +134,18 @@ def test_every_defaulted_parameter_is_passed_by_the_package_or_the_benchmark():
     bench = sorted(PERFBENCH.glob("*.py"))
     passed = set().union(*(passed_parameters(parse(p), functions) for p in modules() + bench))
     assert sorted(declared - passed) == []
+
+
+def test_every_public_method_is_used_by_the_package_or_the_benchmark():
+    methods = {
+        f"{cls.name}.{node.name}"
+        for path in modules()
+        for cls in parse(path).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert methods
+    bench = sorted(PERFBENCH.glob("*.py"))
+    used = set().union(*(used_names(parse(p)) for p in modules() + bench))
+    assert sorted(m for m in methods if m.split(".")[1] not in used) == []

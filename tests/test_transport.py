@@ -15,7 +15,7 @@ from catmn import (
     check_idempotent_comonad,
     check_idempotent_monad,
     check_mn_hypotheses,
-    covariant_composite,
+    compose_functors,
     fixed_subcategory_comonad,
     fixed_subcategory_monad,
     identity_comonad,
@@ -60,8 +60,8 @@ def test_relabeled_opposite_is_valid():
 def test_relabeled_round_trips_are_identities():
     c = orbit()
     e = relabeled_opposite_equivalence(c)
-    assert covariant_composite(e.backward, e.forward) == identity_functor(c)
-    assert covariant_composite(e.forward, e.backward) == identity_functor(e.dual)
+    assert compose_functors(e.backward, e.forward) == identity_functor(c)
+    assert compose_functors(e.forward, e.backward) == identity_functor(e.dual)
     for x in e.dual.objects:
         assert e.theta.components[x] == e.dual.identity[x]
     for x in c.objects:
@@ -69,9 +69,11 @@ def test_relabeled_round_trips_are_identities():
 
 
 def test_covariant_composite_middle_mismatch():
+    # two contravariant functors compose like any others: the middle
+    # categories (here orbit~op and orbit) must agree
     e = relabeled_opposite_equivalence(orbit())
-    with pytest.raises(MismatchError, match="middle categories differ"):
-        covariant_composite(e.forward, e.forward)
+    with pytest.raises(MismatchError, match="cannot compose 'relabel' after 'relabel': middle"):
+        compose_functors(e.forward, e.forward)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ POWERSET_HOM_PROFILE = [1, 1, 2, 4]
 
 def test_powerset_demo_frozen_shape():
     dual = powerset_duality_demo()
-    sets, algs = dual.sets_category, dual.algebras_category
+    sets, algs = dual.source, dual.dual
     assert sets.objects == ("set1", "set12")
     assert algs.objects == ("alg1", "alg12")
     assert len(sets.morphisms) == 8
@@ -144,14 +146,13 @@ def test_powerset_demo_frozen_shape():
 
 
 def test_powerset_demo_equivalence_is_valid():
-    dual = powerset_duality_demo()
-    e = dual.equivalence
+    e = powerset_duality_demo()
     assert validate_equivalence(e).ok
-    assert e.source == dual.sets_category
-    assert e.dual == dual.algebras_category
+    assert e.source == e.backward.target
+    assert e.dual == e.backward.source
     # preimage reverses functions, so hom sizes transpose across the duality
-    assert len(dual.sets_category.hom("set1", "set12")) == len(
-        dual.algebras_category.hom("alg12", "alg1")
+    assert len(e.source.hom("set1", "set12")) == len(
+        e.dual.hom("alg12", "alg1")
     )
 
 
@@ -193,10 +194,9 @@ def test_c2_transport_across_relabeling(c2_total, c2_monad, c2_comonad):
 
 
 def test_collapse_monad_transports_across_powerset_duality():
-    dual = powerset_duality_demo()
-    e = dual.equivalence
-    m = collapse_monad(dual.sets_category)
-    c = identity_comonad(dual.sets_category)
+    e = powerset_duality_demo()
+    m = collapse_monad(e.source)
+    c = identity_comonad(e.source)
     r = transport_pair(e, m, c)
     assert check_idempotent_comonad(r.induced_comonad).ok
     assert fixed_subcategory_comonad(r.induced_comonad).subcategory.objects == (
