@@ -157,27 +157,33 @@ class Category:
                 f"category {self.name!r} has duplicate object names"
             )
         self.objects = objs
-        mors: dict[str, Mor] = {}
-        for m in morphisms:
-            if m.name in mors:
-                raise InvalidArtifactError(
-                    f"category {self.name!r} has duplicate morphism name {m.name!r}"
-                )
-            mors[m.name] = m
+        given = list(morphisms)
+        mors = dict(zip(map(itemgetter(0), given), given))
+        if len(mors) != len(given):
+            seen: set[str] = set()
+            for m in given:
+                if m.name in seen:
+                    raise InvalidArtifactError(
+                        f"category {self.name!r} has duplicate morphism name {m.name!r}"
+                    )
+                seen.add(m.name)
         limit = morphism_limit()
         if len(mors) > limit:
             raise SizeLimitError(
                 f"category {self.name!r} has {len(mors)} morphisms, over the "
                 f"limit of {limit} (set CATMN_MAX_MORPHISMS to override)"
             )
-        self.morphisms = dict(sorted(mors.items()))
-        self.identity = dict(sorted(identity.items()))
+        # the names alone are sorted, so the sort compares only strings
+        self.names = names = tuple(sorted(mors))
+        self.morphisms = dict(zip(names, map(mors.__getitem__, names)))
+        keys = sorted(identity)
+        self.identity = dict(zip(keys, map(identity.__getitem__, keys)))
 
         # every id stored anywhere is the one int object made here for it
-        self.names = names = tuple(self.morphisms)
         self.mor_id = mor_id = dict(zip(names, range(len(names))))
         ids = list(mor_id.values())
-        _, src_names, dst_names = zip(*self.morphisms.values()) if names else ((), (), ())
+        src_names = list(map(itemgetter(1), self.morphisms.values()))
+        dst_names = list(map(itemgetter(2), self.morphisms.values()))
         ends = set(src_names).union(dst_names).difference(objs)
         self.vertices = vertices = objs + tuple(sorted(ends)) if ends else objs
         self.vid = vid = dict(zip(vertices, range(len(vertices))))

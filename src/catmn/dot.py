@@ -26,6 +26,17 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _quote_all(names) -> list[str]:
+    """:func:`_quote` of each of ``names``.  Escaping touches no newline, so
+    the escaped names are the lines of the escaped text of all of them, one
+    per line, unless a name holds a newline itself."""
+    text = "\n".join(names).replace("\\", "\\\\").replace('"', '\\"')
+    escaped = text.split("\n")
+    if len(escaped) != len(names):
+        return list(map(_quote, names))
+    return [f'"{x}"' for x in escaped]
+
+
 def render_dot(
     c: Category,
     double_ring: Iterable[str] = (),
@@ -34,22 +45,23 @@ def render_dot(
     """The category as a DOT digraph; styling sets are object names."""
     rings = set(double_ring)
     fills = set(filled)
+    quoted = _quote_all(c.vertices)
     lines = [f"digraph {_quote(c.name)} {{", "  rankdir=LR;"]
-    for x in c.objects:
+    for x, q in zip(c.objects, quoted):
         attrs = []
         if x in rings:
             attrs.append("peripheries=2")
         if x in fills:
             attrs.append("style=filled")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_quote(x)}{suffix};")
-    for name in sorted(c.morphisms):
-        m = c.morphisms[name]
-        if c.is_identity_name(name):
-            continue
-        lines.append(
-            f"  {_quote(m.src)} -> {_quote(m.dst)} [label={_quote(name)}];"
-        )
+        lines.append(f"  {q}{suffix};")
+    # ids follow name order; an identity is the loop its vertex names
+    ident = c.ident
+    lines += [
+        f"  {quoted[s]} -> {quoted[d]} [label={label}];"
+        for u, (label, s, d) in enumerate(zip(_quote_all(c.names), c.src, c.dst))
+        if s != d or ident[s] != u
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

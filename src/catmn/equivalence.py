@@ -168,8 +168,10 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
         ("triangle-forward", e.forward, e.counit, e.unit, False, "counit . forward(unit)"),
         ("triangle-backward", e.backward, e.unit, e.counit, True, "backward(counit) . unit"),
     ):
+        # on ids: a component that is no morphism stays a name, as after() takes it
         cod = H.target
-        after = (lambda g, f: cod.comp_or_none(f, g)) if flip else cod.comp_or_none
+        mor_id, name_of = cod.mor_id, cod.name_of
+        after = (lambda g, f: cod.after(f, g)) if flip else cod.after
         for x in H.source.objects:
             try:
                 Hx = H.on_obj(x)
@@ -177,7 +179,8 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
                 violations.append(Violation(rule, (x,), str(exc)))
                 continue
             try:
-                got = after(outer.components[Hx], H.on_mor(inner.components[x]))
+                g, f = outer.components[Hx], H.on_mor(inner.components[x])
+                got = name_of(after(mor_id.get(g, g), mor_id.get(f, f)))
             except (KeyError, UnknownMorphismError):
                 got = None
             want = cod.identity.get(Hx)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 from .config import morphism_limit
@@ -30,7 +31,7 @@ from .errors import (
     SizeLimitError,
 )
 from .core import Category, Mor, Rows, _gather, oriented, validate_category
-from .functors import Functor, NaturalTransformation, identity_functor
+from .functors import Functor, NaturalTransformation, _mor_images, identity_functor
 from .monads import COMONAD, MONAD, ComonadDatum, MonadDatum, Side
 from .report import ValidationReport, Violation, remembered, report_field
 
@@ -371,13 +372,18 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
         raise InvalidArtifactError(f"invalid fibered spec {s.name!r}", report)
 
     base = s.base
-    # above[b][k] is the up-set of k in the fiber over b, in element order:
-    # the lifts of (f, k) to b end at above[b][act_f(k)], in morphism order
+    # per base object and element k: the up-set of k in element order, as
+    # elements and as their ranks (places in the fiber's elements).  The
+    # lifts of (f, k) to b end at above[b][act_f(k)], in morphism order
     above: dict[str, dict[str, list[str]]] = {}
+    above_ranks: dict[str, dict[str, list[int]]] = {}
     for b in base.objects:
         p = s.fibers[b]
-        rank = {k: i for i, k in enumerate(p.elements)}.__getitem__
-        above[b] = {k: sorted(up, key=rank) for k, up in p.up.items()}
+        ranked = dict(zip(p.elements, range(len(p.elements))))
+        above[b], above_ranks[b] = {}, {}
+        for k, up in p.up.items():
+            at = above_ranks[b][k] = sorted(map(ranked.__getitem__, up))
+            above[b][k] = list(map(p.elements.__getitem__, at))
     count = 0
     for fname, m in base.morphisms.items():
         act, ends = s.actions[fname], above[m.dst]
@@ -392,9 +398,11 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
 
     objects = []
     decoding: dict[str, tuple[str, str]] = {}
+    obj_names: dict[str, dict[str, str]] = {}
     for b in base.objects:
+        named = obj_names[b] = {}
         for k in s.fibers[b].elements:
-            name = _obj_name(b, k)
+            name = named[k] = _obj_name(b, k)
             if name in decoding:
                 raise InvalidArtifactError(
                     f"total object name collision at {name!r}; pick base/fiber "
@@ -403,25 +411,28 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
             decoding[name] = (b, k)
             objects.append(name)
 
-    # every table below holds the one name string made here per morphism;
-    # lifts[f, k] maps k2 to the name of (f, k, k2)
+    # the morphisms come in blocks, one per (base arrow f, element k): the
+    # lifts (f, k, k2) for k2 in above[dst f][act_f(k)], kept with f's id
+    # and the ranks of the k2
+    blocks: list[tuple[int, str, list[str], list[str], list[int]]] = []
     mors: list[Mor] = []
     mor_proj: dict[str, str] = {}
-    mor_data: dict[str, tuple[str, str, str]] = {}
-    lifts: dict[tuple[str, str], dict[str, str]] = {}
-    for fname, m in base.morphisms.items():
-        act, ends = s.actions[fname], above[m.dst]
+    # (tuple.__new__ makes each Mor as Mor(...) does, without a Python-level
+    # call per morphism)
+    make = partial(tuple.__new__, Mor)
+    for f, (fname, m) in enumerate(base.morphisms.items()):
+        act, starts, ends_at = s.actions[fname], obj_names[m.src], obj_names[m.dst]
+        ends, ranks = above[m.dst], above_ranks[m.dst]
         for k in s.fibers[m.src].elements:
-            src = _obj_name(m.src, k)
-            lifted = lifts[fname, k] = {}
-            for k2 in ends[act[k]]:
-                name = _mor_name(fname, k, k2)
-                if name in mor_data:
+            k2s = ends[act[k]]
+            prefix, src = f"{fname}|{k}|", starts[k]
+            names = [prefix + k2 for k2 in k2s]
+            for name, k2 in zip(names, k2s):
+                if name in mor_proj:
                     raise InvalidArtifactError(f"total morphism name collision at {name!r}")
-                mors.append(Mor(name, src, _obj_name(m.dst, k2)))
                 mor_proj[name] = fname
-                mor_data[name] = (fname, k, k2)
-                lifted[k2] = name
+                mors.append(make((name, src, ends_at[k2])))
+            blocks.append((f, k, names, k2s, ranks[act[k]]))
 
     def missing(key):
         return InvalidArtifactError(
@@ -429,57 +440,66 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
             f"or composite {key!r}"
         )
 
+    # the block (idb, k) exists when idb is a morphism from b, and holds the
+    # identity lift when k is among its k2
     identity: dict[str, str] = {}
     for b in base.objects:
         idb = base.identity.get(b)
+        m = base.morphisms.get(idb)
         for k in s.fibers[b].elements:
-            name = lifts.get((idb, k), {}).get(k)
-            if name is None:
+            if m is None or k not in above[m.src] or k not in above[m.dst][s.actions[idb][k]]:
                 raise missing((idb, k, k))
-            identity[_obj_name(b, k)] = name
-
-    # after[f][g] is g o f in the base; tables keyed in two steps, so no
-    # per-entry lookup below builds a key
-    after: dict[str, dict[str, str]] = {}
-    for g, f, h in base.entries():
-        after.setdefault(f, {})[g] = h
+            identity[obj_names[b][k]] = _mor_name(idb, k, k)
 
     def fill(total: Category):
-        # (g, k1, k2) after (f, k, k1) is (g o f, k, k2): the row of
-        # (f, k, k1) reads, for each base arrow g leaving k1's base object,
-        # the lifts of the base composite g o f at k that end at the k2 of
-        # g's slots; lift_ids[f][k] maps k2 to the id of (f, k, k2)
+        # (g, k1, k2) after (f, k, k1) is (g o f, k, k2).  The row of
+        # (f, k, k1) reads one table of the block (f, k): for each base
+        # arrow g leaving dst f, in base slot order, the lifts of g o f at k
+        # by the rank of their k2 in the fiber over dst g, None where there
+        # is no lift.  A slot (g, k1, k2) of any row sits at the start of
+        # g's part of that table plus the rank of k2, so one reader per
+        # total vertex reads all its slots
         ids = total.mor_id
-        lift_ids: dict[str, dict[str, dict[str, int]]] = {}
-        for (f, k), lifted in lifts.items():
-            lift_ids.setdefault(f, {})[k] = {k2: ids[name] for k2, name in lifted.items()}
-        # per total vertex: its slots in runs of one base arrow g, each with
-        # the k2 of its slots and a reader of a lift table at them
-        runs = []
-        for leaving in total.out:
-            here: list[tuple[str, list[str]]] = []
-            for g, _, k2 in map(mor_data.__getitem__, map(total.names.__getitem__, leaving)):
-                if here and here[-1][0] == g:
-                    here[-1][1].append(k2)
-                else:
-                    here.append((g, [k2]))
-            runs.append([(g, k2s, _gather(k2s)) for g, k2s in here])
-        rows: Rows = []
-        for u, x in zip(total.names, total.dst):
-            f, k, _ = mor_data[u]
-            after_f = after.get(f, {})
-            row: list[int] = []
-            try:
-                for g, _, read in runs[x]:
-                    row += read(lift_ids[after_f[g]][k])
-            except KeyError:  # only on a spec that fails validate_spec
-                for g, k2s, _ in runs[x]:
-                    if g not in after_f:
-                        raise missing((g, f)) from None
-                    for k2 in k2s:
-                        if k2 not in lift_ids.get(after_f[g], {}).get(k, {}):
-                            raise missing((after_f[g], k, k2)) from None
-            rows.append(row)
+        bout, brows, bdst = base.out, base.rows, base.dst
+        width = [len(s.fibers[b].elements) for b in base.vertices]
+        start = [0] * len(base.names)
+        for leaving in bout:
+            place = 0
+            for g in leaving:
+                start[g], place = place, place + width[bdst[g]]
+        # lifts[h][k]: the ids of the block (h, k) by the rank of their k2;
+        # offset[u]: where u sits in the tables, as a slot
+        lifts: list[dict[str, list]] = [{} for _ in base.names]
+        offset = [0] * len(total.names)
+        block_ids = []
+        for f, k, names, _, at in blocks:
+            got = list(map(ids.__getitem__, names))
+            block_ids.append(got)
+            table = lifts[f][k] = [None] * width[bdst[f]]
+            first = start[f]
+            for u, r in zip(got, at):
+                table[r] = u
+                offset[u] = first + r
+        readers = [_gather(list(map(offset.__getitem__, leaving))) for leaving in total.out]
+        dst = total.dst
+        rows: Rows = [None] * len(total.names)
+        # per base arrow f: the lift tables of each g o f and the table of
+        # no lifts, in the slot order of f's row
+        nothing = [[None] * w for w in width]
+        parts = [
+            [({} if h is None else lifts[h], nothing[bdst[g]]) for g, h in zip(bout[d], row)]
+            for d, row in zip(bdst, brows)
+        ]
+        for (f, k, *_), got in zip(blocks, block_ids):
+            table = []
+            for lifted, none in parts[f]:
+                table += lifted.get(k) or none
+            for u in got:
+                rows[u] = readers[dst[u]](table)
+        try:
+            sum(map(sum, rows))  # a hole, only on a spec that fails validate_spec
+        except TypeError:
+            raise _hole(total, rows, blocks, block_ids, base, missing) from None
         return rows, {}
 
     total = Category(f"total({s.name})", objects, mors, identity, fill=fill)
@@ -490,27 +510,42 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
         mor_proj,
         name=f"project({s.name})",
     )
+    over = map(base.mor_id.__getitem__, map(mor_proj.__getitem__, total.names))
+    object.__setattr__(projection, "_images", list(over))
     return TotalCategory(total, projection, decoding)
+
+
+def _hole(total: Category, rows: Rows, blocks, block_ids, base: Category, missing):
+    """The error for the first slot, in id order, that the fill found no
+    lift for: the base composite is missing, or its lift is."""
+    lifted = [None] * len(total.names)
+    for (f, k, _, k2s, _), got in zip(blocks, block_ids):
+        for u, k2 in zip(got, k2s):
+            lifted[u] = (base.names[f], k, k2)
+    for u, row in enumerate(rows):
+        for v, h in zip(total.out[total.dst[u]], row):
+            if h is None:
+                f, k, _ = lifted[u]
+                g, _, k2 = lifted[v]
+                gf = base.after(base.mor_id[g], base.mor_id[f])
+                return missing((g, f) if gf is None else (base.names[gf], k, k2))
+    raise AssertionError("no hole found")
 
 
 def fiber_objects(t: TotalCategory, b: str) -> list[str]:
     return sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
 
 
-def _over(t: TotalCategory) -> list:
-    """Per morphism id of the total category, the base morphism it lies over."""
-    return list(map(t.projection.mor_map.get, t.total.names))
-
-
-def _fiber_extremum(t: TotalCategory, b: str, hom, over: list):
-    """The fiber object over ``b`` that every fiber object reaches by exactly
-    one in-fiber morphism of ``hom`` (on vertex ids), or None."""
-    idb = t.projection.target.identity.get(b)
-    vid = t.total.vid
-    objs = [vid[x] for x in fiber_objects(t, b)]
+def _fiber_extremum(objs: list[int], idb, entering, start, over: list):
+    """The first of the fiber's vertex ids ``objs`` that every one of them
+    reaches by exactly one in-fiber morphism, or None.  ``entering[v]`` lists
+    the morphisms into vertex ``v`` and ``start`` their sources; a morphism
+    is in-fiber when ``over`` sends it to ``idb``."""
+    inside = set(objs)
     for cand in objs:
-        if all(list(map(over.__getitem__, hom(y, cand))).count(idb) == 1 for y in objs):
-            return t.total.vertices[cand]
+        starts = [start[u] for u in entering[cand] if over[u] == idb and start[u] in inside]
+        if len(starts) == len(objs) == len(set(starts)):
+            return cand
     return None
 
 
@@ -519,25 +554,30 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
     category flipped for the comonad.
 
     Returns the object map, the unit (the unique in-fiber arrow to the final
-    object) and the morphism map (the unique lift making the naturality
-    square commute).  Without ``found`` the first failure raises; with it,
-    each failure is appended as a violation and whatever depends on it is
-    skipped.  The searches run on ids.
+    object) and, per morphism id, the id of its image (the unique lift
+    making the naturality square commute), or None.  Without ``found`` the
+    first failure raises; with it, each failure is appended as a violation
+    and whatever depends on it is skipped.  The searches run on ids.
     """
     cat = t.total
     base = t.projection.target
-    hom, after, src, dst = oriented(cat, side.flip)
-    over = _over(t)
-    names, vid = cat.names, cat.vid
+    flip = side.flip
+    hom, after, src, dst = oriented(cat, flip)
+    # the morphisms entering and leaving each vertex, as the view reads them
+    entering, leaving = (cat.out, cat.into) if flip else (cat.into, cat.out)
+    over = _mor_images(t.projection)
+    names, vid, rows, pos = cat.names, cat.vid, cat.rows, cat.pos
 
     def fail(error: Exception, rule: str, where: str, detail: str) -> None:
         if found is None:
             raise error
         found.append(Violation(f"extension-{rule}", (where,), detail))
 
+    idb = {b: base.ident[base.vid[b]] for b in base.objects}
     finals: dict[str, str] = {}
     for b in base.objects:
-        cand = _fiber_extremum(t, b, hom, over)
+        objs = [vid[x] for x in fiber_objects(t, b)]
+        cand = _fiber_extremum(objs, idb[b], entering, src, over)
         if cand is None:
             fail(
                 ExtremumError(b, side.final),
@@ -546,7 +586,7 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
                 f"fiber has no {side.final} object",
             )
         else:
-            finals[b] = cand
+            finals[b] = cat.vertices[cand]
     base_of = {x: b for x, (b, _) in t.object_decoding.items()}
     obj_map = {x: finals[base_of[x]] for x in cat.objects if base_of[x] in finals}
 
@@ -554,8 +594,8 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
     eta = [None] * len(cat.vertices)
     image = [None] * len(cat.vertices)
     for x, top in obj_map.items():
-        idb = base.identity.get(base_of[x])
-        arrows = [u for u in hom(vid[x], vid[top]) if over[u] == idb]
+        in_fiber = idb[base_of[x]]
+        arrows = [u for u in hom(vid[x], vid[top]) if over[u] == in_fiber]
         if len(arrows) == 1:
             eta[vid[x]], image[vid[x]] = arrows[0], vid[top]
         else:
@@ -566,15 +606,42 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
                 f"{len(arrows)} in-fiber arrows {side.to} the {side.final} object",
             )
 
-    mor_map: dict[str, str] = {}
+    # per vertex a with a unit: the morphisms v leaving image[a], keyed by
+    # v after eta_a read off the unit's row (flipped: off the column of the
+    # unit in the rows of the v).  When those are distinct entries of the
+    # type of their v, the one lift of a morphism u from a is the v keyed
+    # by eta_b after u, if that is an entry of its type; otherwise the index
+    # is None and the search below settles it with after()
+    index = [None] * len(cat.vertices)
+    for a, e in enumerate(eta):
+        if e is None:
+            continue
+        cands = leaving[image[a]]
+        comps = [rows[v][pos[e]] for v in cands] if flip else rows[e]
+        try:
+            if list(map(dst.__getitem__, comps)) != list(map(dst.__getitem__, cands)):
+                continue
+        except TypeError:  # an empty slot
+            continue
+        by_comp = dict(zip(comps, cands))
+        if len(by_comp) == len(cands):
+            index[a] = by_comp
+
+    images = [None] * len(names)
     for u, (a, b) in enumerate(zip(src, dst)):  # ids follow name order
         eta_a, eta_b = eta[a], eta[b]
         if eta_a is None or eta_b is None:
             continue
-        target_side = after(eta_b, u)
-        lifts = [v for v in hom(image[a], image[b]) if after(v, eta_a) == target_side]
+        by_comp = index[a]
+        target_side = rows[eta_b][pos[u]] if flip else rows[u][pos[eta_b]]
+        if by_comp is not None and target_side is not None and dst[target_side] == image[b]:
+            v = by_comp.get(target_side)
+            lifts = () if v is None else (v,)
+        else:
+            target_side = after(eta_b, u)
+            lifts = [v for v in hom(image[a], image[b]) if after(v, eta_a) == target_side]
         if len(lifts) == 1:
-            mor_map[names[u]] = names[lifts[0]]
+            images[u] = lifts[0]
         else:
             fail(
                 LiftError(names[u], len(lifts)),
@@ -583,14 +650,20 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
                 f"{len(lifts)} lifts between the fiber {side.top}s",
             )
     units = {x: names[eta[vid[x]]] for x in obj_map if eta[vid[x]] is not None}
-    return obj_map, units, mor_map
+    return obj_map, units, images
 
 
 def _build(t: TotalCategory, side: Side):
-    obj_map, eta, mor_map = _collapse(t, side)
+    obj_map, eta, images = _collapse(t, side)
     cat = t.total
+    names = cat.names
+    try:
+        mor_map = dict(zip(names, map(names.__getitem__, images)))
+    except TypeError:  # no image for a morphism at a vertex that is no object
+        mor_map = {names[u]: names[v] for u, v in enumerate(images) if v is not None}
     name = f"fiber-{side.top}-{side.monad}"
     functor = Functor(cat, cat, obj_map, mor_map, name=name)
+    object.__setattr__(functor, "_images", images)
     unit = NaturalTransformation(
         *side.orient(identity_functor(cat), functor),
         eta,

@@ -46,6 +46,7 @@ import json
 from dataclasses import dataclass
 from itertools import repeat
 
+from .config import morphism_limit
 from .core import Category, Mor, validate_category
 from .errors import InvalidArtifactError, ParseError, SizeLimitError
 from .fibered import FiberedSpec, FiberPoset, poset_from_pairs, validate_spec
@@ -614,7 +615,9 @@ def _resolve_functor_ref(
 def _build_all(docs: list[tuple[int, dict]], filename: str) -> list[LoadedArtifact]:
     """Build each ``(line, doc)`` in turn; an error in a document, or a name
     an earlier document of its kind already took, is a :class:`ParseError`
-    at its line."""
+    at its line.  A bad ``CATMN_MAX_MORPHISMS`` is no fault of any line: it
+    raises before anything is built, unplaced."""
+    morphism_limit()
     ns: dict[str, dict] = {"category": {}, "functor": {}, "nat": {}, "spec": {}}
     out: list[LoadedArtifact] = []
     for lineno, doc in docs:

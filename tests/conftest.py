@@ -1,5 +1,5 @@
 """Shared fixtures: the standing two-object example built once per session,
-the powerset duality, and a deterministic hypothesis profile."""
+and a deterministic hypothesis profile."""
 
 from pathlib import Path
 
@@ -13,7 +13,6 @@ from catmn import (
     build_total_category,
     canonical_c2,
     make_mn_pair,
-    powerset_duality_demo,
 )
 
 settings.register_profile("catmn", derandomize=True, deadline=None)
@@ -54,11 +53,6 @@ def c2_pair(c2_monad, c2_comonad):
 @pytest.fixture(scope="session")
 def c2_equivalence(c2_pair):
     return build_mn_equivalence(c2_pair)
-
-
-@pytest.fixture(scope="session")
-def duality():
-    return powerset_duality_demo()
 
 
 @pytest.fixture

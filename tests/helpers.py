@@ -1,4 +1,5 @@
-"""Hand-built gadget categories and (co)monads the test modules share.
+"""Hand-built gadget categories and (co)monads the test modules share, and
+the name-level collapse search the fiber builders are compared with.
 
 Each is small enough to check by eye; the composition tables are written
 out in full so the tests do not depend on the loader's completion rules.
@@ -9,10 +10,13 @@ import sys
 from catmn import (
     Category,
     ComonadDatum,
+    ExtremumError,
     Functor,
+    LiftError,
     MonadDatum,
     Mor,
     NaturalTransformation,
+    Violation,
     compose_functors,
     identity_functor,
 )
@@ -277,3 +281,67 @@ def spy(monkeypatch, module, name, calls):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("catmn") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
+
+
+def collapse_by_names(t, side):
+    """The collapse of every fiber of the total category ``t`` onto its
+    ``side.final`` object, found by the name-level search: hom-sets by name
+    and composites by ``comp_or_none``, both read flipped for the comonad.
+
+    Returns the object map, the units, the morphism map, and each failure
+    as ``(error, violation)`` in the order the search meets them: the error
+    a builder raises first, and the violation the extension check records.
+    """
+    cat, base = t.total, t.projection.target
+    over = t.projection.mor_map
+    if side.flip:
+        hom = lambda a, b: cat.hom(b, a)  # noqa: E731
+        after = lambda g, f: cat.comp_or_none(f, g)  # noqa: E731
+    else:
+        hom, after = cat.hom, cat.comp_or_none
+    failures = []
+
+    def fail(error, rule, where, detail):
+        failures.append((error, Violation(f"extension-{rule}", (where,), detail)))
+
+    finals = {}
+    for b in base.objects:
+        idb = base.identity.get(b)
+        objs = sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
+        for cand in objs:
+            if all([over.get(u) for u in hom(y, cand)].count(idb) == 1 for y in objs):
+                finals[b] = cand
+                break
+        else:
+            fail(ExtremumError(b, side.final), f"no-{side.final}", b, f"fiber has no {side.final} object")
+    base_of = {x: b for x, (b, _) in t.object_decoding.items()}
+    obj_map = {x: finals[base_of[x]] for x in cat.objects if base_of[x] in finals}
+    units = {}
+    for x, top in obj_map.items():
+        arrows = [u for u in hom(x, top) if over.get(u) == base.identity.get(base_of[x])]
+        if len(arrows) == 1:
+            units[x] = arrows[0]
+        else:
+            fail(
+                LiftError(f"{side.unit} at {x}", len(arrows)),
+                f"{side.unit}-count",
+                x,
+                f"{len(arrows)} in-fiber arrows {side.to} the {side.final} object",
+            )
+    mor_map = {}
+    for u, m in cat.morphisms.items():
+        a, b = (m.dst, m.src) if side.flip else (m.src, m.dst)
+        if a not in units or b not in units:
+            continue
+        target_side = after(units[b], u)
+        lifts = [v for v in hom(obj_map[a], obj_map[b]) if after(v, units[a]) == target_side]
+        if len(lifts) == 1:
+            mor_map[u] = lifts[0]
+        else:
+            fail(
+                LiftError(u, len(lifts)),
+                f"{side.final}-lift",
+                u,
+                f"{len(lifts)} lifts between the fiber {side.top}s",
+            )
+    return obj_map, units, mor_map, failures

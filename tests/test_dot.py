@@ -4,6 +4,7 @@ import dataclasses
 
 from catmn import (
     Category,
+    Mor,
     build_total_category,
     canonical_c2,
     comonad_fixed_objects,
@@ -89,3 +90,31 @@ def test_dot_output_is_deterministic(c2_spec):
     assert first == second == third
     t = build_total_category(c2_spec)
     assert render_dot(t.total) == render_dot(t.total)
+
+
+def test_awkward_names_and_identities():
+    # names that need escaping, one holding a newline; an identity that is
+    # no loop, which is drawn; a morphism ending at no object
+    c = Category(
+        'q"uote',
+        ['a"', "b\\", "c\nd"],
+        [
+            Mor("id_a", 'a"', 'a"'),
+            Mor("id_b", "b\\", "c\nd"),
+            Mor("id_c", "c\nd", "c\nd"),
+            Mor('f"\\', 'a"', "b\\"),
+            Mor("g\nh", "c\nd", "nowhere"),
+        ],
+        {'a"': "id_a", "b\\": "id_b", "c\nd": "id_c"},
+    )
+    assert render_dot(c, double_ring=['a"'], filled=["c\nd"]) == (
+        'digraph "q\\"uote" {\n'
+        "  rankdir=LR;\n"
+        '  "a\\"" [peripheries=2];\n'
+        '  "b\\\\";\n'
+        '  "c\nd" [style=filled];\n'
+        '  "a\\"" -> "b\\\\" [label="f\\"\\\\"];\n'
+        '  "c\nd" -> "nowhere" [label="g\nh"];\n'
+        '  "b\\\\" -> "c\nd" [label="id_b"];\n'
+        "}\n"
+    )

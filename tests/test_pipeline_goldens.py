@@ -6,6 +6,10 @@ acceptance seeds and on every file of the corrupted corpus, and of
 ``demo``.  The goldens were written by the code that built the whiskered
 functors and swept them for naturality, before the whiskered checks were
 proved from their factors; any change to a pipeline's output shows here.
+``export-dot`` runs on the same inputs are pinned the same way, with the
+bytes of the DOT file it writes added to the digest; those goldens were
+written by the code that built the total category through per-morphism
+name tables and rendered it by sorting names.
 
 Each file is run from its own directory under its bare name, so no absolute
 path reaches the output.  To rewrite the goldens after an intended change of
@@ -17,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -28,11 +33,13 @@ from catmn.cli import main
 
 CORPUS = Path(__file__).parent / "fixtures" / "corrupted"
 GOLDENS = Path(__file__).parent / "fixtures" / "pipeline_goldens.json"
-COMMANDS = ("mn-check", "transport")
+COMMANDS = ("mn-check", "transport", "export-dot")
+DOT = "out.dot"
 
 
 def digest(argv, cwd) -> str:
-    """sha256 of ``"<exit code>\\n<stdout>"`` for one in-process run."""
+    """sha256 of ``"<exit code>\\n<stdout>"`` for one in-process run, followed
+    by the bytes of the DOT file an ``export-dot`` run wrote, if any."""
     out = io.StringIO()
     here = os.getcwd()
     os.chdir(cwd)
@@ -41,7 +48,23 @@ def digest(argv, cwd) -> str:
             code = main(argv)
     finally:
         os.chdir(here)
-    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+    h = hashlib.sha256(f"{code}\n{out.getvalue()}".encode())
+    dot = Path(cwd, DOT)
+    if dot.exists():
+        h.update(dot.read_bytes())
+        dot.unlink()
+    return h.hexdigest()
+
+
+def run(command: str, name: str, cwd) -> str:
+    """The digest of ``command`` on the file ``name`` in ``cwd``.  An
+    ``export-dot`` run writes its DOT file next to a copy of the input, so
+    nothing is written into the fixtures."""
+    if command != "export-dot":
+        return digest([command, name], cwd)
+    with tempfile.TemporaryDirectory() as scratch:
+        shutil.copyfile(Path(cwd, name), Path(scratch, name))
+        return digest([command, name, "--out", DOT], scratch)
 
 
 def all_digests() -> dict[str, str]:
@@ -51,10 +74,10 @@ def all_digests() -> dict[str, str]:
             name = f"seed{seed:03d}.cm"
             Path(scratch, name).write_text(render_spec(random_spec(seed, LIMITS)), encoding="utf-8")
             for command in COMMANDS:
-                got[f"{command}:seed:{seed:03d}"] = digest([command, name], scratch)
+                got[f"{command}:seed:{seed:03d}"] = run(command, name, scratch)
     for path in sorted(CORPUS.iterdir()):
         for command in COMMANDS:
-            got[f"{command}:corrupted:{path.name}"] = digest([command, path.name], CORPUS)
+            got[f"{command}:corrupted:{path.name}"] = run(command, path.name, CORPUS)
     got["demo"] = digest(["demo"], CORPUS)
     return got
 

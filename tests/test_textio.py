@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from test_cli import LINE_MUTATIONS, MUTATION_BASES, mutated
 
 from catmn import (
+    Category,
     EngineError,
     Functor,
     LoadedArtifact,
+    Mor,
     NaturalTransformation,
     ParseError,
+    SizeLimitError,
     ValidationReport,
     canonical_c2,
     identity_functor,
@@ -237,6 +240,26 @@ def test_load_path_reads_files(tmp_path):
     path.write_text(render_spec(canonical_c2()))
     arts = load_path(path)
     assert arts[0].value == canonical_c2()
+
+
+def test_bad_morphism_limit_is_no_fault_of_the_file(tmp_path, monkeypatch):
+    point = Category("c", ["a"], [Mor("id_a", "a", "a")], {"a": "id_a"})
+    text = render_artifacts([LoadedArtifact("category", "c", point)])
+    path = tmp_path / "c.cm"
+    path.write_text(text)
+    json_text = render_json([LoadedArtifact("category", "c", point)])
+    over = "# five morphisms\n" + render_category(orbit())
+    for value, error in (("many", "must be an integer, got 'many'"), ("0", "must be positive, got 0")):
+        monkeypatch.setenv("CATMN_MAX_MORPHISMS", value)
+        for load in (lambda: load_path(path), lambda: load_text(text, "c.cm"), lambda: load_text(json_text, "c.json")):
+            with pytest.raises(SizeLimitError) as exc:
+                load()
+            assert str(exc.value) == f"CATMN_MAX_MORPHISMS {error}"
+    # a category over a good limit is still the fault of its block
+    monkeypatch.setenv("CATMN_MAX_MORPHISMS", "2")
+    with pytest.raises(ParseError) as exc:
+        load_text(over, "orbit.cm")
+    assert str(exc.value).startswith("orbit.cm:2:1: category 'orbit' has 5 morphisms")
 
 
 # ---------------------------------------------------------------------------
