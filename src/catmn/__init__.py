@@ -19,12 +19,7 @@ from .core import (
     opposite,
     validate_category,
 )
-from .dot import (
-    comonad_fixed_objects,
-    monad_fixed_objects,
-    render_dot,
-    render_spec_dot,
-)
+from .dot import render_dot, render_spec_dot
 from .equivalence import (
     EquivalenceResult,
     MNPair,
@@ -73,17 +68,13 @@ from .functors import (
     validate_nat,
 )
 from .monads import (
-    ComonadDatum,
-    CoreflectionPackage,
+    COMONAD,
+    MONAD,
     MonadDatum,
     ReflectionPackage,
-    check_idempotent_comonad,
-    check_idempotent_monad,
-    fixed_subcategory_comonad,
-    fixed_subcategory_monad,
-    identity_comonad,
-    identity_monad,
-    verify_coreflection,
+    check_idempotent,
+    fixed_objects,
+    fixed_subcategory,
     verify_reflection,
 )
 from .report import ValidationReport, Violation
@@ -103,8 +94,7 @@ from .textio import (
 from .transport import (
     ContravariantEquivalence,
     TransportResult,
-    induce_comonad,
-    induce_monad,
+    induce,
     powerset_duality_demo,
     relabeled_opposite_equivalence,
     transport_pair,

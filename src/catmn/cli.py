@@ -41,14 +41,8 @@ from .fibered import (
     terminal_spec,
     validate_spec,
 )
-from .monads import (
-    check_idempotent_comonad,
-    check_idempotent_monad,
-    identity_comonad,
-    identity_monad,
-    verify_coreflection,
-    verify_reflection,
-)
+from .functors import identity_functor, identity_nat
+from .monads import COMONAD, MONAD, MonadDatum, check_idempotent, verify_reflection
 from .textio import (
     LoadedArtifact,
     load_path,
@@ -129,11 +123,11 @@ def _mn_pipeline(run: _Run, monad, comonad, prefix: str = ""):
     """The shared theorem chain: idempotence, reflections, hypotheses,
     equivalence, factorizations.  Returns (pair, equivalence) or None.
     Stages after a failed one do not run (see :class:`_Run`)."""
-    run.check(prefix + "monad-laws", lambda: check_idempotent_monad(monad))
-    run.check(prefix + "comonad-laws", lambda: check_idempotent_comonad(comonad))
+    run.check(prefix + "monad-laws", lambda: check_idempotent(monad))
+    run.check(prefix + "comonad-laws", lambda: check_idempotent(comonad))
     pair = run.build(prefix + "fixed-subcategories", lambda: make_mn_pair(monad, comonad))
     run.check(prefix + "reflection", lambda: verify_reflection(pair.reflection))
-    run.check(prefix + "coreflection", lambda: verify_coreflection(pair.coreflection))
+    run.check(prefix + "coreflection", lambda: verify_reflection(pair.coreflection))
     run.check(prefix + "hypotheses", lambda: check_mn_hypotheses(pair))
     eq = run.build(prefix + "equivalence-build", lambda: build_mn_equivalence(pair))
     run.check(prefix + "adjoint-equivalence", lambda: verify_adjoint_equivalence(eq))
@@ -202,8 +196,13 @@ def _transport_pipeline(out, spec, mode: str = "relabel-opposite") -> int:
         run.build("size-gate", lambda: build_total_category(spec))
         eq = run.build("build-duality", powerset_duality_demo)
         run.check("duality", lambda: validate_equivalence(eq))
-        source_monad = identity_monad(eq.source) if run.ok else None
-        source_comonad = identity_comonad(eq.source) if run.ok else None
+        source_monad = source_comonad = None
+        if run.ok:
+            one = identity_functor(eq.source)
+            source_monad, source_comonad = (
+                MonadDatum(one, identity_nat(one), side, name=f"identity-{side.monad}")
+                for side in (MONAD, COMONAD)
+            )
 
     r = run.build(
         "transport", lambda: transport_pair(eq, source_monad, source_comonad)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Category, inverse_of
+from .core import Category
 from .errors import EngineError
 from .fibered import (
     FiberedSpec,
@@ -19,7 +19,7 @@ from .fibered import (
     build_initial_comonad,
     build_total_category,
 )
-from .monads import ComonadDatum, MonadDatum
+from .monads import fixed_objects
 
 
 def _quote(s: str) -> str:
@@ -66,22 +66,6 @@ def render_dot(
     return "\n".join(lines) + "\n"
 
 
-def _fixed_objects(cat: Category, unit_components: dict[str, str]) -> set[str]:
-    return {
-        x
-        for x in cat.objects
-        if x in unit_components and inverse_of(cat, unit_components[x]) is not None
-    }
-
-
-def monad_fixed_objects(m: MonadDatum) -> set[str]:
-    return _fixed_objects(m.category, m.unit.components)
-
-
-def comonad_fixed_objects(c: ComonadDatum) -> set[str]:
-    return _fixed_objects(c.category, c.counit.components)
-
-
 def render_spec_dot(s: FiberedSpec) -> str:
     """The total category of a spec with fixed-subcategory styling.
 
@@ -89,14 +73,11 @@ def render_spec_dot(s: FiberedSpec) -> str:
     a builder needs; the graph is still worth looking at then.
     """
     t = build_total_category(s)
-    styles: list[set[str]] = []
-    for build, fixed in (
-        (build_final_monad, monad_fixed_objects),
-        (build_initial_comonad, comonad_fixed_objects),
-    ):
+    styles: list[dict[str, str]] = []
+    for build in (build_final_monad, build_initial_comonad):
         try:
-            styles.append(fixed(build(t)))
+            styles.append(fixed_objects(build(t)))
         except EngineError:
-            styles.append(set())
+            styles.append({})
     rings, fills = styles
     return render_dot(t.total, double_ring=rings, filled=fills)

@@ -30,15 +30,14 @@ from .functors import (
     validate_nat,
 )
 from .monads import (
-    ComonadDatum,
-    CoreflectionPackage,
+    COMONAD,
+    MONAD,
     MonadDatum,
     ReflectionPackage,
-    check_idempotent_comonad,
-    check_idempotent_monad,
-    fixed_subcategory_comonad,
-    fixed_subcategory_monad,
+    _expect,
     _whiskered_iso_violations,
+    check_idempotent,
+    fixed_subcategory,
 )
 from .report import ValidationReport, Violation, remembered, report_field
 
@@ -49,9 +48,9 @@ class MNPair:
     reflection and coreflection packages."""
 
     monad: MonadDatum
-    comonad: ComonadDatum
+    comonad: MonadDatum
     reflection: ReflectionPackage
-    coreflection: CoreflectionPackage
+    coreflection: ReflectionPackage
     _report: ValidationReport | None = report_field()
 
     @property
@@ -59,13 +58,16 @@ class MNPair:
         return self.monad.category
 
 
-def make_mn_pair(monad: MonadDatum, comonad: ComonadDatum) -> MNPair:
+def make_mn_pair(monad: MonadDatum, comonad: MonadDatum) -> MNPair:
     """Pair a monad and comonad on the same category; both idempotence
-    checks run inside the package constructors and raise on failure."""
+    checks run inside the package constructors and raise on failure, as
+    does a datum of the wrong side."""
+    _expect(monad, MONAD)
+    _expect(comonad, COMONAD)
     if monad.category != comonad.category:
         raise MismatchError("monad and comonad live on different categories")
-    reflection = fixed_subcategory_monad(monad)
-    coreflection = fixed_subcategory_comonad(comonad)
+    reflection = fixed_subcategory(monad)
+    coreflection = fixed_subcategory(comonad)
     return MNPair(monad, comonad, reflection, coreflection)
 
 
@@ -79,11 +81,11 @@ def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     inverse, and failures name the component object.  Computed once per
     pair.
     """
-    factors = check_idempotent_monad(p.monad).merged(check_idempotent_comonad(p.comonad))
+    factors = check_idempotent(p.monad).merged(check_idempotent(p.comonad))
     if not factors.ok:
         return factors
     N, M = p.monad.functor, p.comonad.functor
-    eta, psi = p.monad.unit, p.comonad.counit
+    eta, psi = p.monad.unit, p.comonad.unit
     labelled = (
         ("monad-of-counit", left_components(N, psi)),  # N(psi_x): NMx -> Nx
         ("comonad-of-unit", left_components(M, eta)),  # M(eta_x): Mx -> MNx
@@ -116,14 +118,14 @@ def build_mn_equivalence(p: MNPair) -> EquivalenceResult:
         raise InvalidArtifactError("hypotheses for the equivalence fail", hyp)
     cat = p.category
     N, M = p.monad.functor, p.comonad.functor
-    eta, psi = p.monad.unit.components, p.comonad.counit.components
+    eta, psi = p.monad.unit.components, p.comonad.unit.components
 
     forward = replace(
         compose_functors(p.reflection.reflector, p.coreflection.inclusion),
         name="forward",
     )
     backward = replace(
-        compose_functors(p.coreflection.coreflector, p.reflection.inclusion),
+        compose_functors(p.coreflection.reflector, p.reflection.inclusion),
         name="backward",
     )
 
@@ -131,7 +133,7 @@ def build_mn_equivalence(p: MNPair) -> EquivalenceResult:
     nsub = p.reflection.subcategory
 
     unit_components = {
-        x: cat.comp(M.on_mor(eta[x]), p.coreflection.counit_inverses[x])
+        x: cat.comp(M.on_mor(eta[x]), p.coreflection.unit_inverses[x])
         for x in msub.objects
     }
     counit_components = {
@@ -203,8 +205,8 @@ def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
     """
     cat = p.category
     N, M = p.monad.functor, p.comonad.functor
-    eta, psi = p.monad.unit.components, p.comonad.counit.components
-    R, Q = p.reflection.reflector, p.coreflection.coreflector
+    eta, psi = p.monad.unit.components, p.comonad.unit.components
+    R, Q = p.reflection.reflector, p.coreflection.reflector
     # the reflector's candidate inverts N(psi_x), which is then its inverse,
     # in hand; a component without an inverse stays, and the candidate fails
     reflector, lacking = {}, {"reflector": [], "coreflector": []}

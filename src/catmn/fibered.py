@@ -32,7 +32,7 @@ from .errors import (
 )
 from .core import Category, Mor, Rows, _gather, oriented, validate_category
 from .functors import Functor, NaturalTransformation, _mor_images, identity_functor
-from .monads import COMONAD, MONAD, ComonadDatum, MonadDatum, Side
+from .monads import COMONAD, MONAD, MonadDatum, Side
 from .report import ValidationReport, Violation, remembered, report_field
 
 
@@ -669,7 +669,7 @@ def _build(t: TotalCategory, side: Side):
         eta,
         name=f"{side.unit}-{side.to}-{side.top}",
     )
-    return side.datum(functor, unit, name=name)
+    return MonadDatum(functor, unit, side, name=name)
 
 
 def build_final_monad(t: TotalCategory) -> MonadDatum:
@@ -685,7 +685,7 @@ def build_final_monad(t: TotalCategory) -> MonadDatum:
     return _build(t, MONAD)
 
 
-def build_initial_comonad(t: TotalCategory) -> ComonadDatum:
+def build_initial_comonad(t: TotalCategory) -> MonadDatum:
     """:func:`build_final_monad` on the flipped view of the total category:
     collapse fibers onto their initial objects, counit the unique in-fiber
     morphism from the initial object."""

@@ -1,20 +1,24 @@
 """Idempotent monads and comonads, with exhaustively verified reflections.
 
-A monad datum here is just an endofunctor ``N`` with a unit ``eta: 1 => N``;
-idempotence means both whiskered transformations ``eta N`` and ``N eta`` are
-natural isomorphisms, and it is checked, never assumed: their naturality
-follows from the functor's and the unit's own sweeps, and every component is
-searched for an inverse.  The fixed
-subcategory (objects whose unit component is invertible) is full, and the
-restriction of ``N`` is a reflector onto it; :func:`verify_reflection`
-re-proves the universal property object by object, including agreement with
-the closed-form mediating morphism.
+A datum here is just an endofunctor ``N`` with a unit ``eta: 1 => N`` and
+the :class:`Side` it lives on.  An idempotent comonad on C is an idempotent
+monad on the opposite of C (Mac Lane, *CWM* IV.3), so one type holds both:
+on the :data:`COMONAD` side its ``unit`` is the counit ``N => 1``.
+Idempotence means both whiskered transformations ``eta N`` and ``N eta``
+are natural isomorphisms, and :func:`check_idempotent` checks it, never
+assumes it: their naturality follows from the functor's and the unit's own
+sweeps, and every component is searched for an inverse.  The fixed
+subcategory (:func:`fixed_subcategory`, the objects whose unit component is
+invertible) is full, and the restriction of ``N`` is a reflector onto it,
+or a coreflector on the comonad side; :func:`verify_reflection` re-proves
+the universal property object by object, including agreement with the
+closed-form mediating morphism.
 
-An idempotent comonad on C is an idempotent monad on the opposite of C, so
-each check, builder and sweep is written once, for the monad.  The comonad
-side runs the same code on the flipped view of C (:func:`core.oriented`),
-which reads C's own tables backwards; its rule tags and messages come from
-the :class:`Side` record, never from rewriting strings.
+Each check, builder and sweep is written once, for the monad, and reads its
+datum's side.  The comonad side runs the same code on the flipped view of C
+(:func:`core.oriented`), which reads C's own tables backwards; its rule tags
+and messages come from the :class:`Side` record, never from rewriting
+strings.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Category, full_subcategory, inverse_of, oriented
-from .errors import InvalidArtifactError
+from .errors import InvalidArtifactError, MismatchError
 from .functors import (
     Functor,
     NaturalTransformation,
     identity_functor,
-    identity_nat,
     left_components,
     right_components,
     validate_functor,
@@ -37,78 +40,9 @@ from .report import ValidationReport, Violation, remembered, report_field
 
 
 @dataclass(frozen=True)
-class MonadDatum:
-    """An endofunctor with a unit ``1 => functor``."""
-
-    functor: Functor
-    unit: NaturalTransformation
-    name: str = field(default="", compare=False)
-    _report: ValidationReport | None = report_field()
-
-    @property
-    def category(self) -> Category:
-        return self.functor.source
-
-
-@dataclass(frozen=True)
-class ComonadDatum:
-    """An endofunctor with a counit ``functor => 1``."""
-
-    functor: Functor
-    counit: NaturalTransformation
-    name: str = field(default="", compare=False)
-    _report: ValidationReport | None = report_field()
-
-    @property
-    def category(self) -> Category:
-        return self.functor.source
-
-
-def identity_monad(c: Category) -> MonadDatum:
-    one = identity_functor(c)
-    return MonadDatum(one, identity_nat(one), name="identity-monad")
-
-
-def identity_comonad(c: Category) -> ComonadDatum:
-    one = identity_functor(c)
-    return ComonadDatum(one, identity_nat(one), name="identity-comonad")
-
-
-@dataclass(frozen=True)
-class ReflectionPackage:
-    """A reflective subcategory presentation derived from an idempotent monad.
-
-    ``inclusion`` after ``reflector`` equals the monad functor on the nose,
-    and ``unit_inverses`` caches the inverse of the unit at every
-    subcategory object.
-    """
-
-    ambient: Category
-    subcategory: Category
-    inclusion: Functor
-    reflector: Functor
-    unit: NaturalTransformation
-    unit_inverses: dict[str, str]
-
-
-@dataclass(frozen=True)
-class CoreflectionPackage:
-    """A :class:`ReflectionPackage` read on the opposite category: the
-    coreflective subcategory of an idempotent comonad."""
-
-    ambient: Category
-    subcategory: Category
-    inclusion: Functor
-    coreflector: Functor
-    counit: NaturalTransformation
-    counit_inverses: dict[str, str]
-
-
-@dataclass(frozen=True)
 class Side:
     """One side of the monad/comonad duality: whether its code reads the
-    category flipped, the words its rules and messages use, and the types
-    it builds."""
+    category flipped, and the words its rules and messages use."""
 
     flip: bool
     monad: str  # monad / comonad
@@ -118,8 +52,6 @@ class Side:
     final: str  # final / initial: the fiber object the unit reaches
     top: str  # top / bottom: that object named in the fiber poset
     to: str  # to / from: how the unit meets that object
-    datum: type
-    package: type
 
     def orient(self, a, b):
         """``(a, b)``, or ``(b, a)`` on the flipped side."""
@@ -135,8 +67,6 @@ MONAD = Side(
     final="final",
     top="top",
     to="to",
-    datum=MonadDatum,
-    package=ReflectionPackage,
 )
 COMONAD = Side(
     flip=True,
@@ -147,9 +77,53 @@ COMONAD = Side(
     final="initial",
     top="bottom",
     to="from",
-    datum=ComonadDatum,
-    package=CoreflectionPackage,
 )
+
+
+@dataclass(frozen=True)
+class MonadDatum:
+    """An endofunctor with a unit ``1 => functor`` on the :data:`MONAD`
+    side, or with a counit ``functor => 1``, held in ``unit``, on the
+    :data:`COMONAD` side.  The side takes part in equality: the identity
+    monad and the identity comonad of a category share functor and unit."""
+
+    functor: Functor
+    unit: NaturalTransformation
+    side: Side
+    name: str = field(default="", compare=False)
+    _report: ValidationReport | None = report_field()
+
+    @property
+    def category(self) -> Category:
+        return self.functor.source
+
+
+def _expect(d: MonadDatum, side: Side) -> None:
+    """Raise unless ``d`` is a datum of ``side``."""
+    if d.side != side:
+        raise MismatchError(
+            f"expected a {side.monad}, got the {d.side.monad} {d.name or d.functor.name!r}"
+        )
+
+
+@dataclass(frozen=True)
+class ReflectionPackage:
+    """The fixed subcategory of an idempotent (co)monad with its
+    (co)reflector: reflective on the :data:`MONAD` side, coreflective on
+    the :data:`COMONAD` side.
+
+    ``inclusion`` after ``reflector`` equals the datum's functor on the
+    nose, ``unit`` is the datum's (co)unit, and ``unit_inverses`` caches its
+    inverse at every subcategory object.
+    """
+
+    ambient: Category
+    subcategory: Category
+    inclusion: Functor
+    reflector: Functor
+    unit: NaturalTransformation
+    unit_inverses: dict[str, str]
+    side: Side
 
 
 def _whiskered_iso_violations(rule: str, cat: Category, labelled) -> list[Violation]:
@@ -169,7 +143,15 @@ def _whiskered_iso_violations(rule: str, cat: Category, labelled) -> list[Violat
     ]
 
 
-def _check_idempotent(N: Functor, unit: NaturalTransformation, side: Side) -> ValidationReport:
+@remembered
+def check_idempotent(d: MonadDatum) -> ValidationReport:
+    """Empty iff the datum is a well-formed idempotent (co)monad of its
+    side: valid endofunctor, valid (co)unit between the identity and the
+    functor in the side's direction, and both whiskerings of the (co)unit
+    against the functor are natural isomorphisms.  Invertibility does not
+    depend on the direction, so a comonad is checked on its own tables.
+    Computed once per datum."""
+    N, unit, side = d.functor, d.unit, d.side
     if N.source != N.target:
         endo = Violation(
             f"{side.monad}-endofunctor", (N.name or "<functor>",), "functor is not an endofunctor"
@@ -196,37 +178,37 @@ def _check_idempotent(N: Functor, unit: NaturalTransformation, side: Side) -> Va
     )
 
 
-@remembered
-def check_idempotent_monad(d: MonadDatum) -> ValidationReport:
-    """Empty iff the datum is a well-formed idempotent monad: valid
-    endofunctor, valid unit, and both whiskerings of the unit against the
-    functor are natural isomorphisms.  Computed once per datum."""
-    return _check_idempotent(d.functor, d.unit, MONAD)
+def fixed_objects(d: MonadDatum) -> dict[str, str]:
+    """Each object of the datum's category whose (co)unit component is
+    invertible, in object order, with that component's inverse.  An object
+    without a component is not fixed."""
+    cat, components = d.category, d.unit.components
+    fixed = {}
+    for x in cat.objects:
+        if x in components:
+            inv = inverse_of(cat, components[x])
+            if inv is not None:
+                fixed[x] = inv
+    return fixed
 
 
-@remembered
-def check_idempotent_comonad(d: ComonadDatum) -> ValidationReport:
-    """:func:`check_idempotent_monad` with the counit read as a unit on the
-    opposite category.  Invertibility does not depend on the direction, so
-    the check runs on the comonad's own tables.  Computed once per datum."""
-    return _check_idempotent(d.functor, d.counit, COMONAD)
+def fixed_subcategory(d: MonadDatum) -> ReflectionPackage:
+    """Build the full subcategory of (co)unit-fixed objects with its
+    (co)reflector.
 
-
-def _fixed_subcategory(d, unit: NaturalTransformation, report: ValidationReport, side: Side):
+    Raises if the datum fails :func:`check_idempotent` or if its functor
+    does not land in its own fixed subcategory (which idempotence
+    guarantees).
+    """
+    side = d.side
+    report = check_idempotent(d)
     if not report.ok:
         raise InvalidArtifactError(f"not an idempotent {side.monad}", report)
     cat = d.category
-    inverses = {}
-    fixed = []
+    inverses = fixed_objects(d)
+    sub, inclusion = full_subcategory(cat, inverses)
     for x in cat.objects:
-        inv = inverse_of(cat, unit.components[x])
-        if inv is not None:
-            fixed.append(x)
-            inverses[x] = inv
-    sub, inclusion = full_subcategory(cat, fixed)
-    fixedset = set(fixed)
-    for x in cat.objects:
-        if d.functor.on_obj(x) not in fixedset:
+        if d.functor.on_obj(x) not in inverses:
             raise InvalidArtifactError(
                 f"{side.monad} functor sends {x!r} outside its fixed subcategory"
             )
@@ -237,42 +219,32 @@ def _fixed_subcategory(d, unit: NaturalTransformation, report: ValidationReport,
         dict(d.functor.mor_map),
         name=f"{side.reflect}[{d.functor.name}]",
     )
-    return side.package(cat, sub, inclusion, reflector, unit, inverses)
+    return ReflectionPackage(cat, sub, inclusion, reflector, d.unit, inverses, side)
 
 
-def fixed_subcategory_monad(d: MonadDatum) -> ReflectionPackage:
-    """Build the full subcategory of unit-fixed objects with its reflector.
+def verify_reflection(p: ReflectionPackage) -> ValidationReport:
+    """Sweep the (co)reflector's universal property over every possible
+    input.
 
-    Raises if the datum fails :func:`check_idempotent_monad` or if the monad
-    functor does not land in its own fixed subcategory (which idempotence
-    guarantees).
+    On the monad side: for every ambient object x, subcategory object y,
+    and f: x -> y there must be exactly one g: Nx -> y with g after unit_x =
+    f, and that g must equal inverse(unit_y) after N(f).  The comonad side
+    is the same sweep on the flipped view of the ambient category: for x in
+    the subcategory, y ambient, f: x -> y, exactly one g: x -> My with
+    counit_y after g = f, equal to M(f) after inverse(counit_x); subjects
+    still read ``(x, y, f)``.  Zero and multiple mediators are reported
+    under distinct rules.
     """
-    return _fixed_subcategory(d, d.unit, check_idempotent_monad(d), MONAD)
-
-
-def fixed_subcategory_comonad(d: ComonadDatum) -> CoreflectionPackage:
-    """:func:`fixed_subcategory_monad` for the counit: the counit-fixed
-    objects with their coreflector."""
-    return _fixed_subcategory(d, d.counit, check_idempotent_comonad(d), COMONAD)
-
-
-def _verify(
-    cat: Category,
-    sub: Category,
-    reflector: Functor,
-    unit: NaturalTransformation,
-    unit_inverses: dict[str, str],
-    side: Side,
-) -> ValidationReport:
+    cat, side, reflector = p.ambient, p.side, p.reflector
     hom, after, _, _ = oriented(cat, side.flip)
     tag = f"{side.reflect}ion"
-    components = unit.components
+    components, unit_inverses = p.unit.components, p.unit_inverses
     names, mor_id, vid = cat.names, cat.mor_id, cat.vid
     # the subcategory's objects with their vertex ids and the ids of the
     # inverses of their units; an object that is none of cat's has no arrows
     targets = [
         (y, vid[y], mor_id.get(unit_inverses.get(y), unit_inverses.get(y)))
-        for y in sub.objects
+        for y in p.subcategory.objects
         if y in vid
     ]
 
@@ -333,24 +305,3 @@ def _verify(
         return found
 
     return ValidationReport([v for x in cat.objects for v in sweep(x)])
-
-
-def verify_reflection(p: ReflectionPackage) -> ValidationReport:
-    """Sweep the reflector's universal property over every possible input.
-
-    For every ambient object x, subcategory object y, and f: x -> y there
-    must be exactly one g: Nx -> y with g after unit_x = f, and that g must
-    equal inverse(unit_y) after N(f).  Zero and multiple mediators are
-    reported under distinct rules.
-    """
-    return _verify(p.ambient, p.subcategory, p.reflector, p.unit, p.unit_inverses, MONAD)
-
-
-def verify_coreflection(p: CoreflectionPackage) -> ValidationReport:
-    """:func:`verify_reflection` on the flipped view of the ambient
-    category: for x in the subcategory, y ambient, f: x -> y, exactly one
-    g: x -> My with counit_y after g = f, equal to M(f) after
-    inverse(counit_x).  Subjects read ``(x, y, f)``."""
-    return _verify(
-        p.ambient, p.subcategory, p.coreflector, p.counit, p.counit_inverses, COMONAD
-    )

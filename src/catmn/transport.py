@@ -3,9 +3,10 @@
 A contravariant equivalence between categories C and D is a pair of
 contravariant functors F: C -> D and G: D -> C with natural isomorphisms
 theta: 1_D => F.G and theta_bar: 1_C => G.F (no coherence between the two is
-imposed).  An idempotent monad (N, eta) on C induces the idempotent comonad
-T = F.N.G on D with counit delta_x = inverse(theta_x) after F(eta_{Gx});
-dually an idempotent comonad (M, psi) induces the monad S = F.M.G with unit
+imposed).  :func:`induce` carries an idempotent (co)monad datum on C to D,
+where it lands on the other side: a monad (N, eta) induces the idempotent
+comonad T = F.N.G with counit delta_x = inverse(theta_x) after F(eta_{Gx}),
+and a comonad (M, psi) induces the monad S = F.M.G with unit
 epsilon_x = F(psi_{Gx}) after theta_x.  When N(psi) is invertible so is
 T(epsilon), and when M(eta) is invertible so is S(delta);
 :func:`verify_transfer` re-proves both implications on the instance.
@@ -32,15 +33,7 @@ from .functors import (
     left_components,
     validate_contravariant,
 )
-from .monads import (
-    COMONAD,
-    MONAD,
-    ComonadDatum,
-    MonadDatum,
-    Side,
-    check_idempotent_comonad,
-    check_idempotent_monad,
-)
+from .monads import COMONAD, MONAD, MonadDatum, _expect, check_idempotent
 from .report import ValidationReport, Violation, remembered, report_field
 
 
@@ -102,72 +95,59 @@ def validate_equivalence(e: ContravariantEquivalence) -> ValidationReport:
 class TransportResult:
     """The comonad and monad induced on the dual side."""
 
-    induced_comonad: ComonadDatum
+    induced_comonad: MonadDatum
     induced_monad: MonadDatum
 
 
-def _induce(e: ContravariantEquivalence, d, side: Side, check, component):
-    """The datum ``d`` of ``side`` carried to the dual side: the functor
-    F.(d.functor).G of the other side's type, with ``component(x)`` as its
-    (co)unit at each dual object x.  Raises when the equivalence or ``d``
-    fails its own validation."""
+def induce(e: ContravariantEquivalence, d: MonadDatum) -> MonadDatum:
+    """The idempotent (co)monad ``d`` on the source carried to the dual
+    side, where it is a datum of the other side: the functor F.(d.functor).G
+    with the (co)unit formula of ``d``'s side (see the module docstring) at
+    each dual object.  Raises when the equivalence or ``d`` fails its own
+    validation."""
+    side = d.side
     rep = validate_equivalence(e)
     if not rep.ok:
         raise InvalidArtifactError("invalid contravariant equivalence", rep)
-    rep = check(d)
+    rep = check_idempotent(d)
     if not rep.ok:
         raise InvalidArtifactError(f"not an idempotent {side.monad}", rep)
     if d.category != e.source:
         raise MismatchError(f"{side.monad} does not live on the equivalence source")
 
-    D = e.dual
-    tables = composite_tables(D, e.backward, d.functor, e.forward)
+    D, F, G = e.dual, e.forward, e.backward
+    eta, theta = d.unit.components, e.theta.components
+
+    def component(x: str) -> str:
+        F_eta = F.on_mor(eta[G.on_obj(x)])
+        if side.flip:  # a counit psi gives the unit F(psi_{Gx}) after theta_x
+            return D.comp(F_eta, theta[x])
+        # a unit eta gives the counit inverse(theta_x) after F(eta_{Gx})
+        return D.comp(inverse_of(D, theta[x]), F_eta)
+
+    tables = composite_tables(D, G, d.functor, F)
     functor = Functor(D, D, *tables, name=f"induced[{d.functor.name}]")
-    induced = COMONAD if side is MONAD else MONAD
+    induced = MONAD if side.flip else COMONAD
     nat = NaturalTransformation(
         *induced.orient(identity_functor(D), functor),
         {x: component(x) for x in D.objects},
         name=f"induced-{induced.unit}",
     )
-    return induced.datum(functor, nat, name=f"induced[{d.name or d.functor.name}]")
-
-
-def induce_comonad(e: ContravariantEquivalence, m: MonadDatum) -> ComonadDatum:
-    """Transport an idempotent monad on the source across the equivalence.
-
-    Raises when the equivalence or the monad fails its own validation.
-    """
-    D, F, G = e.dual, e.forward, e.backward
-    eta, theta = m.unit.components, e.theta.components
-
-    def counit(x: str) -> str:
-        return D.comp(inverse_of(D, theta[x]), F.on_mor(eta[G.on_obj(x)]))
-
-    return _induce(e, m, MONAD, check_idempotent_monad, counit)
-
-
-def induce_monad(e: ContravariantEquivalence, c: ComonadDatum) -> MonadDatum:
-    """:func:`induce_comonad` for a comonad, whose induced unit is
-    F(psi_{Gx}) after theta_x."""
-    D, F, G = e.dual, e.forward, e.backward
-    psi, theta = c.counit.components, e.theta.components
-
-    def unit(x: str) -> str:
-        return D.comp(F.on_mor(psi[G.on_obj(x)]), theta[x])
-
-    return _induce(e, c, COMONAD, check_idempotent_comonad, unit)
+    return MonadDatum(functor, nat, induced, name=f"induced[{d.name or d.functor.name}]")
 
 
 def transport_pair(
-    e: ContravariantEquivalence, m: MonadDatum, c: ComonadDatum
+    e: ContravariantEquivalence, m: MonadDatum, c: MonadDatum
 ) -> TransportResult:
-    return TransportResult(induce_comonad(e, m), induce_monad(e, c))
+    _expect(m, MONAD)
+    _expect(c, COMONAD)
+    return TransportResult(induce(e, m), induce(e, c))
 
 
 def verify_transfer(
     e: ContravariantEquivalence,
     m: MonadDatum,
-    c: ComonadDatum,
+    c: MonadDatum,
     r: TransportResult,
 ) -> ValidationReport:
     """Instance-level proof of the two transfer implications.
@@ -178,21 +158,23 @@ def verify_transfer(
     source whiskerings are natural when their factors are, so the source
     (co)monad's own (remembered) reports are read, and when either fails
     both implications are vacuous; only invertibility is then searched.
+    Raises when ``m`` is no monad or ``c`` no comonad.
     """
+    _expect(m, MONAD)
+    _expect(c, COMONAD)
     C = m.category
     D = r.induced_comonad.category
-    factors_ok = check_idempotent_monad(m).ok and check_idempotent_comonad(c).ok
+    factors_ok = check_idempotent(m).ok and check_idempotent(c).ok
     violations: list[Violation] = []
     notes: list[str] = []
 
-    # per side: N(psi) or M(eta) on the source, then T(epsilon) or S(delta)
-    halves = (
-        (MONAD, COMONAD, (m.functor, c.counit), (r.induced_comonad.functor, r.induced_monad.unit)),
-        (COMONAD, MONAD, (c.functor, m.unit), (r.induced_monad.functor, r.induced_comonad.counit)),
-    )
-    for side, other, source, induced in halves:
+    # per source datum d, with the other one o: N(psi) or M(eta) on the
+    # source, then T(epsilon) or S(delta) on the dual side
+    carried = ((m, r.induced_comonad), (c, r.induced_monad))
+    for (d, Td), (o, To) in (carried, carried[::-1]):
+        side, other = d.side, o.side
         invertible = factors_ok and all(
-            inverse_of(C, m) is not None for m in left_components(*source).values()
+            inverse_of(C, u) is not None for u in left_components(d.functor, o.unit).values()
         )
         if not invertible:
             notes.append(
@@ -200,7 +182,7 @@ def verify_transfer(
                 "source; its transfer implication is vacuous"
             )
             continue
-        induced = left_components(*induced)
+        induced = left_components(Td.functor, To.unit)
         for x in D.objects:
             if inverse_of(D, induced[x]) is None:
                 violations.append(

@@ -8,8 +8,9 @@ out in full so the tests do not depend on the loader's completion rules.
 import sys
 
 from catmn import (
+    COMONAD,
+    MONAD,
     Category,
-    ComonadDatum,
     ExtremumError,
     Functor,
     LiftError,
@@ -19,6 +20,7 @@ from catmn import (
     Violation,
     compose_functors,
     identity_functor,
+    identity_nat,
 )
 from catmn.functors import left_components, right_components
 
@@ -199,10 +201,10 @@ def successor_monad() -> MonadDatum:
     unit = NaturalTransformation(
         identity_functor(c), N, {"x0": "a01", "x1": "a12", "x2": "id_x2"}
     )
-    return MonadDatum(N, unit, name="step-up")
+    return MonadDatum(N, unit, MONAD, name="step-up")
 
 
-def predecessor_comonad() -> ComonadDatum:
+def predecessor_comonad() -> MonadDatum:
     c = three_chain()
     M = Functor(
         c,
@@ -221,7 +223,7 @@ def predecessor_comonad() -> ComonadDatum:
     counit = NaturalTransformation(
         M, identity_functor(c), {"x0": "id_x0", "x1": "a01", "x2": "a12"}
     )
-    return ComonadDatum(M, counit, name="step-down")
+    return MonadDatum(M, counit, COMONAD, name="step-down")
 
 
 def collapse_monad(sets: Category) -> MonadDatum:
@@ -243,7 +245,13 @@ def collapse_monad(sets: Category) -> MonadDatum:
         {x: only[(x, "set1")] for x in sets.objects},
         name="collapse-unit",
     )
-    return MonadDatum(N, unit, name="collapse")
+    return MonadDatum(N, unit, MONAD, name="collapse")
+
+
+def identity_datum(c: Category, side) -> MonadDatum:
+    """The identity monad or comonad of ``c``, as ``side`` says."""
+    one = identity_functor(c)
+    return MonadDatum(one, identity_nat(one), side, name=f"identity-{side.monad}")
 
 
 def whisker_left(F: Functor, alpha: NaturalTransformation) -> NaturalTransformation:

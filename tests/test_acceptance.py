@@ -17,8 +17,7 @@ from catmn import (
     build_mn_equivalence,
     build_total_category,
     canonical_c2,
-    check_idempotent_comonad,
-    check_idempotent_monad,
+    check_idempotent,
     check_mn_hypotheses,
     load_path,
     make_mn_pair,
@@ -28,7 +27,6 @@ from catmn import (
     terminal_spec,
     transport_pair,
     verify_adjoint_equivalence,
-    verify_coreflection,
     verify_factorizations,
     verify_reflection,
     verify_transfer,
@@ -79,7 +77,7 @@ def test_criterion_1_random_corpus_yields_idempotent_monads():
     bad = [
         seed
         for seed, (t, m, c) in built().items()
-        if not (check_idempotent_monad(m).ok and check_idempotent_comonad(c).ok)
+        if not (check_idempotent(m).ok and check_idempotent(c).ok)
     ]
     elapsed = time.perf_counter() - start
     detail = f"{len(SEEDS)} seeded specs built and law-checked in {elapsed:.2f}s, budget 10s"
@@ -94,7 +92,7 @@ def test_criterion_2_reflection_sweeps_come_back_empty():
         for seed, pair in paired().items()
         if not (
             verify_reflection(pair.reflection).ok
-            and verify_coreflection(pair.coreflection).ok
+            and verify_reflection(pair.coreflection).ok
         )
     ]
     detail = f"universal-property sweeps on {len(SEEDS)} instances"
@@ -140,7 +138,7 @@ def test_criterion_4_whiskered_transformations_are_identities(
     for t, m, c in instances:
         cat = t.total
         N, eta = m.functor, m.unit
-        M, psi = c.functor, c.counit
+        M, psi = c.functor, c.unit
         whiskered = [
             (whisker_left(N, eta), N),
             (whisker_right(eta, N), N),
@@ -166,8 +164,8 @@ def test_criterion_5_transport_across_the_relabeled_opposite():
         eq = relabeled_opposite_equivalence(t.total)
         r = transport_pair(eq, m, c)
         if not (
-            check_idempotent_monad(r.induced_monad).ok
-            and check_idempotent_comonad(r.induced_comonad).ok
+            check_idempotent(r.induced_monad).ok
+            and check_idempotent(r.induced_comonad).ok
         ):
             bad.append((seed, "induced idempotence"))
             continue
@@ -177,7 +175,7 @@ def test_criterion_5_transport_across_the_relabeled_opposite():
         pair = make_mn_pair(r.induced_monad, r.induced_comonad)
         if not (
             verify_reflection(pair.reflection).ok
-            and verify_coreflection(pair.coreflection).ok
+            and verify_reflection(pair.coreflection).ok
             and check_mn_hypotheses(pair).ok
         ):
             bad.append((seed, "induced sweeps"))

@@ -45,7 +45,7 @@ def assert_matches_the_search(t: TotalCategory) -> None:
             assert str(exc.value) == str(error)
             continue
         datum = build(t)
-        unit = datum.unit if side is MONAD else datum.counit
+        unit = datum.unit
         assert datum.functor.obj_map == obj_map
         assert unit.components == units
         assert datum.functor.mor_map == mor_map

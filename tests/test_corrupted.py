@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from catmn import (
-    CoreflectionPackage,
+    COMONAD,
+    MONAD,
     ReflectionPackage,
     inverse_of,
     load_path,
@@ -14,7 +15,6 @@ from catmn import (
     validate_functor,
     validate_nat,
     validate_spec,
-    verify_coreflection,
     verify_reflection,
 )
 
@@ -58,6 +58,7 @@ def check_reflection(arts):
         by_name(arts, "functor", "reflect"),
         unit,
         inverses,
+        MONAD,
     )
     return verify_reflection(pkg)
 
@@ -67,15 +68,16 @@ def check_coreflection(arts):
     sub = by_name(arts, "category", "opfix")
     counit = by_name(arts, "nat", "counit")
     inverses = {x: inverse_of(ambient, counit.components[x]) for x in sub.objects}
-    pkg = CoreflectionPackage(
+    pkg = ReflectionPackage(
         ambient,
         sub,
         by_name(arts, "functor", "incl"),
         by_name(arts, "functor", "coreflect"),
         counit,
         inverses,
+        COMONAD,
     )
-    return verify_coreflection(pkg)
+    return verify_reflection(pkg)
 
 
 # filename -> (designated validator, violated rule, witness subject)

@@ -16,7 +16,8 @@ from test_fibered import antichain_total, top_collapsing_c2
 from test_monads import ORBIT_OP_COREFLECTOR, coreflection_onto
 
 from catmn import (
-    ComonadDatum,
+    COMONAD,
+    MONAD,
     EngineError,
     FiberedSpec,
     Functor,
@@ -30,13 +31,10 @@ from catmn import (
     build_total_category,
     canonical_c2,
     check_extension_property,
-    check_idempotent_comonad,
-    check_idempotent_monad,
-    fixed_subcategory_comonad,
+    check_idempotent,
+    fixed_subcategory,
     full_subcategory,
-    identity_comonad,
     identity_functor,
-    identity_monad,
     identity_nat,
     load_path,
     opposite,
@@ -45,13 +43,13 @@ from catmn import (
     render_spec,
     transport_pair,
     verify_adjoint_equivalence,
-    verify_coreflection,
     verify_reflection,
     verify_transfer,
 )
 from catmn.cli import main
 from helpers import (
     idem_endo,
+    identity_datum,
     orbit,
     orbit_op,
     parallel_pair,
@@ -73,7 +71,7 @@ def _raised(fn) -> str:
 
 def _not_endo():
     sub, inclusion = full_subcategory(three_chain(), ["x0"])
-    return ComonadDatum(inclusion, identity_nat(identity_functor(sub)))
+    return MonadDatum(inclusion, identity_nat(identity_functor(sub)), COMONAD)
 
 
 def _crooked_counit_shape():
@@ -84,7 +82,7 @@ def _crooked_counit_shape():
         {"a": "a", "b": "b"},
         {"id_a": "id_a", "id_b": "id_b", "e": "e", "f": "f2", "f2": "f"},
     )
-    return ComonadDatum(identity_functor(c), identity_nat(tw))
+    return MonadDatum(identity_functor(c), identity_nat(tw), COMONAD)
 
 
 def _swapped_orbit_op():
@@ -117,18 +115,18 @@ def _gutted_orbit_op():
     g = ORBIT_OP_COREFLECTOR
     p = coreflection_onto(orbit_op(), ["b"], g["obj"], g["mor"], g["counit"])
     counit = NaturalTransformation(
-        p.counit.source_functor, p.counit.target_functor, {"b": "id_b"}
+        p.unit.source_functor, p.unit.target_functor, {"b": "id_b"}
     )
-    return dataclasses.replace(p, counit=counit)
+    return dataclasses.replace(p, unit=counit)
 
 
 def _c2_transfer(monad_side: bool) -> str:
     t = build_total_category(canonical_c2())
     c = t.total
     if monad_side:
-        m, w = build_final_monad(t), identity_comonad(c)
+        m, w = build_final_monad(t), identity_datum(c, COMONAD)
     else:
-        m, w = identity_monad(c), build_initial_comonad(t)
+        m, w = identity_datum(c, MONAD), build_initial_comonad(t)
     e = relabeled_opposite_equivalence(c)
     return verify_transfer(e, m, w, transport_pair(e, m, w)).render()
 
@@ -141,16 +139,16 @@ def _cli(capsys, tmp_path, spec) -> str:
 
 
 GOLDEN_CASES = {
-    "comonad-endofunctor": lambda: check_idempotent_comonad(_not_endo()).render(),
-    "comonad-counit-shape": lambda: check_idempotent_comonad(_crooked_counit_shape()).render(),
-    "comonad-idempotence": lambda: check_idempotent_comonad(predecessor_comonad()).render(),
+    "comonad-endofunctor": lambda: check_idempotent(_not_endo()).render(),
+    "comonad-counit-shape": lambda: check_idempotent(_crooked_counit_shape()).render(),
+    "comonad-idempotence": lambda: check_idempotent(predecessor_comonad()).render(),
     "fixed-subcategory-comonad": lambda: _raised(
-        lambda: fixed_subcategory_comonad(predecessor_comonad())
+        lambda: fixed_subcategory(predecessor_comonad())
     ),
-    "coreflection-closed-form": lambda: verify_coreflection(_swapped_orbit_op()).render(),
-    "coreflection-no-mediator": lambda: verify_coreflection(_parallel_op()).render(),
-    "coreflection-ambiguous-mediator": lambda: verify_coreflection(_idem_endo_op()).render(),
-    "coreflection-data": lambda: verify_coreflection(_gutted_orbit_op()).render(),
+    "coreflection-closed-form": lambda: verify_reflection(_swapped_orbit_op()).render(),
+    "coreflection-no-mediator": lambda: verify_reflection(_parallel_op()).render(),
+    "coreflection-ambiguous-mediator": lambda: verify_reflection(_idem_endo_op()).render(),
+    "coreflection-data": lambda: verify_reflection(_gutted_orbit_op()).render(),
     "coreflector_swapped.cm": lambda: check_coreflection(
         load_path(CORPUS / "coreflector_swapped.cm")
     ).render(),
@@ -171,8 +169,8 @@ GOLDEN_CASES = {
     ).render(),
     "transfer-violations": lambda: verify_transfer(
         None,
-        identity_monad(three_chain()),
-        identity_comonad(three_chain()),
+        identity_datum(three_chain(), MONAD),
+        identity_datum(three_chain(), COMONAD),
         TransportResult(predecessor_comonad(), successor_monad()),
     ).render(),
 }
@@ -348,7 +346,7 @@ def _oracle_specs():
     return specs + [top_collapsing_c2()] + mutants
 
 
-def _bottom_tables(t: TotalCategory) -> ComonadDatum:
+def _bottom_tables(t: TotalCategory) -> MonadDatum:
     """The fiber-bottom comonad assembled here from its definition, not by
     the library builder.  A morphism without a unique lift is left out of
     the functor, so a mutant gives a datum that fails its check."""
@@ -384,7 +382,7 @@ def _bottom_tables(t: TotalCategory) -> ComonadDatum:
         if len(lifts) == 1:
             mor_map[u] = lifts[0]
     M = Functor(c, c, obj_map, mor_map, name="bottoms")
-    return ComonadDatum(M, NaturalTransformation(M, identity_functor(c), counit))
+    return MonadDatum(M, NaturalTransformation(M, identity_functor(c), counit), COMONAD)
 
 
 def _opposite_total(t: TotalCategory) -> TotalCategory:
@@ -410,8 +408,8 @@ def test_comonad_check_matches_monad_check_on_opposite(oracle_totals):
     ]
     failing = 0
     for d in data:
-        comonad = check_idempotent_comonad(d)
-        monad = check_idempotent_monad(MonadDatum(_flip(d.functor), _flip_nat(d.counit)))
+        comonad = check_idempotent(d)
+        monad = check_idempotent(MonadDatum(_flip(d.functor), _flip_nat(d.unit), MONAD))
         assert comonad.ok == monad.ok
         assert {v.rule for v in comonad.violations} == {
             _dual(v.rule) for v in monad.violations
@@ -424,9 +422,9 @@ def test_comonad_check_matches_monad_check_on_opposite(oracle_totals):
 
 def test_coreflection_sweep_matches_reflection_sweep_on_opposite(oracle_totals):
     packages = [
-        fixed_subcategory_comonad(d)
+        fixed_subcategory(d)
         for d in map(_bottom_tables, oracle_totals)
-        if check_idempotent_comonad(d).ok
+        if check_idempotent(d).ok
     ]
     handmade = [_swapped_orbit_op(), _parallel_op(), _idem_endo_op(), _gutted_orbit_op()]
     for p in packages + handmade:
@@ -434,13 +432,14 @@ def test_coreflection_sweep_matches_reflection_sweep_on_opposite(oracle_totals):
             opposite(p.ambient),
             opposite(p.subcategory),
             _flip(p.inclusion),
-            _flip(p.coreflector),
-            _flip_nat(p.counit),
-            p.counit_inverses,
+            _flip(p.reflector),
+            _flip_nat(p.unit),
+            p.unit_inverses,
+            MONAD,
         )
-        got = verify_coreflection(p)
+        got = verify_reflection(p)
         assert _findings(got) == _dual_findings(verify_reflection(mirror), swap=True)
-    assert all(not verify_coreflection(p).ok for p in handmade)
+    assert all(not verify_reflection(p).ok for p in handmade)
 
 
 def _outcome(build, t):
@@ -448,8 +447,7 @@ def _outcome(build, t):
         d = build(t)
     except EngineError as exc:
         return type(exc).__name__, str(exc)
-    nat = d.unit if isinstance(d, MonadDatum) else d.counit
-    return d.functor.obj_map, d.functor.mor_map, nat.components
+    return d.functor.obj_map, d.functor.mor_map, d.unit.components
 
 
 def test_fibered_comonad_is_the_monad_of_the_opposite_total(oracle_totals):

@@ -7,12 +7,12 @@ import pytest
 
 import catmn.functors
 from catmn import (
-    ComonadDatum,
-    CoreflectionPackage,
+    COMONAD,
+    MONAD,
     EquivalenceResult,
     InvalidArtifactError,
-    MismatchError,
     MNPair,
+    MismatchError,
     MonadDatum,
     NaturalTransformation,
     ReflectionPackage,
@@ -20,13 +20,11 @@ from catmn import (
     build_initial_comonad,
     build_mn_equivalence,
     canonical_c2,
-    check_idempotent_monad,
+    check_idempotent,
     check_mn_hypotheses,
     compose_functors,
     full_subcategory,
-    identity_comonad,
     identity_functor,
-    identity_monad,
     inverse_of,
     make_mn_pair,
     powerset_duality_demo,
@@ -36,7 +34,7 @@ from catmn import (
     verify_factorizations,
 )
 from catmn.cli import main
-from helpers import collapse_monad, idem_endo, orbit, spy, three_chain
+from helpers import collapse_monad, idem_endo, identity_datum, orbit, spy, three_chain
 
 
 def rules_of(report):
@@ -49,19 +47,29 @@ def rules_of(report):
 
 def test_make_mn_pair_requires_one_category():
     with pytest.raises(MismatchError, match="different categories"):
-        make_mn_pair(identity_monad(orbit()), identity_comonad(three_chain()))
+        make_mn_pair(identity_datum(orbit(), MONAD), identity_datum(three_chain(), COMONAD))
+
+
+def test_make_mn_pair_rejects_a_datum_of_the_wrong_side():
+    c = orbit()
+    monad, comonad = identity_datum(c, MONAD), identity_datum(c, COMONAD)
+    with pytest.raises(MismatchError, match="expected a monad, got the comonad"):
+        make_mn_pair(comonad, monad)
+    with pytest.raises(MismatchError, match="expected a comonad, got the monad"):
+        make_mn_pair(monad, monad)
 
 
 def test_hypotheses_reject_a_pair_across_categories():
     # a pair built by hand, past make_mn_pair's check, still cannot whisker
-    pair = MNPair(identity_monad(orbit()), identity_comonad(three_chain()), None, None)
+    monad, comonad = identity_datum(orbit(), MONAD), identity_datum(three_chain(), COMONAD)
+    pair = MNPair(monad, comonad, None, None)
     with pytest.raises(MismatchError, match="whisker_left"):
         check_mn_hypotheses(pair)
 
 
 def test_identity_pair_satisfies_everything():
     c = orbit()
-    pair = make_mn_pair(identity_monad(c), identity_comonad(c))
+    pair = make_mn_pair(identity_datum(c, MONAD), identity_datum(c, COMONAD))
     assert check_mn_hypotheses(pair).ok
     eq = build_mn_equivalence(pair)
     assert verify_adjoint_equivalence(eq).ok
@@ -76,8 +84,8 @@ def test_c2_pair_passes_hypotheses(c2_pair):
 def test_hypothesis_failure_is_located():
     sets = powerset_duality_demo().source
     d = collapse_monad(sets)
-    assert check_idempotent_monad(d).ok
-    pair = make_mn_pair(d, identity_comonad(sets))
+    assert check_idempotent(d).ok
+    pair = make_mn_pair(d, identity_datum(sets, COMONAD))
     report = check_mn_hypotheses(pair)
     assert rules_of(report) == {"mn-hypothesis"}
     # M(eta) = eta and eta_set12 has no inverse; N(psi) is an identity
@@ -86,7 +94,7 @@ def test_hypothesis_failure_is_located():
 
 def test_build_refuses_failing_hypotheses():
     sets = powerset_duality_demo().source
-    pair = make_mn_pair(collapse_monad(sets), identity_comonad(sets))
+    pair = make_mn_pair(collapse_monad(sets), identity_datum(sets, COMONAD))
     with pytest.raises(InvalidArtifactError, match="hypotheses"):
         build_mn_equivalence(pair)
 
@@ -98,7 +106,7 @@ def c2_pair_anew(c2_total):
 def collapse_pair(c2_total):
     # the hypotheses fail at set12 (see test_hypothesis_failure_is_located)
     sets = powerset_duality_demo().source
-    return make_mn_pair(collapse_monad(sets), identity_comonad(sets))
+    return make_mn_pair(collapse_monad(sets), identity_datum(sets, COMONAD))
 
 
 @pytest.mark.parametrize("build, holds", [(c2_pair_anew, True), (collapse_pair, False)])
@@ -108,7 +116,7 @@ def test_factorizations_do_not_depend_on_the_hypotheses_running_first(build, hol
     # the halves as build_mn_equivalence makes them; it refuses a pair whose
     # hypotheses fail, and verify_factorizations reads no unit or counit
     forward = compose_functors(alone.reflection.reflector, alone.coreflection.inclusion)
-    backward = compose_functors(alone.coreflection.coreflector, alone.reflection.inclusion)
+    backward = compose_functors(alone.coreflection.reflector, alone.reflection.inclusion)
     eq = EquivalenceResult(forward, backward, None, None)
     reports = [verify_factorizations(p, eq) for p in (alone, checked)]
     assert reports[0].ok is holds
@@ -148,8 +156,8 @@ def test_factorization_reports_the_canonical_candidate(c2_pair, c2_equivalence):
     report = verify_factorizations(c2_pair, dataclasses.replace(eq, forward=forward))
     # the reflector's candidate, inverse(N(psi_x)), now lands on the wrong
     # object wherever the coreflector goes to b0|bot0; nothing else is tried
-    cat, R, Q = c2_pair.category, c2_pair.reflection.reflector, c2_pair.coreflection.coreflector
-    N, psi = c2_pair.monad.functor, c2_pair.comonad.counit.components
+    cat, R, Q = c2_pair.category, c2_pair.reflection.reflector, c2_pair.coreflection.reflector
+    N, psi = c2_pair.monad.functor, c2_pair.comonad.unit.components
     candidate = NaturalTransformation(
         R,
         compose_functors(forward, Q),
@@ -176,10 +184,10 @@ def test_factorization_reports_a_component_without_inverse(side):
     plain = NaturalTransformation(one, one, ids)
     unit, counit = (bent, plain) if side == "monad" else (plain, bent)
     pair = MNPair(
-        MonadDatum(one, unit),
-        ComonadDatum(one, counit),
-        ReflectionPackage(c, c, one, one, unit, ids),
-        CoreflectionPackage(c, c, one, one, counit, ids),
+        MonadDatum(one, unit, MONAD),
+        MonadDatum(one, counit, COMONAD),
+        ReflectionPackage(c, c, one, one, unit, ids, MONAD),
+        ReflectionPackage(c, c, one, one, counit, ids, COMONAD),
     )
     report = verify_factorizations(pair, EquivalenceResult(one, one, plain, plain))
     tag, label = {

@@ -24,8 +24,7 @@ from catmn import (
     canonical_c2,
     chain_poset,
     check_extension_property,
-    check_idempotent_comonad,
-    check_idempotent_monad,
+    check_idempotent,
     fiber_objects,
     poset_from_pairs,
     random_spec,
@@ -406,7 +405,7 @@ def test_c2_monad_frozen_values(c2_monad):
     }
     assert c2_monad.unit.components["b0|bot0"] == "id_b0|bot0|top0"
     assert c2_monad.functor.on_mor("f|bot0|bot1") == "f|top0|top1"
-    assert check_idempotent_monad(c2_monad).ok
+    assert check_idempotent(c2_monad).ok
 
 
 def test_c2_comonad_frozen_values(c2_comonad):
@@ -417,9 +416,9 @@ def test_c2_comonad_frozen_values(c2_comonad):
         "b1|bot1": "b1|bot1",
         "b1|top1": "b1|bot1",
     }
-    assert c2_comonad.counit.components["b0|top0"] == "id_b0|bot0|top0"
+    assert c2_comonad.unit.components["b0|top0"] == "id_b0|bot0|top0"
     assert c2_comonad.functor.on_mor("f|top0|top1") == "f|bot0|bot1"
-    assert check_idempotent_comonad(c2_comonad).ok
+    assert check_idempotent(c2_comonad).ok
 
 
 def test_extension_property_clean_on_c2(c2_total):
@@ -439,7 +438,7 @@ def test_non_bottom_preserving_action_breaks_only_the_comonad():
     assert validate_spec(s).ok
     t = build_total_category(s)
     monad = build_final_monad(t)
-    assert check_idempotent_monad(monad).ok
+    assert check_idempotent(monad).ok
     with pytest.raises(LiftError, match="expected exactly one lift"):
         build_initial_comonad(t)
     report = check_extension_property(t)
@@ -533,5 +532,5 @@ def test_random_specs_build_and_extend():
         assert check_extension_property(t).ok
         monad = build_final_monad(t)
         comonad = build_initial_comonad(t)
-        assert check_idempotent_monad(monad).ok
-        assert check_idempotent_comonad(comonad).ok
+        assert check_idempotent(monad).ok
+        assert check_idempotent(comonad).ok

@@ -4,32 +4,29 @@ universal-property sweeps for reflections and coreflections."""
 import pytest
 
 from catmn import (
-    ComonadDatum,
-    CoreflectionPackage,
+    COMONAD,
+    MONAD,
     Functor,
     InvalidArtifactError,
     MonadDatum,
     NaturalTransformation,
     ReflectionPackage,
-    check_idempotent_comonad,
-    check_idempotent_monad,
+    check_idempotent,
     compose_functors,
-    fixed_subcategory_comonad,
-    fixed_subcategory_monad,
+    fixed_objects,
+    fixed_subcategory,
     full_subcategory,
-    identity_comonad,
     identity_functor,
-    identity_monad,
     identity_nat,
     inverse_of,
     opposite,
     validate_functor,
     validate_nat,
-    verify_coreflection,
     verify_reflection,
 )
 from helpers import (
     idem_endo,
+    identity_datum,
     orbit,
     orbit_op,
     parallel_pair,
@@ -59,7 +56,7 @@ def reflection_onto(ambient, sub_objs, obj_map, mor_map, unit_components):
         inv = inverse_of(ambient, unit_components[y])
         if inv is not None:
             inverses[y] = inv
-    return ReflectionPackage(ambient, sub, inclusion, reflector, unit, inverses)
+    return ReflectionPackage(ambient, sub, inclusion, reflector, unit, inverses, MONAD)
 
 
 def coreflection_onto(ambient, sub_objs, obj_map, mor_map, counit_components):
@@ -76,7 +73,7 @@ def coreflection_onto(ambient, sub_objs, obj_map, mor_map, counit_components):
         inv = inverse_of(ambient, counit_components[x])
         if inv is not None:
             inverses[x] = inv
-    return CoreflectionPackage(ambient, sub, inclusion, coreflector, counit, inverses)
+    return ReflectionPackage(ambient, sub, inclusion, coreflector, counit, inverses, COMONAD)
 
 
 ORBIT_REFLECTOR = {
@@ -98,20 +95,29 @@ ORBIT_OP_COREFLECTOR = {
 
 def test_identity_monad_and_comonad_are_idempotent():
     c = orbit()
-    assert check_idempotent_monad(identity_monad(c)).ok
-    assert check_idempotent_comonad(identity_comonad(c)).ok
+    assert check_idempotent(identity_datum(c, MONAD)).ok
+    assert check_idempotent(identity_datum(c, COMONAD)).ok
+
+
+def test_the_side_tells_the_identity_monad_from_the_identity_comonad():
+    c = orbit()
+    monad, comonad = identity_datum(c, MONAD), identity_datum(c, COMONAD)
+    assert (monad.functor, monad.unit) == (comonad.functor, comonad.unit)
+    assert monad != comonad
+    assert fixed_subcategory(monad) != fixed_subcategory(comonad)
+    assert fixed_objects(monad) == fixed_objects(comonad) == {"a": "id_a", "b": "id_b"}
 
 
 def test_c2_builders_yield_idempotent_data(c2_monad, c2_comonad):
-    assert check_idempotent_monad(c2_monad).ok
-    assert check_idempotent_comonad(c2_comonad).ok
+    assert check_idempotent(c2_monad).ok
+    assert check_idempotent(c2_comonad).ok
 
 
 def test_monad_endofunctor_rule():
     c = orbit()
     sub, inclusion = full_subcategory(c, ["b"])
-    d = MonadDatum(inclusion, identity_nat(identity_functor(sub)))
-    assert rules_of(check_idempotent_monad(d)) == {"monad-endofunctor"}
+    d = MonadDatum(inclusion, identity_nat(identity_functor(sub)), MONAD)
+    assert rules_of(check_idempotent(d)) == {"monad-endofunctor"}
 
 
 def test_monad_unit_shape_rule():
@@ -123,16 +129,16 @@ def test_monad_unit_shape_rule():
         {"a": "a", "b": "b"},
         {"id_a": "id_a", "id_b": "id_b", "e": "e", "f": "f2", "f2": "f"},
     )
-    d = MonadDatum(one, identity_nat(tw))  # unit starts at the wrong functor
-    assert "monad-unit-shape" in rules_of(check_idempotent_monad(d))
+    d = MonadDatum(one, identity_nat(tw), MONAD)  # unit starts at the wrong functor
+    assert "monad-unit-shape" in rules_of(check_idempotent(d))
 
 
 def test_monad_functor_must_be_lawful():
     c = orbit()
     one = identity_functor(c)
     crooked = Functor(c, c, dict(one.obj_map), {**one.mor_map, "f2": "f"})
-    d = MonadDatum(crooked, identity_nat(one))
-    report = check_idempotent_monad(d)
+    d = MonadDatum(crooked, identity_nat(one), MONAD)
+    report = check_idempotent(d)
     assert "functor-composition" in rules_of(report)
 
 
@@ -140,7 +146,7 @@ def test_successor_monad_fails_idempotence_only():
     d = successor_monad()
     assert validate_functor(d.functor).ok
     assert validate_nat(d.unit).ok
-    report = check_idempotent_monad(d)
+    report = check_idempotent(d)
     assert rules_of(report) == {"monad-idempotence"}
     subjects = {v.subject for v in report.violations}
     # eta_{N x0} = a12 and N(eta_x0) = a12, neither invertible in a chain
@@ -151,15 +157,15 @@ def test_successor_monad_fails_idempotence_only():
 def test_comonad_endofunctor_rule():
     c = three_chain()
     sub, inclusion = full_subcategory(c, ["x0"])
-    bad_shape = ComonadDatum(inclusion, identity_nat(identity_functor(sub)))
-    assert rules_of(check_idempotent_comonad(bad_shape)) == {"comonad-endofunctor"}
+    bad_shape = MonadDatum(inclusion, identity_nat(identity_functor(sub)), COMONAD)
+    assert rules_of(check_idempotent(bad_shape)) == {"comonad-endofunctor"}
 
 
 def test_predecessor_comonad_fails_idempotence_only():
     d = predecessor_comonad()
     assert validate_functor(d.functor).ok
-    assert validate_nat(d.counit).ok
-    report = check_idempotent_comonad(d)
+    assert validate_nat(d.unit).ok
+    report = check_idempotent(d)
     assert rules_of(report) == {"comonad-idempotence"}
     subjects = {v.subject for v in report.violations}
     # psi_{M x2} = a01 and M(psi_x2) = a01, neither invertible in a chain
@@ -176,8 +182,8 @@ def test_comonad_counit_shape_rule():
         {"a": "a", "b": "b"},
         {"id_a": "id_a", "id_b": "id_b", "e": "e", "f": "f2", "f2": "f"},
     )
-    crooked = ComonadDatum(one, identity_nat(tw))
-    assert "comonad-counit-shape" in rules_of(check_idempotent_comonad(crooked))
+    crooked = MonadDatum(one, identity_nat(tw), COMONAD)
+    assert "comonad-counit-shape" in rules_of(check_idempotent(crooked))
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +191,28 @@ def test_comonad_counit_shape_rule():
 
 
 def test_c2_fixed_subcategories(c2_monad, c2_comonad):
-    p = fixed_subcategory_monad(c2_monad)
+    p = fixed_subcategory(c2_monad)
     assert p.subcategory.objects == ("b0|top0", "b1|top1")
     assert set(p.unit_inverses) == {"b0|top0", "b1|top1"}
     assert validate_functor(p.inclusion).ok
     assert validate_functor(p.reflector).ok
     assert compose_functors(p.inclusion, p.reflector) == c2_monad.functor
 
-    q = fixed_subcategory_comonad(c2_comonad)
+    q = fixed_subcategory(c2_comonad)
     assert q.subcategory.objects == ("b0|bot0", "b1|bot1")
-    assert compose_functors(q.inclusion, q.coreflector) == c2_comonad.functor
+    assert compose_functors(q.inclusion, q.reflector) == c2_comonad.functor
 
 
 def test_fixed_subcategory_requires_idempotence():
     with pytest.raises(InvalidArtifactError, match="idempotent monad"):
-        fixed_subcategory_monad(successor_monad())
+        fixed_subcategory(successor_monad())
     with pytest.raises(InvalidArtifactError, match="idempotent comonad"):
-        fixed_subcategory_comonad(predecessor_comonad())
+        fixed_subcategory(predecessor_comonad())
 
 
 def test_c2_universal_property_sweeps(c2_monad, c2_comonad):
-    assert verify_reflection(fixed_subcategory_monad(c2_monad)).ok
-    assert verify_coreflection(fixed_subcategory_comonad(c2_comonad)).ok
+    assert verify_reflection(fixed_subcategory(c2_monad)).ok
+    assert verify_reflection(fixed_subcategory(c2_comonad)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +280,7 @@ def test_reflection_data_rule():
             p.unit.source_functor, p.unit.target_functor, {"b": "id_b"}
         ),
         p.unit_inverses,
+        MONAD,
     )
     report = verify_reflection(gutted)
     assert ("a",) in {v.subject for v in report.violations if v.rule == "reflection-data"}
@@ -286,17 +293,17 @@ def test_reflection_data_rule():
 def test_orbit_op_coreflection_is_genuine():
     g = ORBIT_OP_COREFLECTOR
     p = coreflection_onto(orbit_op(), ["b"], g["obj"], g["mor"], g["counit"])
-    assert validate_functor(p.coreflector).ok
-    assert validate_nat(p.counit).ok
-    assert verify_coreflection(p).ok
+    assert validate_functor(p.reflector).ok
+    assert validate_nat(p.unit).ok
+    assert verify_reflection(p).ok
 
 
 def test_coreflection_closed_form_rule():
     g = ORBIT_OP_COREFLECTOR
     swapped = {**g["mor"], "f": "e", "f2": "id_b"}
     p = coreflection_onto(orbit_op(), ["b"], g["obj"], swapped, g["counit"])
-    assert validate_functor(p.coreflector).ok
-    report = verify_coreflection(p)
+    assert validate_functor(p.reflector).ok
+    report = verify_reflection(p)
     assert rules_of(report) == {"coreflection-closed-form"}
     assert ("b", "a", "f") in {v.subject for v in report.violations}
 
@@ -310,7 +317,7 @@ def test_coreflection_no_mediator_rule():
         {"id_s": "id_t", "id_t": "id_t", "u": "id_t", "v": "id_t"},
         {"s": "u", "t": "id_t"},
     )
-    report = verify_coreflection(p)
+    report = verify_reflection(p)
     assert rules_of(report) == {"coreflection-no-mediator"}
     assert ("t", "s", "v") in {v.subject for v in report.violations}
 
@@ -324,24 +331,25 @@ def test_coreflection_ambiguous_mediator_rule():
         {"id_a": "id_b", "id_b": "id_b", "e": "e", "f": "id_b"},
         {"a": "f", "b": "id_b"},
     )
-    report = verify_coreflection(p)
+    report = verify_reflection(p)
     assert "coreflection-ambiguous-mediator" in rules_of(report)
 
 
 def test_coreflection_data_rule():
     g = ORBIT_OP_COREFLECTOR
     p = coreflection_onto(orbit_op(), ["b"], g["obj"], g["mor"], g["counit"])
-    gutted = CoreflectionPackage(
+    gutted = ReflectionPackage(
         p.ambient,
         p.subcategory,
         p.inclusion,
-        p.coreflector,
+        p.reflector,
         NaturalTransformation(
-            p.counit.source_functor, p.counit.target_functor, {"b": "id_b"}
+            p.unit.source_functor, p.unit.target_functor, {"b": "id_b"}
         ),
-        p.counit_inverses,
+        p.unit_inverses,
+        COMONAD,
     )
-    report = verify_coreflection(gutted)
+    report = verify_reflection(gutted)
     assert ("a",) in {
         v.subject for v in report.violations if v.rule == "coreflection-data"
     }

@@ -13,7 +13,10 @@ comments never count as a use:
   only the tests set has one value in use, and is a constant instead;
 * every public method of a class of the package is used as code by the
   package or the harness.  Like the export check, it matches by attribute
-  name, so a method shares its use with any namesake.
+  name, so a method shares its use with any namesake;
+* no two public module-level names of the package read the same once their
+  comonad words are read as monad words: a comonad function or type is the
+  monad one on the other side, not a second copy of it.
 """
 
 import ast
@@ -149,3 +152,40 @@ def test_every_public_method_is_used_by_the_package_or_the_benchmark():
     bench = sorted(PERFBENCH.glob("*.py"))
     used = set().union(*(used_names(parse(p)) for p in modules() + bench))
     assert sorted(m for m in methods if m.split(".")[1] not in used) == []
+
+
+# how the comonad side of a name reads on the monad side
+DUAL_WORDS = (
+    ("comonad", "monad"),
+    ("Comonad", "Monad"),
+    ("coreflect", "reflect"),
+    ("Coreflect", "Reflect"),
+    ("counit", "unit"),
+)
+
+
+def public_definitions() -> set[str]:
+    """The public names the package's modules define at module level:
+    functions, classes and assigned names, but not imports."""
+    names = set()
+    for path in modules() + [PACKAGE / "__init__.py"]:
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_no_public_name_is_the_comonad_twin_of_another():
+    """A comonad is a monad on the opposite category, so one name serves
+    both sides: no two public names differ only in their comonad words."""
+    by_monad_name: dict[str, set[str]] = {}
+    for name in public_definitions():
+        key = name
+        for comonad_word, monad_word in DUAL_WORDS:
+            key = key.replace(comonad_word, monad_word)
+        by_monad_name.setdefault(key, set()).add(name)
+    assert len(by_monad_name) > 50
+    assert sorted(sorted(ns) for ns in by_monad_name.values() if len(ns) > 1) == []

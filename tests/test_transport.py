@@ -7,22 +7,19 @@ import pytest
 import catmn.core
 import catmn.functors
 from catmn import (
+    COMONAD,
+    MONAD,
     Category,
     InvalidArtifactError,
     MismatchError,
     NaturalTransformation,
     canonical_c2,
-    check_idempotent_comonad,
-    check_idempotent_monad,
+    check_idempotent,
     check_mn_hypotheses,
     compose_functors,
-    fixed_subcategory_comonad,
-    fixed_subcategory_monad,
-    identity_comonad,
+    fixed_subcategory,
     identity_functor,
-    identity_monad,
-    induce_comonad,
-    induce_monad,
+    induce,
     make_mn_pair,
     powerset_duality_demo,
     relabeled_opposite_equivalence,
@@ -33,7 +30,15 @@ from catmn import (
     verify_transfer,
 )
 from catmn.cli import main
-from helpers import collapse_monad, idem_endo, orbit, spy, successor_monad, three_chain
+from helpers import (
+    collapse_monad,
+    idem_endo,
+    identity_datum,
+    orbit,
+    spy,
+    successor_monad,
+    three_chain,
+)
 
 
 def rules_of(report):
@@ -163,12 +168,12 @@ def test_powerset_demo_equivalence_is_valid():
 def test_identity_structure_transports_to_identity():
     c = orbit()
     e = relabeled_opposite_equivalence(c)
-    r = transport_pair(e, identity_monad(c), identity_comonad(c))
+    r = transport_pair(e, identity_datum(c, MONAD), identity_datum(c, COMONAD))
     assert r.induced_comonad.functor == identity_functor(e.dual)
     assert r.induced_monad.functor == identity_functor(e.dual)
-    assert check_idempotent_comonad(r.induced_comonad).ok
-    assert check_idempotent_monad(r.induced_monad).ok
-    report = verify_transfer(e, identity_monad(c), identity_comonad(c), r)
+    assert check_idempotent(r.induced_comonad).ok
+    assert check_idempotent(r.induced_monad).ok
+    report = verify_transfer(e, identity_datum(c, MONAD), identity_datum(c, COMONAD), r)
     assert report.ok
     assert report.notes == ()
 
@@ -176,15 +181,15 @@ def test_identity_structure_transports_to_identity():
 def test_c2_transport_across_relabeling(c2_total, c2_monad, c2_comonad):
     e = relabeled_opposite_equivalence(c2_total.total)
     r = transport_pair(e, c2_monad, c2_comonad)
-    assert check_idempotent_comonad(r.induced_comonad).ok
-    assert check_idempotent_monad(r.induced_monad).ok
+    assert check_idempotent(r.induced_comonad).ok
+    assert check_idempotent(r.induced_monad).ok
     # monads become comonads under a contravariant functor: tops turn
     # into bottoms of the relabeled opposite and vice versa
-    assert fixed_subcategory_comonad(r.induced_comonad).subcategory.objects == (
+    assert fixed_subcategory(r.induced_comonad).subcategory.objects == (
         "b0|top0~",
         "b1|top1~",
     )
-    assert fixed_subcategory_monad(r.induced_monad).subcategory.objects == (
+    assert fixed_subcategory(r.induced_monad).subcategory.objects == (
         "b0|bot0~",
         "b1|bot1~",
     )
@@ -196,10 +201,10 @@ def test_c2_transport_across_relabeling(c2_total, c2_monad, c2_comonad):
 def test_collapse_monad_transports_across_powerset_duality():
     e = powerset_duality_demo()
     m = collapse_monad(e.source)
-    c = identity_comonad(e.source)
+    c = identity_datum(e.source, COMONAD)
     r = transport_pair(e, m, c)
-    assert check_idempotent_comonad(r.induced_comonad).ok
-    assert fixed_subcategory_comonad(r.induced_comonad).subcategory.objects == (
+    assert check_idempotent(r.induced_comonad).ok
+    assert fixed_subcategory(r.induced_comonad).subcategory.objects == (
         "alg1",
     )
     report = verify_transfer(e, m, c, r)
@@ -213,22 +218,32 @@ def test_collapse_monad_transports_across_powerset_duality():
 def test_induce_rejects_foreign_monad():
     e = relabeled_opposite_equivalence(orbit())
     with pytest.raises(MismatchError, match="equivalence source"):
-        induce_comonad(e, identity_monad(three_chain()))
+        induce(e, identity_datum(three_chain(), MONAD))
 
 
 def test_induce_rejects_non_idempotent_monad():
     e = relabeled_opposite_equivalence(three_chain())
     with pytest.raises(InvalidArtifactError, match="idempotent monad"):
-        induce_comonad(e, successor_monad())
+        induce(e, successor_monad())
 
 
 def test_induce_rejects_invalid_equivalence():
     e = relabeled_opposite_equivalence(orbit())
     crooked = dataclasses.replace(e, theta=e.theta_bar)
     with pytest.raises(InvalidArtifactError, match="invalid contravariant"):
-        induce_monad(crooked, identity_comonad(orbit()))
+        induce(crooked, identity_datum(orbit(), COMONAD))
 
 
+def test_transport_rejects_a_datum_of_the_wrong_side():
+    c = orbit()
+    e = relabeled_opposite_equivalence(c)
+    monad, comonad = identity_datum(c, MONAD), identity_datum(c, COMONAD)
+    r = transport_pair(e, monad, comonad)
+    for m, w, expected in ((comonad, monad, "a monad"), (monad, monad, "a comonad")):
+        with pytest.raises(MismatchError, match=f"expected {expected}, got"):
+            transport_pair(e, m, w)
+        with pytest.raises(MismatchError, match=f"expected {expected}, got"):
+            verify_transfer(e, m, w, r)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +253,10 @@ def test_induce_rejects_invalid_equivalence():
 def test_checked_values_still_reject_crooked_copies():
     c = orbit()
     e = relabeled_opposite_equivalence(c)
-    monad, comonad = identity_monad(c), identity_comonad(c)
+    monad, comonad = identity_datum(c, MONAD), identity_datum(c, COMONAD)
     assert validate_equivalence(e) is validate_equivalence(e)
-    assert check_idempotent_monad(monad) is check_idempotent_monad(monad)
-    assert check_idempotent_comonad(comonad).ok
+    assert check_idempotent(monad) is check_idempotent(monad)
+    assert check_idempotent(comonad).ok
     transport_pair(e, monad, comonad)
 
     # a component at a that leaves a is mistyped, so neither copy is valid
@@ -252,15 +267,15 @@ def test_checked_values_still_reject_crooked_copies():
     )
     crooked_comonad = dataclasses.replace(
         comonad,
-        counit=NaturalTransformation(comonad.functor, comonad.counit.target_functor, bent),
+        unit=NaturalTransformation(comonad.functor, comonad.unit.target_functor, bent),
     )
     with pytest.raises(InvalidArtifactError, match="idempotent monad"):
-        induce_comonad(e, crooked_monad)
+        induce(e, crooked_monad)
     with pytest.raises(InvalidArtifactError, match="idempotent comonad"):
-        induce_monad(e, crooked_comonad)
+        induce(e, crooked_comonad)
     crooked = dataclasses.replace(e, theta=e.theta_bar)
     with pytest.raises(InvalidArtifactError, match="invalid contravariant"):
-        induce_comonad(crooked, monad)
+        induce(crooked, monad)
     assert validate_equivalence(e).ok
 
     pair = make_mn_pair(monad, comonad)

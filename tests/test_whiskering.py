@@ -17,18 +17,16 @@ from pathlib import Path
 from test_acceptance import TRANSPORT_SEEDS, built
 
 from catmn import (
-    ComonadDatum,
+    COMONAD,
+    MONAD,
     Functor,
     MonadDatum,
     NaturalTransformation,
     build_final_monad,
     build_initial_comonad,
     build_total_category,
-    check_idempotent_comonad,
-    check_idempotent_monad,
-    identity_comonad,
+    check_idempotent,
     identity_functor,
-    identity_monad,
     load_path,
     relabeled_opposite_equivalence,
     terminal_spec,
@@ -36,7 +34,7 @@ from catmn import (
     validate_functor,
     validate_nat,
 )
-from helpers import idem_endo, orbit, whisker_left, whisker_right
+from helpers import idem_endo, identity_datum, orbit, whisker_left, whisker_right
 
 CORPUS = Path(__file__).parent / "fixtures" / "corrupted"
 
@@ -44,7 +42,7 @@ CORPUS = Path(__file__).parent / "fixtures" / "corrupted"
 def whiskerings(m, c):
     """Every whiskering of a factor pair the checks read: both for each
     datum's idempotence, then N(psi) and M(eta)."""
-    N, eta, M, psi = m.functor, m.unit, c.functor, c.counit
+    N, eta, M, psi = m.functor, m.unit, c.functor, c.unit
     return {
         "unit-after-functor": whisker_right(eta, N),
         "functor-of-unit": whisker_left(N, eta),
@@ -58,7 +56,7 @@ def whiskerings(m, c):
 def unnatural(name, m, c):
     """The whiskerings of ``(m, c)`` whose naturality sweep finds anything,
     after checking that the factors themselves are valid idempotent data."""
-    assert check_idempotent_monad(m).ok and check_idempotent_comonad(c).ok, name
+    assert check_idempotent(m).ok and check_idempotent(c).ok, name
     return [
         (name, label, v.render())
         for label, whiskered in whiskerings(m, c).items()
@@ -77,10 +75,11 @@ def orbit_reflection() -> MonadDatum:
         {"id_a": "id_b", "id_b": "id_b", "e": "e", "f": "id_b", "f2": "e"},
         name="onto-b",
     )
-    return MonadDatum(N, NaturalTransformation(identity_functor(c), N, {"a": "f", "b": "id_b"}))
+    unit = NaturalTransformation(identity_functor(c), N, {"a": "f", "b": "id_b"})
+    return MonadDatum(N, unit, MONAD)
 
 
-def idem_endo_coreflection() -> ComonadDatum:
+def idem_endo_coreflection() -> MonadDatum:
     """Everything of idem-endo sent to a, with counit f at b: e absorbs f,
     so the counit is natural though e is not invertible."""
     c = idem_endo()
@@ -91,7 +90,8 @@ def idem_endo_coreflection() -> ComonadDatum:
         {"id_a": "id_a", "id_b": "id_a", "e": "id_a", "f": "id_a"},
         name="onto-a",
     )
-    return ComonadDatum(M, NaturalTransformation(M, identity_functor(c), {"a": "id_a", "b": "f"}))
+    counit = NaturalTransformation(M, identity_functor(c), {"a": "id_a", "b": "f"})
+    return MonadDatum(M, counit, COMONAD)
 
 
 def instances():
@@ -104,8 +104,8 @@ def instances():
         t, m, c = built()[seed]
         r = transport_pair(relabeled_opposite_equivalence(t.total), m, c)
         yield f"induced seed {seed}", r.induced_monad, r.induced_comonad
-    yield "orbit", orbit_reflection(), identity_comonad(orbit())
-    yield "idem-endo", identity_monad(idem_endo()), idem_endo_coreflection()
+    yield "orbit", orbit_reflection(), identity_datum(orbit(), COMONAD)
+    yield "idem-endo", identity_datum(idem_endo(), MONAD), idem_endo_coreflection()
 
 
 def test_canonical_c2_whiskerings_are_natural(c2_monad, c2_comonad):
