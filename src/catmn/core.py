@@ -18,7 +18,9 @@ as rows over these ids: ``out[v]`` lists the morphisms leaving vertex
 in turn, the id of ``g after f``, or None where the table has no entry.  An
 entry that no row slot can hold (one naming something that is no morphism,
 or an ill-typed pair) is kept by name in ``stray``; only an invalid table has
-any.  Every table-sized pass reads and writes ids; names are for reports,
+any.  Hom-sets are read off ``out`` and the rows (:meth:`Category.hom_ids`
+scans ``out[a]``); no index keyed by hom-set is kept.  Every table-sized
+pass reads and writes ids; names are for reports,
 rendering and the read-only views: ``objects``, ``morphisms``, ``identity``,
 ``hom``, ``comp``, ``comp_or_none`` and ``compose``, the table keyed by
 pairs of names.
@@ -136,7 +138,6 @@ class Category:
         "rows",
         "stray",
         "_into",
-        "_homs",
         "_identity_maps",
     )
 
@@ -195,7 +196,7 @@ class Category:
             leaving = out[s]
             pos.append(len(leaving))
             leaving.append(f)
-        self._into = self._homs = self._identity_maps = None
+        self._into = self._identity_maps = None
         self.ident = [
             None if m is None else mor_id.get(m, m) for m in map(self.identity.get, vertices)
         ]
@@ -248,8 +249,10 @@ class Category:
     # ---- lookups ----
 
     def require_object(self, x: str) -> None:
-        # objects is a small sorted tuple; a linear scan is fine at this scale
-        if x not in self.objects:
+        # the objects are the first vertices; a later one is a morphism end
+        # that is no object
+        v = self.vid.get(x)
+        if v is None or v >= len(self.objects):
             raise UnknownObjectError(
                 f"category {self.name!r} has no object {x!r}"
             )
@@ -287,29 +290,11 @@ class Category:
             self._into = into
         return self._into
 
-    @property
-    def homs(self) -> dict[int, list[int]]:
-        """The hom-sets over ids: ``homs[a * len(vertices) + b]`` lists the
-        morphisms from vertex ``a`` to vertex ``b`` in id order.  Made on
-        first use."""
-        if self._homs is None:
-            homs: dict[int, list[int]] = {}
-            n_vertices = len(self.vertices)
-            for f, s, d in zip(self.mor_id.values(), self.src, self.dst):
-                key = s * n_vertices + d
-                if key in homs:
-                    homs[key].append(f)
-                else:
-                    homs[key] = [f]
-            self._homs = homs
-        return self._homs
-
-    def hom_ids(self, a: int, b: int) -> Sequence[int]:
-        """The ids of the morphisms from vertex ``a`` to vertex ``b``."""
-        homs = self._homs
-        if homs is None:
-            homs = self.homs
-        return homs.get(a * len(self.vertices) + b, ())
+    def hom_ids(self, a: int, b: int) -> list[int]:
+        """The ids of the morphisms from vertex ``a`` to vertex ``b``, in id
+        order: a scan of ``out[a]``."""
+        dst = self.dst
+        return [f for f in self.out[a] if dst[f] == b]
 
     def hom(self, a: str, b: str) -> tuple[str, ...]:
         va, vb = self.vid.get(a), self.vid.get(b)
@@ -542,22 +527,36 @@ def validate_category(c: Category) -> ValidationReport:
 
 
 def inverse_of(c: Category, m: str):
-    """Name of a two-sided inverse of ``m``, or None.  Exhaustive search."""
+    """Name of a two-sided inverse of ``m``, or None.  Exhaustive search.
+
+    A morphism with no identity at an end has no inverse.  For ``f: a ->
+    b`` the candidates are the slots of ``f``'s row that hold the identity
+    of ``a``; the first, in id order, whose own row sends ``f`` to the
+    identity of ``b`` is the answer."""
     f = c.mor_id.get(m)
     if f is None:
         c.mor(m)  # raises
     s, d = c.src[f], c.dst[f]
     id_src, id_dst = c.ident[s], c.ident[d]
-    rows, pos = c.rows, c.pos
-    row_f, at_f = rows[f], pos[f]
-    for g in c.hom_ids(d, s):
-        # g starts where f ends and ends where f starts: both slots exist
-        gf, fg = row_f[pos[g]], rows[g][at_f]
-        if c.stray and (gf is None or fg is None):
-            gf, fg = c.after(g, f), c.after(f, g)
-        if gf == id_src and fg == id_dst:
+    if id_src is None or id_dst is None:
+        return None
+    rows, dst, at_f, leaving = c.rows, c.dst, c.pos[f], c.out[d]
+    if c.stray:
+        # a stray entry may settle an empty slot
+        after = c.after
+        for g in leaving:
+            if dst[g] == s and after(g, f) == id_src and after(f, g) == id_dst:
+                return c.names[g]
+        return None
+    row_f, i = rows[f], -1
+    while True:
+        try:
+            i = row_f.index(id_src, i + 1)
+        except ValueError:  # no slot left holds it
+            return None
+        g = leaving[i]
+        if dst[g] == s and rows[g][at_f] == id_dst:
             return c.names[g]
-    return None
 
 
 def opposite(c: Category) -> Category:

@@ -594,8 +594,9 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
     eta = [None] * len(cat.vertices)
     image = [None] * len(cat.vertices)
     for x, top in obj_map.items():
-        in_fiber = idb[base_of[x]]
-        arrows = [u for u in hom(vid[x], vid[top]) if over[u] == in_fiber]
+        in_fiber, vtop = idb[base_of[x]], vid[top]
+        # hom(x, top) read off x's own arrows: the final object's are many
+        arrows = [u for u in leaving[vid[x]] if dst[u] == vtop and over[u] == in_fiber]
         if len(arrows) == 1:
             eta[vid[x]], image[vid[x]] = arrows[0], vid[top]
         else:

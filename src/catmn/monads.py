@@ -212,11 +212,13 @@ def fixed_subcategory(d: MonadDatum) -> ReflectionPackage:
             raise InvalidArtifactError(
                 f"{side.monad} functor sends {x!r} outside its fixed subcategory"
             )
+    # the datum's own tables, not copies: a functor's tables are not edited
+    # once made
     reflector = Functor(
         cat,
         sub,
-        dict(d.functor.obj_map),
-        dict(d.functor.mor_map),
+        d.functor.obj_map,
+        d.functor.mor_map,
         name=f"{side.reflect}[{d.functor.name}]",
     )
     return ReflectionPackage(cat, sub, inclusion, reflector, d.unit, inverses, side)
@@ -236,7 +238,9 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
     under distinct rules.
     """
     cat, side, reflector = p.ambient, p.side, p.reflector
-    hom, after, _, _ = oriented(cat, side.flip)
+    after = oriented(cat, side.flip).after
+    # the arrows leaving each vertex as the view reads them, and where each ends
+    leaving, end = (cat.into, cat.src) if side.flip else (cat.out, cat.dst)
     tag = f"{side.reflect}ion"
     components, unit_inverses = p.unit.components, p.unit_inverses
     names, mor_id, vid = cat.names, cat.mor_id, cat.vid
@@ -247,6 +251,21 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
         for y in p.subcategory.objects
         if y in vid
     ]
+
+    def by_end(v: int) -> dict[int, list[int]]:
+        """The arrows leaving vertex ``v``, grouped by the vertex they end
+        at, each group in id order: the hom-sets out of ``v``."""
+        groups: dict[int, list[int]] = {}
+        for f in leaving[v]:
+            e = end[f]
+            if e in groups:
+                groups[e].append(f)
+            else:
+                groups[e] = [f]
+        return groups
+
+    # the hom-sets out of each reflected object, made once per sweep
+    reflected: dict[int, dict[int, list[int]]] = {}
 
     def sweep(x: str) -> list[Violation]:
         found: list[Violation] = []
@@ -260,12 +279,24 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
             )
             return found
         eta_x = mor_id.get(eta_x, eta_x)
-        vx, vNx = vid[x], vid.get(Nx)
+        from_x, vNx = by_end(vid[x]), vid.get(Nx)
+        if vNx is not None and vNx not in reflected:
+            reflected[vNx] = by_end(vNx)
+        from_Nx = reflected.get(vNx, {})
         for y, vy, inv_y in targets:
-            for f in hom(vx, vy):
-                mediators = (
-                    [g for g in hom(vNx, vy) if after(g, eta_x) == f] if vNx is not None else []
-                )
+            fs = from_x.get(vy)
+            if fs is None:
+                continue
+            # the mediators g: Nx -> y keyed by g after the unit, in id order
+            factors: dict = {}
+            for g in from_Nx.get(vy, ()):
+                k = after(g, eta_x)
+                if k in factors:
+                    factors[k].append(g)
+                else:
+                    factors[k] = [g]
+            for f in fs:
+                mediators = factors.get(f, ())
                 subject = (*side.orient(x, y), names[f])
                 if len(mediators) == 0:
                     found.append(

@@ -93,11 +93,18 @@ def _derivation(c: Category):
     give for ``g`` after ``f`` (identity laws first, then unique-choice
     hom-sets), or None.  Each of ``g`` and ``f`` is a morphism id or, for
     something that is no morphism, its name."""
-    src, dst, ident, homs = c.src, c.dst, c.ident, c.homs
+    src, dst, ident = c.src, c.dst, c.ident
     n_vertices = len(c.vertices)
     # per morphism id: whether it is the identity of its source, which it
     # also ends at
     is_identity = [s == d and ident[s] == f for f, (s, d) in enumerate(zip(src, dst))]
+    # per pair of vertices (a * n_vertices + b) with a morphism between them:
+    # the one morphism from a to b, or None when there are more.  Held only
+    # as long as ``derive`` is
+    sole: dict[int, int | None] = {}
+    for f, a, b in zip(c.mor_id.values(), src, dst):
+        key = a * n_vertices + b
+        sole[key] = None if key in sole else f
 
     def derive(g, f):
         if type(f) is int:
@@ -106,8 +113,7 @@ def _derivation(c: Category):
             if type(g) is int:
                 if is_identity[g]:
                     return f
-                cands = homs.get(src[f] * n_vertices + dst[g], ())
-                return cands[0] if len(cands) == 1 else None
+                return sole.get(src[f] * n_vertices + dst[g])
         return f if type(g) is int and is_identity[g] else None
 
     return derive

@@ -220,7 +220,8 @@ def test_every_stored_id_is_the_shared_int(c):
     canon = list(c.mor_id.values())
     stored = [h for row in c.rows for h in row if h is not None]
     stored += [f for fs in c.out for f in fs] + [f for fs in c.into for f in fs]
-    stored += [f for fs in c.homs.values() for f in fs]
+    every = range(len(c.vertices))
+    stored += [f for a in every for b in every for f in c.hom_ids(a, b)]
     assert stored and all(i is canon[i] for i in stored)
     assert list(c.names) == sorted(c.names) and list(c.objects) == sorted(c.objects)
     assert all(len(row) == len(c.out[c.dst[f]]) for f, row in enumerate(c.rows))
