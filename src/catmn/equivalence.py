@@ -12,6 +12,7 @@ counit, triangle identities, and the two factorization isomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .core import Category, inverse_of
 from .errors import (
@@ -71,6 +72,17 @@ def make_mn_pair(monad: MonadDatum, comonad: MonadDatum) -> MNPair:
     return MNPair(monad, comonad, reflection, coreflection)
 
 
+def mn_hypotheses(monad: MonadDatum, comonad: MonadDatum):
+    """The two whiskerings the equivalence rests on, each labelled and with
+    a function that builds its component table: ``monad-of-counit`` for
+    N(psi_x): NMx -> Nx and ``comonad-of-unit`` for M(eta_x): Mx -> MNx.
+    A table is built only when it is asked for."""
+    return (
+        ("monad-of-counit", partial(left_components, monad.functor, comonad.unit)),
+        ("comonad-of-unit", partial(left_components, comonad.functor, monad.unit)),
+    )
+
+
 @remembered
 def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     """Empty iff both whiskerings N(psi) and M(eta) are natural isomorphisms.
@@ -84,12 +96,7 @@ def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     factors = check_idempotent(p.monad).merged(check_idempotent(p.comonad))
     if not factors.ok:
         return factors
-    N, M = p.monad.functor, p.comonad.functor
-    eta, psi = p.monad.unit, p.comonad.unit
-    labelled = (
-        ("monad-of-counit", left_components(N, psi)),  # N(psi_x): NMx -> Nx
-        ("comonad-of-unit", left_components(M, eta)),  # M(eta_x): Mx -> MNx
-    )
+    labelled = [(label, table()) for label, table in mn_hypotheses(p.monad, p.comonad)]
     return ValidationReport(_whiskered_iso_violations("mn-hypothesis", p.category, labelled))
 
 
@@ -204,35 +211,29 @@ def verify_factorizations(p: MNPair, e: EquivalenceResult) -> ValidationReport:
     the inverse of a natural isomorphism is natural.
     """
     cat = p.category
-    N, M = p.monad.functor, p.comonad.functor
-    eta, psi = p.monad.unit.components, p.comonad.unit.components
     R, Q = p.reflection.reflector, p.coreflection.reflector
-    # the reflector's candidate inverts N(psi_x), which is then its inverse,
-    # in hand; a component without an inverse stays, and the candidate fails
-    reflector, lacking = {}, {"reflector": [], "coreflector": []}
-    for x in cat.objects:
-        m = N.on_mor(psi[x])
-        inv = inverse_of(cat, m)
-        if inv is None:
-            lacking["reflector"].append(x)
-        reflector[x] = m if inv is None else inv
-    coreflector = {x: M.on_mor(eta[x]) for x in cat.objects}
-    for x, m in coreflector.items():
-        if inverse_of(cat, m) is None:
-            lacking["coreflector"].append(x)
-
     violations: list[Violation] = []
     omitted = 0
-    for side, label, lhs, rhs, components in (
-        ("reflector", "monad-of-counit", R, (e.forward, Q), reflector),
-        ("coreflector", "comonad-of-unit", Q, (e.backward, R), coreflector),
+    for (label, table), (side, lhs, rhs) in zip(
+        mn_hypotheses(p.monad, p.comonad),
+        (("reflector", R, (e.forward, Q)), ("coreflector", Q, (e.backward, R))),
     ):
+        # the reflector's candidate inverts N(psi_x), which is then its
+        # inverse, in hand; a component without an inverse stays, and the
+        # candidate fails
+        whiskered = table()
+        components, lacking = {}, []
+        for x in cat.objects:
+            inv = inverse_of(cat, whiskered[x])
+            if inv is None:
+                lacking.append(x)
+            components[x] = inv if side == "reflector" and inv is not None else whiskered[x]
         tag = f"factorization-{side}"
         candidate = NaturalTransformation(lhs, compose_functors(*rhs), components, name=tag)
         report = validate_nat(candidate)
         found = report.violations or [
             Violation("not-iso", (label, x), f"component {components[x]!r} is not invertible")
-            for x in lacking[side]
+            for x in lacking
         ]
         violations.extend(Violation(f"{tag}-{v.rule}", v.subject, v.detail) for v in found)
         omitted += report.omitted

@@ -1,7 +1,8 @@
 """Fibered total categories with bounded poset fibers.
 
 A fibered spec is a finite base category, a finite poset with designated
-bottom and top over every base object, and a monotone action of every base
+bottom and top over every base object (closed from generating pairs by one
+depth-first walk per element), and a monotone action of every base
 morphism on the fibers, functorial in the base.  The total category has
 objects (b, k) and a unique morphism (b, k) -> (b', k') over f exactly when
 action(f)(k) <= k', so each fiber (the morphisms over an identity) is the
@@ -13,11 +14,13 @@ comonad, built by the same code reading the total category flipped.  Both
 functors are defined on morphisms by a unique-lift search, and
 :func:`check_extension_property` is the diagnostic that explains any
 failure of those searches.  :func:`random_spec` produces seeded random
-instances inside configurable size limits.
+instances inside configurable size limits, none of which may exceed the
+morphism limit.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -71,86 +74,48 @@ class FiberPoset:
         object.__setattr__(self, "down", {b: frozenset(a) for b, a in below.items()})
 
     def linear_extension(self) -> list[str]:
-        """Elements in an order compatible with ``leq``; lexicographic
-        tie-break, so deterministic."""
+        """Elements in an order compatible with ``leq``: each step takes the
+        least name with no remaining element below it, or the least
+        remaining name when a cycle, which validation reports, leaves none.
+        Kahn's algorithm over a heap of the names that are ready."""
         remaining = set(self.elements)
+        below = {x: len(self.down[x] & remaining) - (x in self.down[x]) for x in remaining}
+        ready = [x for x, n in below.items() if not n]
+        heapq.heapify(ready)
+        least = iter(sorted(remaining))
         out: list[str] = []
         while remaining:
-            ready = sorted(
-                x for x in remaining if self.down[x] & remaining <= {x}
-            )
-            if not ready:
-                # cyclic relation; validation reports it, but stay total here
-                ready = sorted(remaining)[:1]
-            out.append(ready[0])
-            remaining.remove(ready[0])
+            x = heapq.heappop(ready) if ready else next(y for y in least if y in remaining)
+            out.append(x)
+            remaining.remove(x)
+            for y in self.up[x] & remaining:
+                below[y] -= 1
+                if not below[y]:
+                    heapq.heappush(ready, y)
         return out
 
 
 def poset_from_pairs(elements, pairs, bottom, top) -> FiberPoset:
     """Build a fiber poset from generating pairs, closing under
-    reflexivity and transitivity; pairs naming a non-element are dropped."""
+    reflexivity and transitivity by one depth-first walk per element;
+    pairs naming a non-element are dropped.  A cycle closes like anything
+    else; validation reports it."""
     elems = tuple(sorted(set(elements)))
     adj: dict[str, set[str]] = {x: set() for x in elems}
     for a, b in pairs:
         if a in adj and b in adj:
             adj[a].add(b)
-    reach = _reachable(elems, adj)
-    leq = frozenset((a, b) for a in elems for b in reach[a])
-    return FiberPoset(elems, leq, bottom, top)
-
-
-def _reachable(elems, adj: dict[str, set[str]]) -> dict[str, set[str]]:
-    """Everything each element reaches along ``adj``, itself included.
-
-    Nuutila's algorithm: Tarjan's search finds the strongly connected
-    components, each completed after every component it reaches, and the
-    members of a component share one set, the union of what its members'
-    successors reach.  A successor already in that set adds nothing, so
-    each shared upper part is walked once, not once per element below it.
-    A cycle closes like anything else; validation reports it.
-    """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
     reach: dict[str, set[str]] = {}
     for root in elems:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            x, successors = work[-1]
-            for y in successors:
-                if y not in index:
-                    index[y] = low[y] = len(index)
-                    stack.append(y)
-                    work.append((y, iter(adj[y])))
-                    break
-                if y not in reach and index[y] < low[x]:  # on the stack
-                    low[x] = index[y]
-            else:
-                work.pop()
-                if work and low[x] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[x]
-                if low[x] != index[x]:
-                    continue
-                if stack[-1] == x:  # a component of one element
-                    stack.pop()
-                    members = (x,)
-                else:
-                    at = stack.index(x)
-                    members = tuple(stack[at:])
-                    del stack[at:]
-                shared = set(members)
-                for m in members:
-                    for y in adj[m]:
-                        if y not in shared:
-                            shared |= reach[y]
-                for m in members:
-                    reach[m] = shared
-    return reach
+        reach[root] = seen = {root}
+        todo = [root]
+        while todo:
+            for y in adj[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    leq = frozenset((a, b) for a in elems for b in reach[a])
+    return FiberPoset(elems, leq, bottom, top)
 
 
 def chain_poset(names) -> FiberPoset:
@@ -820,6 +785,8 @@ def random_spec(seed: int, limits: SizeLimits = SizeLimits()) -> FiberedSpec:
     cover paths make the actions functorial by construction); fibers are
     random bounded posets; cover actions are random monotone bottom-
     preserving maps and composite actions are composites of cover actions.
+    Limits below 1 (0 for base morphisms), or an object or fiber cap above
+    :func:`~catmn.config.morphism_limit`, raise :class:`SizeLimitError`.
     """
     if (
         limits.max_base_objects < 1
@@ -827,6 +794,14 @@ def random_spec(seed: int, limits: SizeLimits = SizeLimits()) -> FiberedSpec:
         or limits.max_fiber_elements < 1
     ):
         raise SizeLimitError(f"unsatisfiable size limits: {limits}")
+    # n base objects make n morphisms or more, and m fiber elements m or
+    # more in the total: a cap past the limit is refused before any draw
+    limit = morphism_limit()
+    if max(limits.max_base_objects, limits.max_fiber_elements) > limit:
+        raise SizeLimitError(
+            f"size limits {limits} exceed the limit of {limit} morphisms "
+            "(set CATMN_MAX_MORPHISMS to override)"
+        )
     rng = random.Random(seed)
 
     n = rng.randint(1, limits.max_base_objects)

@@ -9,19 +9,22 @@ comonad T = F.N.G with counit delta_x = inverse(theta_x) after F(eta_{Gx}),
 and a comonad (M, psi) induces the monad S = F.M.G with unit
 epsilon_x = F(psi_{Gx}) after theta_x.  When N(psi) is invertible so is
 T(epsilon), and when M(eta) is invertible so is S(delta);
-:func:`verify_transfer` re-proves both implications on the instance.
+:func:`verify_transfer` re-proves both implications on the instance, on the
+hypotheses :func:`~catmn.equivalence.mn_hypotheses` names for both pairs.
 
 Two ready-made equivalences are provided: the mechanical relabeled-opposite
 of any category, and a tiny powerset duality between two concrete finite
-sets and their subset algebras with every hom-set enumerated exhaustively.
+sets and their subset algebras, both categories of maps between finite sets
+with every hom-set enumerated exhaustively.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Category, Mor, inverse_of, transposing
+from .equivalence import mn_hypotheses
 from .errors import InvalidArtifactError, MismatchError
 from .functors import (
     Functor,
@@ -30,7 +33,6 @@ from .functors import (
     composite_tables,
     identity_functor,
     iso_report,
-    left_components,
     validate_contravariant,
 )
 from .monads import COMONAD, MONAD, MonadDatum, _expect, check_idempotent
@@ -46,7 +48,6 @@ class ContravariantEquivalence:
     backward: Functor  # G: D -> C, contravariant
     theta: NaturalTransformation  # 1_D => F.G
     theta_bar: NaturalTransformation  # 1_C => G.F
-    name: str = field(default="", compare=False)
     _report: ValidationReport | None = report_field()
 
     @property
@@ -168,28 +169,25 @@ def verify_transfer(
     violations: list[Violation] = []
     notes: list[str] = []
 
-    # per source datum d, with the other one o: N(psi) or M(eta) on the
-    # source, then T(epsilon) or S(delta) on the dual side
-    carried = ((m, r.induced_comonad), (c, r.induced_monad))
-    for (d, Td), (o, To) in (carried, carried[::-1]):
-        side, other = d.side, o.side
-        invertible = factors_ok and all(
-            inverse_of(C, u) is not None for u in left_components(d.functor, o.unit).values()
-        )
+    # N(psi) carries over to T(epsilon), the induced pair's comonad-of-unit,
+    # and M(eta) to S(delta), its monad-of-counit
+    induced = mn_hypotheses(r.induced_monad, r.induced_comonad)[::-1]
+    for (label, table), (dual_label, dual_table) in zip(mn_hypotheses(m, c), induced):
+        invertible = factors_ok and all(inverse_of(C, u) is not None for u in table().values())
         if not invertible:
             notes.append(
-                f"{side.monad}-of-{other.unit} is not a natural isomorphism on the "
+                f"{label} is not a natural isomorphism on the "
                 "source; its transfer implication is vacuous"
             )
             continue
-        induced = left_components(Td.functor, To.unit)
+        components = dual_table()
         for x in D.objects:
-            if inverse_of(D, induced[x]) is None:
+            if inverse_of(D, components[x]) is None:
                 violations.append(
                     Violation(
-                        f"transfer-{other.monad}-of-{side.unit}",
+                        f"transfer-{dual_label}",
                         (x,),
-                        f"component {induced[x]!r} is not invertible "
+                        f"component {components[x]!r} is not invertible "
                         "although the source-side whiskering is",
                     )
                 )
@@ -201,9 +199,7 @@ def verify_transfer(
 # ready-made equivalences
 
 
-def _strict_equivalence(
-    forward: Functor, backward: Functor, name: str
-) -> ContravariantEquivalence:
+def _strict_equivalence(forward: Functor, backward: Functor) -> ContravariantEquivalence:
     """The equivalence of two functors whose round trips are identities on
     the nose: both comparisons have identity components."""
     comparisons = []
@@ -217,7 +213,7 @@ def _strict_equivalence(
                 name=label,
             )
         )
-    return ContravariantEquivalence(forward, backward, *comparisons, name=name)
+    return ContravariantEquivalence(forward, backward, *comparisons)
 
 
 def relabeled_opposite_equivalence(c: Category) -> ContravariantEquivalence:
@@ -258,11 +254,26 @@ def relabeled_opposite_equivalence(c: Category) -> ContravariantEquivalence:
         {g: f for f, g in mors.items()},
         name="unrelabel",
     )
-    return _strict_equivalence(forward, backward, f"relabel-op[{c.name}]")
+    return _strict_equivalence(forward, backward)
 
 
 def _encode_subset(s: frozenset) -> str:
     return "e" if not s else "".join(str(x) for x in sorted(s))
+
+
+def _concrete(name: str, domains: dict, arrows: dict) -> Category:
+    """The category of the maps ``arrows``, each ``name: (a, b, mapping)``
+    from ``domains[a]`` to ``domains[b]``: identities are the identity maps
+    and composites are map composites, each looked up by its mapping."""
+    by_map = {(a, b, tuple(f[x] for x in domains[a])): h for h, (a, b, f) in arrows.items()}
+    identity = {a: by_map[(a, a, tuple(xs))] for a, xs in domains.items()}
+    compose: dict[tuple[str, str], str] = {}
+    for f, (a, b, fmap) in arrows.items():
+        for g, (b2, c, gmap) in arrows.items():
+            if b2 == b:
+                compose[(g, f)] = by_map[(a, c, tuple(gmap[fmap[x]] for x in domains[a]))]
+    mors = [Mor(h, a, b) for h, (a, b, _) in arrows.items()]
+    return Category(name, domains, mors, identity, compose)
 
 
 def powerset_duality_demo() -> ContravariantEquivalence:
@@ -270,40 +281,25 @@ def powerset_duality_demo() -> ContravariantEquivalence:
 
     Morphisms of the set side are all functions; morphisms of the algebra
     side are all maps between the powersets preserving empty, full, union,
-    intersection, and complement (checked over every candidate).  The
-    contravariant functors are preimage and atom-tracing; both round trips
-    land back on the nose, so the comparison isomorphisms are identities.
+    intersection, and complement (checked over every candidate).  Both
+    sides are categories of maps between finite sets, built by
+    :func:`_concrete`.  The contravariant functors are preimage and
+    atom-tracing; both round trips land back on the nose, so the comparison
+    isomorphisms are identities.
     """
     carriers = {"set1": (1,), "set12": (1, 2)}
-    set_objs = sorted(carriers)
 
     def fn_name(a: str, b: str, images: tuple) -> str:
         return f"fn|{a}|{b}|" + "".join(str(v) for v in images)
 
-    set_mors: list[Mor] = []
-    fn_images: dict[str, tuple[str, str, tuple]] = {}
-    for a in set_objs:
-        for b in set_objs:
+    functions: dict[str, tuple[str, str, dict]] = {}
+    for a in carriers:
+        for b in carriers:
             for images in itertools.product(carriers[b], repeat=len(carriers[a])):
-                name = fn_name(a, b, images)
-                set_mors.append(Mor(name, a, b))
-                fn_images[name] = (a, b, images)
-    set_identity = {
-        a: fn_name(a, a, tuple(carriers[a])) for a in set_objs
-    }
-    set_compose: dict[tuple[str, str], str] = {}
-    for f, (a, b, fim) in fn_images.items():
-        fmap = dict(zip(carriers[a], fim))
-        for g, (b2, c2, gim) in fn_images.items():
-            if b2 != b:
-                continue
-            gmap = dict(zip(carriers[b2], gim))
-            images = tuple(gmap[fmap[x]] for x in carriers[a])
-            set_compose[(g, f)] = fn_name(a, c2, images)
-    sets_cat = Category("finite-sets-demo", set_objs, set_mors, set_identity, set_compose)
+                functions[fn_name(a, b, images)] = (a, b, dict(zip(carriers[a], images)))
+    sets_cat = _concrete("finite-sets-demo", carriers, functions)
 
     algebras = {"alg1": carriers["set1"], "alg12": carriers["set12"]}
-    alg_objs = sorted(algebras)
     subsets = {
         a: sorted(
             (
@@ -313,7 +309,7 @@ def powerset_duality_demo() -> ContravariantEquivalence:
             ),
             key=_encode_subset,
         )
-        for a in alg_objs
+        for a in algebras
     }
 
     def is_hom(a: str, b: str, mapping: dict) -> bool:
@@ -336,37 +332,21 @@ def powerset_duality_demo() -> ContravariantEquivalence:
             _encode_subset(mapping[u]) for u in subsets[a]
         )
 
-    alg_mors: list[Mor] = []
-    hom_maps: dict[str, tuple[str, str, dict]] = {}
-    for a in alg_objs:
-        for b in alg_objs:
+    homs: dict[str, tuple[str, str, dict]] = {}
+    for a in subsets:
+        for b in subsets:
             for images in itertools.product(subsets[b], repeat=len(subsets[a])):
                 mapping = dict(zip(subsets[a], images))
                 if is_hom(a, b, mapping):
-                    name = hom_name(a, b, mapping)
-                    alg_mors.append(Mor(name, a, b))
-                    hom_maps[name] = (a, b, mapping)
-    alg_identity = {
-        a: hom_name(a, a, {u: u for u in subsets[a]}) for a in alg_objs
-    }
-    alg_compose: dict[tuple[str, str], str] = {}
-    for f, (a, b, fmap) in hom_maps.items():
-        for g, (b2, c2, gmap) in hom_maps.items():
-            if b2 != b:
-                continue
-            mapping = {u: gmap[fmap[u]] for u in subsets[a]}
-            alg_compose[(g, f)] = hom_name(a, c2, mapping)
-    algs_cat = Category(
-        "powerset-algebras-demo", alg_objs, alg_mors, alg_identity, alg_compose
-    )
+                    homs[hom_name(a, b, mapping)] = (a, b, mapping)
+    algs_cat = _concrete("powerset-algebras-demo", subsets, homs)
 
     set_to_alg = {"set1": "alg1", "set12": "alg12"}
     alg_to_set = {v: k for k, v in set_to_alg.items()}
 
     # preimage: a function X -> Y becomes P(Y) -> P(X)
     fwd_mor: dict[str, str] = {}
-    for f, (a, b, fim) in fn_images.items():
-        fmap = dict(zip(carriers[a], fim))
+    for f, (a, b, fmap) in functions.items():
         mapping = {
             u: frozenset(x for x in carriers[a] if fmap[x] in u)
             for u in subsets[set_to_alg[b]]
@@ -378,7 +358,7 @@ def powerset_duality_demo() -> ContravariantEquivalence:
 
     # atom tracing: an algebra map P(X) -> P(Y) becomes the function Y -> X
     bwd_mor: dict[str, str] = {}
-    for h, (a, b, mapping) in hom_maps.items():
+    for h, (a, b, mapping) in homs.items():
         xa = alg_to_set[a]
         xb = alg_to_set[b]
         images = []
@@ -389,4 +369,4 @@ def powerset_duality_demo() -> ContravariantEquivalence:
     backward = Functor(
         algs_cat, sets_cat, alg_to_set, bwd_mor, name="atoms"
     )
-    return _strict_equivalence(forward, backward, "powerset-duality")
+    return _strict_equivalence(forward, backward)

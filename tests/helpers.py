@@ -1,5 +1,6 @@
-"""Hand-built gadget categories and (co)monads the test modules share, and
-the name-level collapse search the fiber builders are compared with.
+"""Hand-built gadget categories and (co)monads the test modules share, the
+name-level collapse search the fiber builders are compared with, and the
+rescanning linear extension that ``FiberPoset.linear_extension`` is.
 
 Each is small enough to check by eye; the composition tables are written
 out in full so the tests do not depend on the loader's completion rules.
@@ -353,3 +354,19 @@ def collapse_by_names(t, side):
                 f"{len(lifts)} lifts between the fiber {side.top}s",
             )
     return obj_map, units, mor_map, failures
+
+
+def linear_extension_by_rescan(p):
+    """The reference order of ``FiberPoset.linear_extension``: each step
+    rescans the remaining elements for the least one with no other
+    remaining element below it, and takes the least remaining one when a
+    cycle leaves none."""
+    remaining = set(p.elements)
+    out = []
+    while remaining:
+        ready = sorted(x for x in remaining if p.down[x] & remaining <= {x})
+        if not ready:
+            ready = sorted(remaining)[:1]
+        out.append(ready[0])
+        remaining.remove(ready[0])
+    return out

@@ -325,6 +325,23 @@ def test_random_command_is_reproducible(capsys):
     assert first.startswith("SPEC random-")
 
 
+def test_random_command_refuses_caps_past_the_morphism_limit(capsys, monkeypatch):
+    # refused before any draw: a fiber this large would not fit in memory
+    code, out = run_cli(capsys, "random", "--seed", "1", "--max-fiber", "1000000000")
+    assert code == 2
+    assert out == (
+        "error: size limits SizeLimits(max_base_objects=4, max_base_morphisms=6, "
+        "max_fiber_elements=1000000000) exceed the limit of 10000 morphisms "
+        "(set CATMN_MAX_MORPHISMS to override)\n"
+    )
+    assert run_cli(capsys, "random", "--seed", "1", "--max-base", "10001")[0] == 2
+    # the bound is the morphism limit itself, inclusive
+    monkeypatch.setenv("CATMN_MAX_MORPHISMS", "3")
+    assert run_cli(capsys, "random", "--seed", "1", "--max-base", "1", "--max-fiber", "3")[0] == 0
+    assert run_cli(capsys, "random", "--seed", "1", "--max-base", "1", "--max-fiber", "4")[0] == 2
+    assert run_cli(capsys, "random", "--seed", "1", "--max-base", "4", "--max-fiber", "1")[0] == 2
+
+
 def test_random_command_json_and_out(capsys, tmp_path):
     from catmn import load_text, validate_spec
 

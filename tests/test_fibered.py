@@ -2,6 +2,7 @@
 extremal (co)monad builders, and the seeded random generator."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from catmn import (
     Category,
     ExtremumError,
+    FiberPoset,
     FiberedSpec,
     Functor,
     InvalidArtifactError,
@@ -33,7 +35,7 @@ from catmn import (
     validate_functor,
     validate_spec,
 )
-from helpers import three_chain
+from helpers import linear_extension_by_rescan, three_chain
 
 
 def rules_of(report):
@@ -65,32 +67,52 @@ def test_diamond_linear_extension():
     assert ("x", "y") not in p.leq and ("y", "x") not in p.leq
 
 
+def test_linear_extension_matches_the_rescan_on_random_relations():
+    # raw relations, not closed: cycles, missing reflexive pairs and names
+    # outside the elements included
+    for seed in range(400):
+        rng = random.Random(seed)
+        names = [f"k{i}" for i in range(rng.randint(1, 9))]
+        pool = names + ["zz"]
+        leq = frozenset(
+            (rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 24))
+        )
+        p = FiberPoset(tuple(rng.sample(names, len(names))), leq, names[0], names[-1])
+        assert p.linear_extension() == linear_extension_by_rescan(p), seed
+        closed = poset_from_pairs(names, leq, names[0], names[-1])
+        assert closed.linear_extension() == linear_extension_by_rescan(closed), seed
+
+
 def test_pairs_outside_elements_are_dropped():
     p = poset_from_pairs(["a", "b"], [("a", "zz"), ("zz", "b")], "a", "b")
     assert ("a", "zz") not in p.leq
     assert ("a", "a") in p.leq and ("b", "b") in p.leq
 
 
+SIX = ["k0", "k1", "k2", "k3", "k4", "k5"]
+
+
 @given(
     st.lists(
-        st.tuples(
-            st.sampled_from(["k0", "k1", "k2", "k3"]),
-            st.sampled_from(["k0", "k1", "k2", "k3"]),
-        ),
-        max_size=12,
+        st.tuples(st.sampled_from(SIX), st.sampled_from(SIX)),
+        max_size=18,
     )
 )
 def test_poset_from_pairs_is_closed(pairs):
-    elems = ["k0", "k1", "k2", "k3"]
-    p = poset_from_pairs(elems, pairs, "k0", "k3")
-    for x in elems:
+    p = poset_from_pairs(SIX, pairs, "k0", "k5")
+    for x in SIX:
         assert (x, x) in p.leq
     for a, b in p.leq:
-        for c in elems:
+        for c in SIX:
             if (b, c) in p.leq:
                 assert (a, c) in p.leq
     for a, b in pairs:
         assert (a, b) in p.leq
+    # and nothing more: leq is the Warshall closure of the pairs, cycles too
+    reach = {(a, b) for a in SIX for b in SIX if a == b or (a, b) in pairs}
+    for k in SIX:
+        reach |= {(a, b) for a, b2 in reach if b2 == k for k2, b in reach if k2 == k}
+    assert p.leq == reach
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Contravariant equivalences and transport of (co)monads across them."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -150,6 +151,27 @@ def test_powerset_demo_frozen_shape():
         assert profile == POWERSET_HOM_PROFILE
 
 
+# sha256 of the demo's tables as recorded before its categories were built
+# by one finite-map builder: both categories' morphisms, identities and
+# entries, both functors' maps and both comparisons' components
+POWERSET_DEMO_DIGEST = "8a34703758e2aa6a31b9fd48f34a14735bf732182c4534e7fc479bd91b54ed80"
+
+
+def test_powerset_demo_tables_are_pinned():
+    e = powerset_duality_demo()
+    parts = [
+        (cat.name, cat.objects, tuple(cat.morphisms.values()),
+         tuple(cat.identity.items()), tuple(cat.entries()))
+        for cat in (e.source, e.dual)
+    ]
+    parts += [
+        (F.name, tuple(sorted(F.obj_map.items())), tuple(sorted(F.mor_map.items())))
+        for F in (e.forward, e.backward)
+    ]
+    parts += [(nat.name, tuple(sorted(nat.components.items()))) for nat in (e.theta, e.theta_bar)]
+    assert hashlib.sha256(repr(parts).encode()).hexdigest() == POWERSET_DEMO_DIGEST
+
+
 def test_powerset_demo_equivalence_is_valid():
     e = powerset_duality_demo()
     assert validate_equivalence(e).ok
@@ -198,7 +220,7 @@ def test_c2_transport_across_relabeling(c2_total, c2_monad, c2_comonad):
     assert report.notes == ()
 
 
-def test_collapse_monad_transports_across_powerset_duality():
+def test_collapse_monad_transports_across_powerset_duality(monkeypatch):
     e = powerset_duality_demo()
     m = collapse_monad(e.source)
     c = identity_datum(e.source, COMONAD)
@@ -207,12 +229,19 @@ def test_collapse_monad_transports_across_powerset_duality():
     assert fixed_subcategory(r.induced_comonad).subcategory.objects == (
         "alg1",
     )
+    built = []
+    spy(monkeypatch, catmn.functors, "left_components", built)
     report = verify_transfer(e, m, c, r)
     assert report.ok
     assert report.notes == (
         "comonad-of-unit is not a natural isomorphism on the source; "
         "its transfer implication is vacuous",
     )
+    # N(psi), then T(epsilon) on the dual side, then M(eta): the failed
+    # antecedent builds no table of S(delta)
+    assert [functor for functor, _ in built] == [
+        m.functor.name, r.induced_comonad.functor.name, c.functor.name
+    ]
 
 
 def test_induce_rejects_foreign_monad():
