@@ -209,7 +209,7 @@ def _transport_pipeline(out, spec, mode: str = "relabel-opposite") -> int:
     )
     run.check(
         "transfer",
-        lambda: verify_transfer(eq, source_monad, source_comonad, r),
+        lambda: verify_transfer(source_monad, source_comonad, r),
     )
     result = None
     if run.ok:

@@ -10,7 +10,10 @@ axiom instance instead of raising.
 Names are interned once, at construction.  Morphism ``i`` is the ``i``-th
 name in sorted order; vertex ``v`` is the ``v``-th object in sorted order,
 and after the objects come the names that some morphism ends at but that are
-no object (only an invalid category has those).  The table is stored once,
+no object (only an invalid category has those).  A category made by
+:func:`transposed` (the opposite, and the relabeled dual of
+:mod:`catmn.transport`) has its source's ids instead, which need not follow
+its own names once they are suffixed.  The table is stored once,
 as rows over these ids: ``out[v]`` lists the morphisms leaving vertex
 ``v`` in id order (``into[v]``, made on first use, those entering it),
 ``pos[g]`` is the place of
@@ -31,6 +34,7 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -355,7 +359,8 @@ class Category:
         if not isinstance(other, Category):
             return NotImplemented
         return (
-            self.objects == other.objects
+            self.names == other.names
+            and self.objects == other.objects
             and self.morphisms == other.morphisms
             and self.identity == other.identity
             and self.rows == other.rows
@@ -565,37 +570,47 @@ def opposite(c: Category) -> Category:
     Names are preserved, so applying this twice gives back a category equal
     to the original.
     """
-    mors = [Mor(m.name, m.dst, m.src) for m in c.morphisms.values()]
-    return Category(f"op({c.name})", c.objects, mors, c.identity, fill=transposing(c))
+    return transposed(c, f"op({c.name})", "")
 
 
-def transposing(c: Category, suffix: str = ""):
-    """A ``fill`` for the opposite of ``c`` with ``suffix`` added to every
-    name: ``g after f`` in ``c`` is ``f after g`` there.  Its rows are
-    ``c``'s columns, carried through one permutation of the morphism ids."""
+def transposed(c: Category, name: str, suffix: str) -> Category:
+    """The opposite of ``c`` on ``c``'s own ids, with ``suffix`` added to
+    every name: ``g after f`` in ``c`` is ``f after g`` here.
 
-    def fill(d: Category) -> tuple[Rows, Stray]:
-        perm = [d.mor_id[m + suffix] for m in c.names]
-        back = [0] * len(perm)
-        for i, j in zip(c.mor_id.values(), perm):
-            back[j] = i
-        rows: Rows = [None] * len(perm)
-        c_rows, pos = c.rows, c.pos
-        for x, leaving in zip(c.vertices, c.out):
-            # d's rows leaving x are c's columns entering x, in d's order of
-            # the morphisms into x
-            entering = [c_rows[back[f]] for f in d.out[d.vid[x + suffix]]]
-            for g in leaving:
-                p = pos[g]
-                column = [row[p] for row in entering]
-                try:
-                    rows[perm[g]] = _gather(column)(perm) if column else ()
-                except TypeError:  # a hole
-                    rows[perm[g]] = [None if h is None else perm[h] for h in column]
-        stray = {(f + suffix, g + suffix): h + suffix for (g, f), h in c.stray.items()}
-        return rows, stray
-
-    return fill
+    Nothing is sorted or permuted.  The endpoint, adjacency and identity
+    lists are ``c``'s, swapped where the direction turns, and each row is a
+    column of ``c``, made by one transpose per vertex.  With a suffix the
+    ids need not follow name order: ``b0|v1~`` sorts after ``b0|v10~``.
+    Every name in ``c``'s tables must be one of its objects or morphisms
+    when there is a suffix; the caller checks that.
+    """
+    d = Category.__new__(Category)
+    names = c.names if not suffix else tuple([m + suffix for m in c.names])
+    vertices = c.vertices if not suffix else tuple([v + suffix for v in c.vertices])
+    d.name, d.names, d.vertices = name, names, vertices
+    d.objects = vertices[: len(c.objects)]
+    # the Mor values read off the endpoint lists, their ends swapped
+    ends = (_gather(c.dst)(vertices), _gather(c.src)(vertices)) if names else ((), ())
+    d.morphisms = dict(zip(names, map(partial(tuple.__new__, Mor), zip(names, *ends))))
+    d.identity = {x + suffix: m + suffix for x, m in c.identity.items()}
+    d.mor_id = dict(zip(names, c.mor_id.values()))
+    d.vid = dict(zip(vertices, c.vid.values()))
+    d.src, d.dst, d.out, d._into, d.ident = c.dst, c.src, c.into, c.out, c.ident
+    d._identity_maps = None
+    # pos[g]: the place of g among the morphisms entering its target in c
+    d.pos = pos = [0] * len(names)
+    rows: list = [()] * len(names)
+    c_rows = c.rows
+    for leaving, entering in zip(c.out, d.out):
+        for i, g in enumerate(entering):
+            pos[g] = i
+        if entering:
+            # the rows leaving x here are c's columns entering x
+            for g, column in zip(leaving, zip(*_gather(entering)(c_rows))):
+                rows[g] = column
+    d.rows = rows
+    d.stray = {(f + suffix, g + suffix): h + suffix for (g, f), h in c.stray.items()}
+    return d
 
 
 class View(NamedTuple):
@@ -635,25 +650,30 @@ def full_subcategory(c: Category, objs: Iterable[str]):
         c.require_object(x)
     keepset = set(keep)
     mors = [m for m in c.morphisms.values() if m.src in keepset and m.dst in keepset]
-    names = [m.name for m in mors]
     identity = {x: c.identity[x] for x in keep if x in c.identity}
+    # old[i]: c's id of the kept morphism with id i
+    old: tuple = ()
 
     def fill(sub: Category) -> tuple[Rows, Stray]:
-        # kept ids keep their order, so a kept row is c's row at the kept
-        # slots; an entry whose composite was dropped is no morphism here
+        # a kept row is c's row read at the slots of the kept morphisms, in
+        # sub's order; an entry whose composite was dropped is no morphism
+        # here
+        nonlocal old
+        old = _gather(sub.names)(c.mor_id) if sub.names else ()
         new = [None] * len(c.names)
-        for i, name in zip(map(c.mor_id.__getitem__, names), sub.names):
-            new[i] = sub.mor_id[name]
+        for i, j in zip(sub.mor_id.values(), old):
+            new[j] = i
+        pos, c_rows = c.pos, c.rows
         rows: Rows = []
         stray: Stray = {}
-        for f in map(c.mor_id.__getitem__, names):
-            row = []
-            for g, h in zip(c.out[c.dst[f]], c.rows[f]):
-                if new[g] is not None:
-                    if h is not None and new[h] is None:
-                        stray[(c.names[g], c.names[f])] = c.names[h]
-                        h = None
-                    row.append(h if h is None else new[h])
+        for f, (j, d) in enumerate(zip(old, sub.dst)):
+            row, c_row = [], c_rows[j]
+            for g in sub.out[d]:
+                h = c_row[pos[old[g]]]
+                if h is not None and new[h] is None:
+                    stray[(sub.names[g], sub.names[f])] = c.names[h]
+                    h = None
+                row.append(h if h is None else new[h])
             rows.append(row)
         for (g, f), h in c.stray.items():
             if g in sub.mor_id and f in sub.mor_id:
@@ -662,10 +682,6 @@ def full_subcategory(c: Category, objs: Iterable[str]):
 
     sub = Category(f"full({c.name})", keep, mors, identity, fill=fill)
     inclusion = Functor(
-        sub,
-        c,
-        {x: x for x in keep},
-        {m: m for m in names},
-        name=f"include({c.name})",
+        sub, c, {x: x for x in keep}, name=f"include({c.name})", images=old
     )
     return sub, inclusion

@@ -11,7 +11,7 @@ counit, triangle identities, and the two factorization isomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from .core import Category, inverse_of
@@ -25,6 +25,7 @@ from .functors import (
     Functor,
     NaturalTransformation,
     compose_functors,
+    composite,
     identity_functor,
     iso_report,
     left_components,
@@ -127,14 +128,8 @@ def build_mn_equivalence(p: MNPair) -> EquivalenceResult:
     N, M = p.monad.functor, p.comonad.functor
     eta, psi = p.monad.unit.components, p.comonad.unit.components
 
-    forward = replace(
-        compose_functors(p.reflection.reflector, p.coreflection.inclusion),
-        name="forward",
-    )
-    backward = replace(
-        compose_functors(p.coreflection.reflector, p.reflection.inclusion),
-        name="backward",
-    )
+    forward = composite("forward", p.coreflection.inclusion, p.reflection.reflector)
+    backward = composite("backward", p.reflection.inclusion, p.coreflection.reflector)
 
     msub = p.coreflection.subcategory
     nsub = p.reflection.subcategory

@@ -34,7 +34,7 @@ from .errors import (
     SizeLimitError,
 )
 from .core import Category, Mor, Rows, _gather, oriented, validate_category
-from .functors import Functor, NaturalTransformation, _mor_images, identity_functor
+from .functors import Functor, NaturalTransformation, identity_functor
 from .monads import COMONAD, MONAD, MonadDatum, Side
 from .report import ValidationReport, Violation, remembered, report_field
 
@@ -381,7 +381,7 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
     # and the ranks of the k2
     blocks: list[tuple[int, str, list[str], list[str], list[int]]] = []
     mors: list[Mor] = []
-    mor_proj: dict[str, str] = {}
+    seen: set[str] = set()
     # (tuple.__new__ makes each Mor as Mor(...) does, without a Python-level
     # call per morphism)
     make = partial(tuple.__new__, Mor)
@@ -393,11 +393,15 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
             prefix, src = f"{fname}|{k}|", starts[k]
             names = [prefix + k2 for k2 in k2s]
             for name, k2 in zip(names, k2s):
-                if name in mor_proj:
+                if name in seen:
                     raise InvalidArtifactError(f"total morphism name collision at {name!r}")
-                mor_proj[name] = fname
+                seen.add(name)
                 mors.append(make((name, src, ends_at[k2])))
             blocks.append((f, k, names, k2s, ranks[act[k]]))
+
+    # over[u]: the id of the base arrow that total morphism u lies over,
+    # written by the fill
+    over: list = [None] * len(mors)
 
     def missing(key):
         return InvalidArtifactError(
@@ -436,15 +440,17 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
         # offset[u]: where u sits in the tables, as a slot
         lifts: list[dict[str, list]] = [{} for _ in base.names]
         offset = [0] * len(total.names)
+        base_ids = list(base.mor_id.values())
         block_ids = []
         for f, k, names, _, at in blocks:
             got = list(map(ids.__getitem__, names))
             block_ids.append(got)
             table = lifts[f][k] = [None] * width[bdst[f]]
-            first = start[f]
+            first, bf = start[f], base_ids[f]
             for u, r in zip(got, at):
                 table[r] = u
                 offset[u] = first + r
+                over[u] = bf
         readers = [_gather(list(map(offset.__getitem__, leaving))) for leaving in total.out]
         dst = total.dst
         rows: Rows = [None] * len(total.names)
@@ -472,11 +478,9 @@ def build_total_category(s: FiberedSpec) -> TotalCategory:
         total,
         base,
         {x: decoding[x][0] for x in total.objects},
-        mor_proj,
         name=f"project({s.name})",
+        images=over,
     )
-    over = map(base.mor_id.__getitem__, map(mor_proj.__getitem__, total.names))
-    object.__setattr__(projection, "_images", list(over))
     return TotalCategory(total, projection, decoding)
 
 
@@ -530,7 +534,7 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
     hom, after, src, dst = oriented(cat, flip)
     # the morphisms entering and leaving each vertex, as the view reads them
     entering, leaving = (cat.out, cat.into) if flip else (cat.into, cat.out)
-    over = _mor_images(t.projection)
+    over = t.projection.images
     names, vid, rows, pos = cat.names, cat.vid, cat.rows, cat.pos
 
     def fail(error: Exception, rule: str, where: str, detail: str) -> None:
@@ -622,14 +626,9 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
 def _build(t: TotalCategory, side: Side):
     obj_map, eta, images = _collapse(t, side)
     cat = t.total
-    names = cat.names
-    try:
-        mor_map = dict(zip(names, map(names.__getitem__, images)))
-    except TypeError:  # no image for a morphism at a vertex that is no object
-        mor_map = {names[u]: names[v] for u, v in enumerate(images) if v is not None}
     name = f"fiber-{side.top}-{side.monad}"
-    functor = Functor(cat, cat, obj_map, mor_map, name=name)
-    object.__setattr__(functor, "_images", images)
+    # None where a morphism at a vertex that is no object has no image
+    functor = Functor(cat, cat, obj_map, name=name, images=images)
     unit = NaturalTransformation(
         *side.orient(identity_functor(cat), functor),
         eta,

@@ -1,5 +1,10 @@
 """Functors and natural transformations between finite categories.
 
+A functor holds its morphism table on the ids of its source
+(:class:`Functor`): ``images[f]`` is the target id of the image of source
+morphism ``f``.  Every builder gathers such tables from ids; a table given
+by names is turned into ids once, at construction, and ``mor_map`` is a
+read-only view keyed by names, like :attr:`catmn.core.Category.compose`.
 A contravariant functor keeps the same tables as a covariant one; its laws
 are the covariant ones read on a flipped view of its source
 (:func:`catmn.core.oriented`), so one set of law checks covers both
@@ -12,6 +17,7 @@ functors, as the reference for that.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import attrgetter
@@ -25,21 +31,80 @@ from .errors import (
 from .report import ValidationReport, Violation
 
 
-@dataclass(frozen=True)
+class MorphismView(Mapping):
+    """A functor's morphism table keyed by names: ``view[f]`` is the name of
+    the image of ``f``.  Read-only; it acts as the equivalent dict would, and
+    equals one with the same entries."""
+
+    __slots__ = ("_F",)
+
+    def __init__(self, F: "Functor"):
+        self._F = F
+
+    def __getitem__(self, f):
+        try:
+            return self._F.on_mor(f)
+        except UnknownMorphismError:
+            raise KeyError(f) from None
+
+    def __iter__(self):
+        F = self._F
+        for f, m in zip(F.source.names, F.images):
+            if m is not None:
+                yield f
+        yield from F.stray
+
+    def __len__(self):
+        F = self._F
+        return len(F.images) - F.images.count(None) + len(F.stray)
+
+
 class Functor:
     """A functor as explicit object and morphism tables.  A contravariant
-    one has the same shape, its ``mor_map`` sending ``f: a -> b`` to a
-    morphism from the image of ``b`` to the image of ``a``; which laws hold
-    is up to the validator (:func:`validate_contravariant`)."""
+    one has the same shape, sending ``f: a -> b`` to a morphism from the
+    image of ``b`` to the image of ``a``; which laws hold is up to the
+    validator (:func:`validate_contravariant`).
 
-    source: Category
-    target: Category
-    obj_map: dict[str, str]
-    mor_map: dict[str, str]
-    name: str = field(default="", compare=False)
-    # the morphism table over ids (:func:`_mor_images`); like a remembered
-    # report, it assumes the tables are not edited in place once used
-    _images: list | None = field(default=None, init=False, compare=False, repr=False)
+    The morphism table is ``images``, over the source's ids: the target id
+    of each image, the image's name where it is no target morphism, None
+    where there is none (a name mapped to None has none).  An entry for a
+    name that is no source morphism, which no slot can hold, is kept by name
+    in ``stray``; only an invalid functor has any.  The table is given by
+    names as ``mor_map`` or, by builders, as ``images``, which is kept as it
+    is when it is a tuple.  Like a remembered report, it assumes the tables
+    are not edited in place once made.
+    """
+
+    __slots__ = ("source", "target", "obj_map", "images", "stray", "name")
+
+    def __init__(
+        self,
+        source: Category,
+        target: Category,
+        obj_map: dict[str, str],
+        mor_map: Mapping[str, str] | None = None,
+        name: str = "",
+        *,
+        images: Sequence | None = None,
+    ):
+        self.source, self.target, self.obj_map, self.name = source, target, obj_map, name
+        self.stray: dict = {}
+        if images is None:
+            sid, tid = source.mor_id, target.mor_id
+            table = [None] * len(source.names)
+            for f, m in (mor_map or {}).items():
+                i = sid.get(f)
+                if i is None:
+                    self.stray[f] = m
+                elif m is not None:
+                    table[i] = tid.get(m, m)
+            images = tuple(table)
+        self.images = images if type(images) is tuple else tuple(images)
+
+    @property
+    def mor_map(self) -> MorphismView:
+        """The morphism table keyed by names: ``mor_map[f]``."""
+        return MorphismView(self)
 
     def on_obj(self, x: str) -> str:
         try:
@@ -50,12 +115,34 @@ class Functor:
             ) from None
 
     def on_mor(self, f: str) -> str:
-        try:
-            return self.mor_map[f]
-        except KeyError:
-            raise UnknownMorphismError(
-                f"functor {self.name!r} is undefined on morphism {f!r}"
-            ) from None
+        i = self.source.mor_id.get(f)
+        if i is not None:
+            m = self.images[i]
+            if type(m) is int:
+                return self.target.names[m]
+            if m is not None:
+                return m
+        elif f in self.stray:
+            return self.stray[f]
+        raise UnknownMorphismError(f"functor {self.name!r} is undefined on morphism {f!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Functor):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and self.obj_map == other.obj_map
+            and self.images == other.images
+            and self.stray == other.stray
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Functor({self.name!r}, {self.source.name!r} -> {self.target.name!r})"
 
 
 def identity_functor(c: Category) -> Functor:
@@ -63,26 +150,8 @@ def identity_functor(c: Category) -> Functor:
     and shared, so identity functors of one category compare equal at once."""
     maps = c._identity_maps
     if maps is None:
-        maps = c._identity_maps = (
-            {x: x for x in c.objects},
-            {m: m for m in c.morphisms},
-            list(c.mor_id.values()),
-        )
-    F = Functor(c, c, maps[0], maps[1], name=f"1[{c.name}]")
-    object.__setattr__(F, "_images", maps[2])
-    return F
-
-
-def _mor_images(F: Functor) -> list:
-    """``F``'s morphism table over the ids of its source: the target id of
-    each image, the image's name where it is no target morphism, None where
-    there is none.  Made on first use and kept on ``F``."""
-    images = F._images
-    if images is None:
-        tid = F.target.mor_id
-        images = [tid.get(m, m) for m in map(F.mor_map.get, F.source.names)]
-        object.__setattr__(F, "_images", images)
-    return images
+        maps = c._identity_maps = ({x: x for x in c.objects}, tuple(c.mor_id.values()))
+    return Functor(c, c, maps[0], name=f"1[{c.name}]", images=maps[1])
 
 
 def validate_functor(F: Functor) -> ValidationReport:
@@ -95,8 +164,7 @@ def _functor_report(F: Functor, flip: bool) -> ValidationReport:
     the opposite: endpoints swapped and each entry ``g after f`` read as
     ``f after g``.  The subjects are the ones a check on the real opposite
     gives."""
-    src, tgt, obj_map, mor_map = F.source, F.target, F.obj_map, F.mor_map
-    img = _mor_images(F)
+    src, tgt, obj_map, img, stray = F.source, F.target, F.obj_map, F.images, F.stray
     violations: list[Violation] = []
     src_objects, tgt_objects = set(src.objects), set(tgt.objects)
     ends = attrgetter("dst", "src") if flip else attrgetter("src", "dst")
@@ -122,16 +190,15 @@ def _functor_report(F: Functor, flip: bool) -> ValidationReport:
     for (f, mf), image, a, b in zip(src.morphisms.items(), img, a_ends, b_ends):
         if type(image) is int and tgt.src[image] == at[a] and tgt.dst[image] == at[b]:
             continue
-        if f not in mor_map:
+        if image is None:
             violations.append(Violation("functor-morphism-missing", (f,), "no image assigned"))
             continue
-        Ff = mor_map[f]
-        if Ff not in tgt.morphisms:
+        if type(image) is not int:
             violations.append(
-                Violation("functor-morphism-image", (f,), f"image {Ff!r} is not a target morphism")
+                Violation("functor-morphism-image", (f,), f"image {image!r} is not a target morphism")
             )
             continue
-        mFf = tgt.morphisms[Ff]
+        mFf = tgt.morphisms[tgt.names[image]]
         a, b = ends(mf)
         want_src = obj_map.get(a)
         want_dst = obj_map.get(b)
@@ -163,39 +230,41 @@ def _functor_report(F: Functor, flip: bool) -> ValidationReport:
                     f"image target is {mFf.dst!r}, expected {want_dst!r}",
                 )
             )
-    for f in mor_map:
-        if f not in src.morphisms:
-            violations.append(
-                Violation("functor-morphism-extra", (f,), "image assigned to a non-morphism")
-            )
+    for f in stray:
+        violations.append(
+            Violation("functor-morphism-extra", (f,), "image assigned to a non-morphism")
+        )
 
-    for x in src.objects:
-        idx = src.identity.get(x)
-        if idx is None or idx not in mor_map or x not in obj_map:
+    # each object's identity is its id or, when that is no morphism, its
+    # name; the objects are the first vertices
+    for x, i in zip(src.objects, src.ident):
+        Fi = tgt.name_of(img[i]) if type(i) is int else stray.get(i)
+        if Fi is None or x not in obj_map:
             continue
         want = tgt.identity.get(obj_map[x])
-        if mor_map[idx] != want:
+        if Fi != want:
             violations.append(
                 Violation(
                     "functor-identity",
                     (x,),
-                    f"identity of {x!r} maps to {mor_map[idx]!r}, expected {want!r}",
+                    f"identity of {x!r} maps to {Fi!r}, expected {want!r}",
                 )
             )
 
-    violations.extend(_composition_sweep(src, tgt, mor_map, img, flip))
+    violations.extend(_composition_sweep(src, tgt, stray, img, flip))
     return ValidationReport(violations)
 
 
 def _composition_sweep(
-    src: Category, tgt: Category, mor_map: dict[str, str], img: list, flip: bool
+    src: Category, tgt: Category, stray: dict[str, str], img: Sequence, flip: bool
 ) -> list[Violation]:
     """The functor-composition violations of :func:`_functor_report`.
 
     Every entry ``g o f = h`` of the source table is checked against ``Fg o
     Ff`` in the target or, read flipped, against ``Ff o Fg`` (the entry is
     ``f o g = h`` in the opposite).  ``img`` holds the images by source id:
-    target ids, or names where they are no target morphism.
+    target ids, or names where they are no target morphism; ``stray`` the
+    images of the names that are no source morphism.
 
     The rows are walked grouped by the vertex ``x`` they end at.  When the
     images of the morphisms leaving ``x`` all start at one target vertex
@@ -261,37 +330,38 @@ def _composition_sweep(
     tid = tgt.mor_id
     for g, f, h in src.stray_ids():
         Ff, Fg, Fh = (
-            img[m] if type(m) is int else tid.get(mor_map.get(m), mor_map.get(m))
+            img[m] if type(m) is int else tid.get(stray.get(m), stray.get(m))
             for m in (f, g, h)
         )
         check(f, g, Ff, Fg, Fh)
     return found
 
 
-def composite_tables(source: Category, *chain) -> tuple[dict[str, str], dict[str, str]]:
-    """The object and morphism tables, on ``source``, of the functors in
-    ``chain`` applied in turn (the first one first), read by plain dict
-    lookups.  A missing image raises the error that applying the functors'
+def composite(name: str, *chain: Functor) -> Functor:
+    """The functors in ``chain`` applied in turn (the first one first), as
+    one functor called ``name``: each table is gathered through the next one
+    on ids.  A missing image raises the error that applying the functors'
     ``on_obj``/``on_mor`` one element at a time would raise."""
+    source, target = chain[0].source, chain[-1].target
     try:
-        return (
-            _chained(source.objects, [F.obj_map for F in chain]),
-            _chained(source.morphisms, [F.mor_map for F in chain]),
-        )
-    except KeyError:
+        objects, images = source.objects, chain[0].images
+        for F in chain:
+            objects = list(map(F.obj_map.__getitem__, objects))
+        for F in chain[1:]:
+            images = _gather(images)(F.images) if images else images
+        if None not in images:
+            obj_map = dict(zip(source.objects, objects))
+            return Functor(source, target, obj_map, name=name, images=images)
+    except (KeyError, TypeError, IndexError):  # an image missing, or by name
         pass
     # rare: redo it call by call, so the first miss names its functor
-    return (
+    return Functor(
+        source,
+        target,
         {x: reduce(lambda y, F: F.on_obj(y), chain, x) for x in source.objects},
-        {f: reduce(lambda g, F: F.on_mor(g), chain, f) for f in source.morphisms},
+        {f: reduce(lambda g, F: F.on_mor(g), chain, f) for f in source.names},
+        name,
     )
-
-
-def _chained(keys, maps) -> dict[str, str]:
-    images = keys
-    for m in maps:
-        images = map(m.__getitem__, images)
-    return dict(zip(keys, images))
 
 
 def compose_functors(G: Functor, F: Functor) -> Functor:
@@ -300,7 +370,7 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
         raise MismatchError(
             f"cannot compose {G.name!r} after {F.name!r}: middle categories differ"
         )
-    return Functor(F.source, G.target, *composite_tables(F.source, F, G), name=f"{G.name}.{F.name}")
+    return composite(f"{G.name}.{F.name}", F, G)
 
 
 def validate_contravariant(F: Functor) -> ValidationReport:
@@ -384,7 +454,7 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
         cid.get(alpha.components[x], alpha.components[x]) if x in good else None
         for x in dom.vertices
     ]
-    image_F, image_G = _mor_images(F), _mor_images(G)
+    image_F, image_G = F.images, G.images
     after, name_of = cod.after, cod.name_of
     rows, pos, cod_src, cod_dst = cod.rows, cod.pos, cod.src, cod.dst
     for f, (s, d) in enumerate(zip(dom.src, dom.dst)):

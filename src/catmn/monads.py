@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Category, full_subcategory, inverse_of, oriented
+from .core import Category, _gather, full_subcategory, inverse_of, oriented
 from .errors import InvalidArtifactError, MismatchError
 from .functors import (
     Functor,
@@ -212,14 +212,20 @@ def fixed_subcategory(d: MonadDatum) -> ReflectionPackage:
             raise InvalidArtifactError(
                 f"{side.monad} functor sends {x!r} outside its fixed subcategory"
             )
-    # the datum's own tables, not copies: a functor's tables are not edited
-    # once made
+    # the datum's own tables, its ids read in the subcategory's: a valid
+    # functor sends every morphism between images of objects, which are
+    # fixed, so each image is kept.  A functor's tables are not edited once
+    # made
+    to_sub = [None] * len(cat.names)
+    for i, j in zip(sub.mor_id.values(), inclusion.images):
+        to_sub[j] = i
+    images = d.functor.images
     reflector = Functor(
         cat,
         sub,
         d.functor.obj_map,
-        d.functor.mor_map,
         name=f"{side.reflect}[{d.functor.name}]",
+        images=_gather(images)(to_sub) if images else (),
     )
     return ReflectionPackage(cat, sub, inclusion, reflector, d.unit, inverses, side)
 
@@ -244,6 +250,10 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
     tag = f"{side.reflect}ion"
     components, unit_inverses = p.unit.components, p.unit_inverses
     names, mor_id, vid = cat.names, cat.mor_id, cat.vid
+    # the reflector's images by ambient id, each as an ambient id where it
+    # names one
+    images = reflector.images
+    ambient_id = [mor_id.get(g, g) for g in reflector.target.names]
     # the subcategory's objects with their vertex ids and the ids of the
     # inverses of their units; an object that is none of cat's has no arrows
     targets = [
@@ -318,11 +328,10 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
                         )
                     )
                     continue
-                Nf = reflector.mor_map.get(names[f])
+                Nf = images[f]
+                Nf = ambient_id[Nf] if type(Nf) is int else mor_id.get(Nf, Nf)
                 closed = (
-                    after(inv_y, mor_id.get(Nf, Nf))
-                    if (inv_y is not None and Nf is not None)
-                    else None
+                    after(inv_y, Nf) if (inv_y is not None and Nf is not None) else None
                 )
                 if mediators[0] != closed:
                     found.append(

@@ -13,9 +13,12 @@ T(epsilon), and when M(eta) is invertible so is S(delta);
 hypotheses :func:`~catmn.equivalence.mn_hypotheses` names for both pairs.
 
 Two ready-made equivalences are provided: the mechanical relabeled-opposite
-of any category, and a tiny powerset duality between two concrete finite
-sets and their subset algebras, both categories of maps between finite sets
-with every hom-set enumerated exhaustively.
+of any category, built on the category's own morphism ids so that both of
+its functors are one shared table sending each id to itself, and a tiny
+powerset duality between two concrete finite sets and their subset algebras,
+both categories of maps between finite sets with every hom-set enumerated
+exhaustively.  The induced functor F.N.G is gathered on ids, like every
+composite.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Category, Mor, inverse_of, transposing
+from .core import Category, Mor, inverse_of, transposed
 from .equivalence import mn_hypotheses
 from .errors import InvalidArtifactError, MismatchError
 from .functors import (
     Functor,
     NaturalTransformation,
     compose_functors,
-    composite_tables,
+    composite,
     identity_functor,
     iso_report,
     validate_contravariant,
@@ -126,8 +129,7 @@ def induce(e: ContravariantEquivalence, d: MonadDatum) -> MonadDatum:
         # a unit eta gives the counit inverse(theta_x) after F(eta_{Gx})
         return D.comp(inverse_of(D, theta[x]), F_eta)
 
-    tables = composite_tables(D, G, d.functor, F)
-    functor = Functor(D, D, *tables, name=f"induced[{d.functor.name}]")
+    functor = composite(f"induced[{d.functor.name}]", G, d.functor, F)
     induced = MONAD if side.flip else COMONAD
     nat = NaturalTransformation(
         *induced.orient(identity_functor(D), functor),
@@ -145,12 +147,7 @@ def transport_pair(
     return TransportResult(induce(e, m), induce(e, c))
 
 
-def verify_transfer(
-    e: ContravariantEquivalence,
-    m: MonadDatum,
-    c: MonadDatum,
-    r: TransportResult,
-) -> ValidationReport:
+def verify_transfer(m: MonadDatum, c: MonadDatum, r: TransportResult) -> ValidationReport:
     """Instance-level proof of the two transfer implications.
 
     If N(psi) is a natural isomorphism then T(epsilon) must be, and if
@@ -220,40 +217,30 @@ def relabeled_opposite_equivalence(c: Category) -> ContravariantEquivalence:
     """The tautological duality between a category and a relabeled copy of
     its opposite, whose every name is ``c``'s with ``~`` appended.
 
-    The copy is built straight from ``c``'s tables through one relabeling
-    map for objects and one for morphisms, so each new name is made once and
-    shared by every table that holds it; its rows are ``c``'s columns,
-    carried through one permutation of the morphism ids.  No opposite
-    category is built.
+    The copy is built on ``c``'s own ids (:func:`~catmn.core.transposed`):
+    its morphism ``i`` is ``c``'s morphism ``i`` relabeled, so its ids need
+    not follow name order, and its rows are ``c``'s columns.  Both functors
+    send each id to itself.  No opposite category is built.
     """
     suffix = "~"
-    objs = {x: x + suffix for x in c.objects}
-    mors = {f: f + suffix for f in c.morphisms}
-    # an entry naming no morphism has nothing to be relabeled to
+    # a name in c's tables that is none of its objects or morphisms has
+    # nothing to be relabeled to
+    objs, mors = set(c.objects), c.mor_id
     unknown = [x for (g, f), h in c.stray.items() for x in (f, g, h) if x not in mors]
-    try:
-        if unknown:
-            raise KeyError(unknown[0])
-        d = Category(
-            c.name + suffix + "op",
-            objs.values(),
-            [Mor(mors[m.name], objs[m.dst], objs[m.src]) for m in c.morphisms.values()],
-            {objs[x]: mors[m] for x, m in c.identity.items()},
-            fill=transposing(c, suffix),
-        )
-    except KeyError as exc:
+    if len(c.vertices) > len(c.objects):
+        unknown += [x for m in c.morphisms.values() for x in (m.dst, m.src) if x not in objs]
+    unknown += [
+        x for pair in c.identity.items() for x, known in zip(pair, (objs, mors)) if x not in known
+    ]
+    if unknown:
         raise InvalidArtifactError(
-            f"category {c.name!r} names {exc.args[0]!r} in its tables, which is "
+            f"category {c.name!r} names {unknown[0]!r} in its tables, which is "
             "none of its objects or morphisms"
-        ) from None
-    forward = Functor(c, d, objs, mors, name="relabel")
-    backward = Functor(
-        d,
-        c,
-        {y: x for x, y in objs.items()},
-        {g: f for f, g in mors.items()},
-        name="unrelabel",
-    )
+        )
+    d = transposed(c, c.name + suffix + "op", suffix)
+    ids = identity_functor(c).images
+    forward = Functor(c, d, dict(zip(c.objects, d.objects)), name="relabel", images=ids)
+    backward = Functor(d, c, dict(zip(d.objects, c.objects)), name="unrelabel", images=ids)
     return _strict_equivalence(forward, backward)
 
 

@@ -1,6 +1,7 @@
 """Hand-built gadget categories and (co)monads the test modules share, the
-name-level collapse search the fiber builders are compared with, and the
-rescanning linear extension that ``FiberPoset.linear_extension`` is.
+name-level collapse search the fiber builders are compared with, the
+rescanning linear extension that ``FiberPoset.linear_extension`` is, and the
+name-level tables that each functor builder gave before functors held ids.
 
 Each is small enough to check by eye; the composition tables are written
 out in full so the tests do not depend on the loader's completion rules.
@@ -302,7 +303,7 @@ def collapse_by_names(t, side):
     a builder raises first, and the violation the extension check records.
     """
     cat, base = t.total, t.projection.target
-    over = t.projection.mor_map
+    over = dict(t.projection.mor_map)
     if side.flip:
         hom = lambda a, b: cat.hom(b, a)  # noqa: E731
         after = lambda g, f: cat.comp_or_none(f, g)  # noqa: E731
@@ -370,3 +371,54 @@ def linear_extension_by_rescan(p):
         out.append(ready[0])
         remaining.remove(ready[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the name-level functor tables that the id tables replaced
+
+
+def projection_by_names(s) -> dict[str, str]:
+    """The projection of ``s``'s total category as a dict by names: each
+    lift ``f|k|k2`` of a base arrow ``f``, for ``k2`` above ``act_f(k)``,
+    to ``f``."""
+    return {
+        f"{f}|{k}|{k2}": f
+        for f, m in s.base.morphisms.items()
+        for k in s.fibers[m.src].elements
+        for k2 in s.fibers[m.dst].up[s.actions[f][k]]
+    }
+
+
+def chained_by_names(keys, maps) -> dict[str, str]:
+    """The composite of the name tables ``maps``, the first applied first,
+    on ``keys``: the plain dict lookups of the composite builder."""
+    images = keys
+    for m in maps:
+        images = map(m.__getitem__, images)
+    return dict(zip(keys, images))
+
+
+def functor_table_by_names(builder: str, F: Functor, scope: dict, refs: dict) -> dict:
+    """The morphism table, as a dict by names, that the package function
+    ``builder`` gave the functor ``F`` when functors were name-keyed dicts.
+    ``scope`` holds the builder's arguments and ``refs`` the tables already
+    found for other functors, by ``id``."""
+
+    def table(G):
+        return refs[id(G)] if id(G) in refs else dict(G.mor_map)
+
+    if builder in ("identity_functor", "full_subcategory"):
+        return {m: m for m in F.source.morphisms}
+    if builder == "relabeled_opposite_equivalence":
+        if F.name == "relabel":
+            return {m: m + "~" for m in F.source.morphisms}
+        return {m: m[:-1] for m in F.source.morphisms}
+    if builder == "composite":
+        return chained_by_names(list(F.source.morphisms), [table(G) for G in scope["chain"]])
+    if builder == "fixed_subcategory":
+        return table(scope["d"].functor)  # the datum's own dict
+    if builder == "build_total_category":
+        return projection_by_names(scope["s"])
+    if builder == "_build":
+        return collapse_by_names(scope["t"], scope["side"])[2]
+    raise AssertionError(f"no name-level table for the functors {builder} builds")

@@ -169,7 +169,7 @@ def test_criterion_5_transport_across_the_relabeled_opposite():
         ):
             bad.append((seed, "induced idempotence"))
             continue
-        if not verify_transfer(eq, m, c, r).ok:
+        if not verify_transfer(m, c, r).ok:
             bad.append((seed, "transfer"))
             continue
         pair = make_mn_pair(r.induced_monad, r.induced_comonad)

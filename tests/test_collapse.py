@@ -51,7 +51,7 @@ def assert_matches_the_search(t: TotalCategory) -> None:
         assert datum.functor.mor_map == mor_map
         # the id table the builder installs is the one the names give
         ids = t.total.mor_id
-        assert datum.functor._images == [ids.get(mor_map.get(u)) for u in t.total.names]
+        assert datum.functor.images == tuple(ids.get(mor_map.get(u)) for u in t.total.names)
     want = ValidationReport(found)
     got = check_extension_property(t)
     assert (got.render(), got.omitted) == (want.render(), want.omitted)

@@ -128,7 +128,7 @@ def _c2_transfer(monad_side: bool) -> str:
     else:
         m, w = identity_datum(c, MONAD), build_initial_comonad(t)
     e = relabeled_opposite_equivalence(c)
-    return verify_transfer(e, m, w, transport_pair(e, m, w)).render()
+    return verify_transfer(m, w, transport_pair(e, m, w)).render()
 
 
 def _cli(capsys, tmp_path, spec) -> str:
@@ -168,7 +168,6 @@ GOLDEN_CASES = {
         one_object_equivalence(orbit(), ["b"], "e", "id_b")
     ).render(),
     "transfer-violations": lambda: verify_transfer(
-        None,
         identity_datum(three_chain(), MONAD),
         identity_datum(three_chain(), COMONAD),
         TransportResult(predecessor_comonad(), successor_monad()),

@@ -10,6 +10,7 @@ from catmn import (
     COMONAD,
     MONAD,
     EquivalenceResult,
+    Functor,
     InvalidArtifactError,
     MNPair,
     MismatchError,
@@ -152,7 +153,8 @@ def test_c2_equivalence_verifies(c2_pair, c2_equivalence):
 
 def test_factorization_reports_the_canonical_candidate(c2_pair, c2_equivalence):
     eq = c2_equivalence
-    forward = dataclasses.replace(eq.forward, obj_map={**eq.forward.obj_map, "b0|bot0": "b1|top1"})
+    F = eq.forward
+    forward = Functor(F.source, F.target, {**F.obj_map, "b0|bot0": "b1|top1"}, F.mor_map, F.name)
     report = verify_factorizations(c2_pair, dataclasses.replace(eq, forward=forward))
     # the reflector's candidate, inverse(N(psi_x)), now lands on the wrong
     # object wherever the coreflector goes to b0|bot0; nothing else is tried
@@ -252,7 +254,7 @@ def test_missing_unit_component_is_reported_not_raised():
 
 def test_functor_without_object_image_is_reported_not_raised():
     eq = one_object_equivalence(orbit(), ["b"], "id_b", "id_b")
-    forward = dataclasses.replace(eq.forward, obj_map={}, name="F")
+    forward = Functor(eq.forward.source, eq.forward.target, {}, eq.forward.mor_map, "F")
     report = verify_adjoint_equivalence(dataclasses.replace(eq, forward=forward))
     assert [v.render() for v in report.violations if v.rule.startswith("triangle")] == [
         "triangle-forward [b]: functor 'F' is undefined on object 'b'"

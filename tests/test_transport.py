@@ -11,6 +11,7 @@ from catmn import (
     COMONAD,
     MONAD,
     Category,
+    Functor,
     InvalidArtifactError,
     MismatchError,
     NaturalTransformation,
@@ -124,7 +125,7 @@ def test_relabeling_rejects_a_table_naming_no_morphism():
 def test_broken_functor_reported_before_comparisons():
     e = relabeled_opposite_equivalence(orbit())
     fwd = e.forward
-    crooked_fwd = dataclasses.replace(fwd, mor_map={**fwd.mor_map, "f2": "f~"})
+    crooked_fwd = Functor(fwd.source, fwd.target, fwd.obj_map, {**fwd.mor_map, "f2": "f~"}, fwd.name)
     report = validate_equivalence(dataclasses.replace(e, forward=crooked_fwd))
     assert not report.ok
     assert "functor-composition" in rules_of(report)
@@ -195,7 +196,7 @@ def test_identity_structure_transports_to_identity():
     assert r.induced_monad.functor == identity_functor(e.dual)
     assert check_idempotent(r.induced_comonad).ok
     assert check_idempotent(r.induced_monad).ok
-    report = verify_transfer(e, identity_datum(c, MONAD), identity_datum(c, COMONAD), r)
+    report = verify_transfer(identity_datum(c, MONAD), identity_datum(c, COMONAD), r)
     assert report.ok
     assert report.notes == ()
 
@@ -215,7 +216,7 @@ def test_c2_transport_across_relabeling(c2_total, c2_monad, c2_comonad):
         "b0|bot0~",
         "b1|bot1~",
     )
-    report = verify_transfer(e, c2_monad, c2_comonad, r)
+    report = verify_transfer(c2_monad, c2_comonad, r)
     assert report.ok
     assert report.notes == ()
 
@@ -231,7 +232,7 @@ def test_collapse_monad_transports_across_powerset_duality(monkeypatch):
     )
     built = []
     spy(monkeypatch, catmn.functors, "left_components", built)
-    report = verify_transfer(e, m, c, r)
+    report = verify_transfer(m, c, r)
     assert report.ok
     assert report.notes == (
         "comonad-of-unit is not a natural isomorphism on the source; "
@@ -272,7 +273,7 @@ def test_transport_rejects_a_datum_of_the_wrong_side():
         with pytest.raises(MismatchError, match=f"expected {expected}, got"):
             transport_pair(e, m, w)
         with pytest.raises(MismatchError, match=f"expected {expected}, got"):
-            verify_transfer(e, m, w, r)
+            verify_transfer(m, w, r)
 
 
 # ---------------------------------------------------------------------------
