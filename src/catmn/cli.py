@@ -121,7 +121,7 @@ class _Run:
 
 def _mn_pipeline(run: _Run, monad, comonad, prefix: str = ""):
     """The shared theorem chain: idempotence, reflections, hypotheses,
-    equivalence, factorizations.  Returns (pair, equivalence) or None.
+    equivalence, factorizations.  Returns the pair, or None.
     Stages after a failed one do not run (see :class:`_Run`)."""
     run.check(prefix + "monad-laws", lambda: check_idempotent(monad))
     run.check(prefix + "comonad-laws", lambda: check_idempotent(comonad))
@@ -132,7 +132,7 @@ def _mn_pipeline(run: _Run, monad, comonad, prefix: str = ""):
     eq = run.build(prefix + "equivalence-build", lambda: build_mn_equivalence(pair))
     run.check(prefix + "adjoint-equivalence", lambda: verify_adjoint_equivalence(eq))
     run.check(prefix + "factorizations", lambda: verify_factorizations(pair, eq))
-    return (pair, eq) if run.ok else None
+    return pair if run.ok else None
 
 
 def _load_first_spec(path):
@@ -163,11 +163,8 @@ def _spec_pipeline(out, spec) -> int:
     run = _Run(out)
     run.check("validate-spec", lambda: validate_spec(spec))
     t, monad, comonad = _build_stages(run, spec)
-    result = None
-    if run.ok:
-        result = _mn_pipeline(run, monad, comonad)
-    if result is not None:
-        pair, _ = result
+    pair = _mn_pipeline(run, monad, comonad)
+    if pair is not None:
         out.write(
             "summary: objects={} morphisms={} monad-fixed={} comonad-fixed={}\n".format(
                 len(t.total.objects),
@@ -211,11 +208,10 @@ def _transport_pipeline(out, spec, mode: str = "relabel-opposite") -> int:
         "transfer",
         lambda: verify_transfer(source_monad, source_comonad, r),
     )
-    result = None
+    pair = None
     if run.ok:
-        result = _mn_pipeline(run, r.induced_monad, r.induced_comonad, prefix="induced-")
-    if result is not None:
-        pair, _ = result
+        pair = _mn_pipeline(run, r.induced_monad, r.induced_comonad, prefix="induced-")
+    if pair is not None:
         for kind, sub in (
             ("monad", pair.reflection.subcategory),
             ("comonad", pair.coreflection.subcategory),

@@ -73,9 +73,10 @@ def _gather(indices) -> Callable:
 
 
 class ComposeView(Mapping):
-    """A category's composition table keyed by pairs of names:
-    ``view[(g, f)]`` is the name of ``g`` after ``f``.  Read-only; it acts as
-    the equivalent dict would, and equals one with the same entries."""
+    """A category's composition table keyed by pairs of names, read by
+    :meth:`Category.after` in the order of :meth:`Category.entries`:
+    ``view[(g, f)]`` is the name of ``g`` after ``f``.  Read-only; it acts
+    as the equivalent dict would, and equals one with the same entries."""
 
     __slots__ = ("_c",)
 
@@ -86,27 +87,18 @@ class ComposeView(Mapping):
         c = self._c
         try:
             g, f = pair
-            gi, fi = c.mor_id.get(g), c.mor_id.get(f)
-            h = c.stray.get((g, f)) if c.stray else None
+            if type(g) is int or type(f) is int:  # an id, which is no name
+                raise KeyError(pair)
+            h = c.after(c.mor_id.get(g, g), c.mor_id.get(f, f))
         except (TypeError, ValueError):  # no pair of names
             raise KeyError(pair) from None
-        if gi is not None and fi is not None and c.src[gi] == c.dst[fi]:
-            at = c.rows[fi][c.pos[gi]]
-            if at is not None:
-                h = c.names[at]
         if h is None:
             raise KeyError(pair)
-        return h
+        return c.name_of(h)
 
     def __iter__(self):
-        c = self._c
-        names = c.names
-        for f, (d, row) in enumerate(zip(c.dst, c.rows)):
-            fname = names[f]
-            for g, h in zip(c.out[d], row):
-                if h is not None:
-                    yield names[g], fname
-        yield from c.stray
+        for g, f, _ in self._c.entries():
+            yield g, f
 
     def __len__(self):
         c = self._c

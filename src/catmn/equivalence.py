@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .core import Category, inverse_of
+from .core import Category, inverse_of, oriented
 from .errors import (
     InvalidArtifactError,
     MismatchError,
@@ -29,6 +29,7 @@ from .functors import (
     identity_functor,
     iso_report,
     left_components,
+    non_invertible,
     validate_nat,
 )
 from .monads import (
@@ -37,7 +38,6 @@ from .monads import (
     MonadDatum,
     ReflectionPackage,
     _expect,
-    _whiskered_iso_violations,
     check_idempotent,
     fixed_subcategory,
 )
@@ -88,17 +88,18 @@ def mn_hypotheses(monad: MonadDatum, comonad: MonadDatum):
 def check_mn_hypotheses(p: MNPair) -> ValidationReport:
     """Empty iff both whiskerings N(psi) and M(eta) are natural isomorphisms.
 
-    They are natural because their factors are: the monad's and comonad's
-    own (remembered) reports are read first, and when either fails it is
-    returned as it stands.  Otherwise every component is searched for an
-    inverse, and failures name the component object.  Computed once per
-    pair.
+    They are natural because their factors are (Mac Lane, *CWM* II.5): the
+    monad's and comonad's own (remembered) reports are read first, and when
+    either fails it is returned as it stands.  Otherwise every component is
+    searched for an inverse, and failures name the component object.
+    Computed once per pair.
     """
     factors = check_idempotent(p.monad).merged(check_idempotent(p.comonad))
     if not factors.ok:
         return factors
     labelled = [(label, table()) for label, table in mn_hypotheses(p.monad, p.comonad)]
-    return ValidationReport(_whiskered_iso_violations("mn-hypothesis", p.category, labelled))
+    word = "whiskered component"
+    return ValidationReport(non_invertible("mn-hypothesis", p.category, labelled, word))
 
 
 @dataclass
@@ -175,7 +176,7 @@ def verify_adjoint_equivalence(e: EquivalenceResult) -> ValidationReport:
         # on ids: a component that is no morphism stays a name, as after() takes it
         cod = H.target
         mor_id, name_of = cod.mor_id, cod.name_of
-        after = (lambda g, f: cod.after(f, g)) if flip else cod.after
+        after = oriented(cod, flip).after
         for x in H.source.objects:
             try:
                 Hx = H.on_obj(x)

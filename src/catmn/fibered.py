@@ -507,14 +507,15 @@ def fiber_objects(t: TotalCategory, b: str) -> list[str]:
 
 def _fiber_extremum(objs: list[int], idb, entering, start, over: list):
     """The first of the fiber's vertex ids ``objs`` that every one of them
-    reaches by exactly one in-fiber morphism, or None.  ``entering[v]`` lists
-    the morphisms into vertex ``v`` and ``start`` their sources; a morphism
-    is in-fiber when ``over`` sends it to ``idb``."""
+    reaches by exactly one in-fiber morphism, with those morphisms (one
+    starting at each of ``objs``), or None.  ``entering[v]`` lists the
+    morphisms into vertex ``v`` and ``start`` their sources; a morphism is
+    in-fiber when ``over`` sends it to ``idb``."""
     inside = set(objs)
     for cand in objs:
-        starts = [start[u] for u in entering[cand] if over[u] == idb and start[u] in inside]
-        if len(starts) == len(objs) == len(set(starts)):
-            return cand
+        arrows = [u for u in entering[cand] if over[u] == idb and start[u] in inside]
+        if len(arrows) == len(objs) == len(set(map(start.__getitem__, arrows))):
+            return cand, arrows
     return None
 
 
@@ -523,10 +524,11 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
     category flipped for the comonad.
 
     Returns the object map, the unit (the unique in-fiber arrow to the final
-    object) and, per morphism id, the id of its image (the unique lift
-    making the naturality square commute), or None.  Without ``found`` the
-    first failure raises; with it, each failure is appended as a violation
-    and whatever depends on it is skipped.  The searches run on ids.
+    object, which the scan for that object counted) and, per morphism id,
+    the id of its image (the unique lift making the naturality square
+    commute), or None.  Without ``found`` the first failure raises; with
+    it, each failure is appended as a violation and whatever depends on it
+    is skipped.  The searches run on ids.
     """
     cat = t.total
     base = t.projection.target
@@ -542,41 +544,27 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
             raise error
         found.append(Violation(f"extension-{rule}", (where,), detail))
 
-    idb = {b: base.ident[base.vid[b]] for b in base.objects}
-    finals: dict[str, str] = {}
+    # per vertex id: the unit there, set at the objects alone (the first
+    # vertices), as the object map covers only those; the vertex collapses
+    # to where its unit ends
+    eta = [None] * len(cat.vertices)
     for b in base.objects:
         objs = [vid[x] for x in fiber_objects(t, b)]
-        cand = _fiber_extremum(objs, idb[b], entering, src, over)
-        if cand is None:
+        extremum = _fiber_extremum(objs, base.ident[base.vid[b]], entering, src, over)
+        if extremum is None:
             fail(
                 ExtremumError(b, side.final),
                 f"no-{side.final}",
                 b,
                 f"fiber has no {side.final} object",
             )
-        else:
-            finals[b] = cat.vertices[cand]
-    base_of = {x: b for x, (b, _) in t.object_decoding.items()}
-    obj_map = {x: finals[base_of[x]] for x in cat.objects if base_of[x] in finals}
+            continue
+        _, arrows = extremum
+        for u in arrows:
+            if src[u] < len(cat.objects):
+                eta[src[u]] = u
 
-    # per vertex id: the unit there and the vertex it collapses to
-    eta = [None] * len(cat.vertices)
-    image = [None] * len(cat.vertices)
-    for x, top in obj_map.items():
-        in_fiber, vtop = idb[base_of[x]], vid[top]
-        # hom(x, top) read off x's own arrows: the final object's are many
-        arrows = [u for u in leaving[vid[x]] if dst[u] == vtop and over[u] == in_fiber]
-        if len(arrows) == 1:
-            eta[vid[x]], image[vid[x]] = arrows[0], vid[top]
-        else:
-            fail(
-                LiftError(f"{side.unit} at {x}", len(arrows)),
-                f"{side.unit}-count",
-                x,
-                f"{len(arrows)} in-fiber arrows {side.to} the {side.final} object",
-            )
-
-    # per vertex a with a unit: the morphisms v leaving image[a], keyed by
+    # per vertex a with a unit: the morphisms v leaving dst[eta_a], keyed by
     # v after eta_a read off the unit's row (flipped: off the column of the
     # unit in the rows of the v).  When those are distinct entries of the
     # type of their v, the one lift of a morphism u from a is the v keyed
@@ -586,7 +574,7 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
     for a, e in enumerate(eta):
         if e is None:
             continue
-        cands = leaving[image[a]]
+        cands = leaving[dst[e]]
         comps = [rows[v][pos[e]] for v in cands] if flip else rows[e]
         try:
             if list(map(dst.__getitem__, comps)) != list(map(dst.__getitem__, cands)):
@@ -604,12 +592,12 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
             continue
         by_comp = index[a]
         target_side = rows[eta_b][pos[u]] if flip else rows[u][pos[eta_b]]
-        if by_comp is not None and target_side is not None and dst[target_side] == image[b]:
+        if by_comp is not None and target_side is not None and dst[target_side] == dst[eta_b]:
             v = by_comp.get(target_side)
             lifts = () if v is None else (v,)
         else:
             target_side = after(eta_b, u)
-            lifts = [v for v in hom(image[a], image[b]) if after(v, eta_a) == target_side]
+            lifts = [v for v in hom(dst[eta_a], dst[eta_b]) if after(v, eta_a) == target_side]
         if len(lifts) == 1:
             images[u] = lifts[0]
         else:
@@ -619,7 +607,9 @@ def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None
                 names[u],
                 f"{len(lifts)} lifts between the fiber {side.top}s",
             )
-    units = {x: names[eta[vid[x]]] for x in obj_map if eta[vid[x]] is not None}
+    # the objects are the first vertices
+    obj_map = {x: cat.vertices[dst[u]] for x, u in zip(cat.objects, eta) if u is not None}
+    units = {x: names[u] for x, u in zip(cat.objects, eta) if u is not None}
     return obj_map, units, images
 
 
@@ -660,8 +650,10 @@ def build_initial_comonad(t: TotalCategory) -> MonadDatum:
 def check_extension_property(t: TotalCategory) -> ValidationReport:
     """Diagnostic behind the two builders: their walk on both sides, with
     every failure recorded instead of raised.  Reports every fiber lacking an
-    extremal object, every object without a unique in-fiber arrow to/from
-    it, and every morphism whose lift is missing or ambiguous."""
+    extremal object (``extension-no-{final,initial}``) and every morphism
+    whose lift is missing or ambiguous (``extension-{final,initial}-lift``).
+    An extremal object is one each fiber object reaches by exactly one
+    in-fiber arrow, so every object of a fiber that has one has its unit."""
     found: list[Violation] = []
     for side in (MONAD, COMONAD):
         _collapse(t, side, found)

@@ -488,6 +488,19 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
     return ValidationReport(violations)
 
 
+def non_invertible(rule: str, cat: Category, labelled, word: str) -> list[Violation]:
+    """One violation under ``rule``, with subject ``(label, object)``, for
+    each component without an inverse in ``cat``: ``labelled`` holds
+    ``(label, components)`` pairs, and ``word`` names a component in the
+    detail.  Naturality is the caller's to establish."""
+    return [
+        Violation(rule, (label, x), f"{word} {m!r} is not invertible")
+        for label, components in labelled
+        for x, m in components.items()
+        if inverse_of(cat, m) is None
+    ]
+
+
 def iso_report(alpha: NaturalTransformation, rule: str, label: str) -> ValidationReport:
     """Why ``alpha`` is not a natural isomorphism: its own report, or when
     it is valid one violation under ``rule`` for each component without an
@@ -496,11 +509,7 @@ def iso_report(alpha: NaturalTransformation, rule: str, label: str) -> Validatio
     if not report.ok:
         return report
     cod = alpha.source_functor.target
-    return ValidationReport(
-        Violation(rule, (label, x), f"component {alpha.components[x]!r} is not invertible")
-        for x in alpha.source_functor.source.objects
-        if inverse_of(cod, alpha.components[x]) is None
-    )
+    return ValidationReport(non_invertible(rule, cod, ((label, alpha.components),), "component"))
 
 
 def left_components(F: Functor, alpha: NaturalTransformation) -> dict[str, str]:

@@ -32,6 +32,7 @@ from .functors import (
     NaturalTransformation,
     identity_functor,
     left_components,
+    non_invertible,
     right_components,
     validate_functor,
     validate_nat,
@@ -126,23 +127,6 @@ class ReflectionPackage:
     side: Side
 
 
-def _whiskered_iso_violations(rule: str, cat: Category, labelled) -> list[Violation]:
-    """Why the ``(label, components)`` pairs, the component tables on ``cat``
-    of whiskered transformations, are not all natural isomorphisms: every
-    component without an inverse, under ``rule``.
-
-    Naturality is not swept.  A functor whiskered with a natural
-    transformation, on either side, is natural (Mac Lane, *CWM* II.5), so
-    callers pass only tables whose functor passed its composition sweep and
-    whose transformation passed its own squares."""
-    return [
-        Violation(rule, (label, x), f"whiskered component {components[x]!r} is not invertible")
-        for label, components in labelled
-        for x in cat.objects
-        if inverse_of(cat, components[x]) is None
-    ]
-
-
 @remembered
 def check_idempotent(d: MonadDatum) -> ValidationReport:
     """Empty iff the datum is a well-formed idempotent (co)monad of its
@@ -169,13 +153,15 @@ def check_idempotent(d: MonadDatum) -> ValidationReport:
     report = report.merged(validate_nat(unit))
     if not report.ok:
         return report
+    # a functor whiskered with a natural transformation, on either side, is
+    # natural (Mac Lane, *CWM* II.5): the sweeps above leave only the
+    # components to search for inverses
     labelled = (
         (f"{side.unit}-after-functor", right_components(unit, N)),  # component: eta_{N x}
         (f"functor-of-{side.unit}", left_components(N, unit)),  # component: N(eta_x)
     )
-    return ValidationReport(
-        _whiskered_iso_violations(f"{side.monad}-idempotence", N.source, labelled)
-    )
+    rule = f"{side.monad}-idempotence"
+    return ValidationReport(non_invertible(rule, N.source, labelled, "whiskered component"))
 
 
 def fixed_objects(d: MonadDatum) -> dict[str, str]:

@@ -37,6 +37,11 @@ def assert_matches_the_search(t: TotalCategory) -> None:
     found = []
     for side, build in BUILDERS:
         obj_map, units, mor_map, failures = collapse_by_names(t, side)
+        # the reference recounts each unit, and never finds other than one:
+        # the scan for an extremal object accepts a candidate only when each
+        # fiber object enters it by exactly one in-fiber arrow, so the
+        # builders take their units from that scan and have no count rule
+        assert not [v for _, v in failures if v.rule.endswith("-count")]
         found += [v for _, v in failures]
         if failures:
             error = failures[0][0]

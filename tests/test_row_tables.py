@@ -36,6 +36,7 @@ from catmn import (
     validate_nat,
 )
 from helpers import idem_endo, orbit, parallel_pair, three_chain, walking_arrow
+from test_collapse import odd_totals
 
 CORPUS = Path(__file__).parent / "fixtures" / "corrupted"
 GOLDENS = Path(__file__).parent / "fixtures" / "row_table_goldens.json"
@@ -305,6 +306,31 @@ def test_compose_view_misses_act_as_on_a_dict(pair):
     with pytest.raises(KeyError) as exc:
         view[pair]
     assert exc.value.args == (pair,)
+
+
+def _view_tables():
+    """The odd tables above, the odd fiber totals that keep stray entries,
+    and a table with a stray entry for an ill-typed pair of morphisms."""
+    totals = [t.total for t in odd_totals() if t.total.stray]
+    ill_typed = _edited(walking_arrow(), "ill-typed-stray", {("f", "id_b"): "f"})
+    return [*_odd_tables(), *totals, ill_typed]
+
+
+@pytest.mark.parametrize("c", _view_tables(), ids=lambda c: c.name)
+def test_compose_view_answers_as_the_dict_of_its_entries(c):
+    table = {(g, f): h for g, f, h in c.entries()}
+    view = c.compose
+    assert list(view) == list(table)
+    probe = [*c.names, "nowhere"]
+    pairs = [(g, f) for g in probe for f in probe] + list(table) + [(0, 0), (0, c.names[0])]
+    for pair in pairs:
+        assert view.get(pair) == table.get(pair)
+        assert (pair in view) is (pair in table)
+        if pair in table:
+            assert view[pair] == table[pair]
+        else:
+            with pytest.raises(KeyError):
+                view[pair]
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ from catmn import (
     COMONAD,
     MONAD,
     Category,
+    ContravariantEquivalence,
     Functor,
     InvalidArtifactError,
     MismatchError,
+    Mor,
     NaturalTransformation,
     canonical_c2,
     check_idempotent,
@@ -219,6 +221,54 @@ def test_c2_transport_across_relabeling(c2_total, c2_monad, c2_comonad):
     report = verify_transfer(c2_monad, c2_comonad, r)
     assert report.ok
     assert report.notes == ()
+
+
+def non_strict_equivalence() -> ContravariantEquivalence:
+    """The one-object category C = {*} against the indiscrete category D on
+    u and v, with i: v -> u and j: u -> v.  F sends * to u and G sends
+    everything to *, so the round trip F.G sends v to u and the comparison
+    theta has the non-identity component i at v."""
+    c = Category("point", ["*"], [Mor("1", "*", "*")], {"*": "1"}, {("1", "1"): "1"})
+    ends = {"a": ("u", "u"), "b": ("v", "v"), "i": ("v", "u"), "j": ("u", "v")}
+    by_ends = {e: m for m, e in ends.items()}
+    d = Category(
+        "indiscrete",
+        ["u", "v"],
+        [Mor(m, s, t) for m, (s, t) in ends.items()],
+        {"u": "a", "v": "b"},
+        {
+            (g, f): by_ends[(ends[f][0], ends[g][1])]
+            for g in ends
+            for f in ends
+            if ends[g][0] == ends[f][1]
+        },
+    )
+    forward = Functor(c, d, {"*": "u"}, {"1": "a"}, name="F")
+    backward = Functor(d, c, {"u": "*", "v": "*"}, {m: "1" for m in ends}, name="G")
+    theta = NaturalTransformation(
+        identity_functor(d), compose_functors(forward, backward), {"u": "a", "v": "i"}
+    )
+    theta_bar = NaturalTransformation(
+        identity_functor(c), compose_functors(backward, forward), {"*": "1"}
+    )
+    return ContravariantEquivalence(forward, backward, theta, theta_bar)
+
+
+def test_transport_reads_theta():
+    # every other equivalence here has identity comparisons, so only this
+    # one shows induce using theta in both (co)unit formulas
+    e = non_strict_equivalence()
+    assert validate_equivalence(e).ok
+    c = e.source
+    monad, comonad = identity_datum(c, MONAD), identity_datum(c, COMONAD)
+    r = transport_pair(e, monad, comonad)
+    assert r.induced_monad.unit.components == {"u": "a", "v": "i"}
+    assert r.induced_comonad.unit.components == {"u": "a", "v": "j"}
+    assert verify_transfer(monad, comonad, r).ok
+    pair = make_mn_pair(r.induced_monad, r.induced_comonad)
+    assert check_mn_hypotheses(pair).ok
+    assert pair.reflection.subcategory.objects == ("u", "v")
+    assert pair.coreflection.subcategory.objects == ("u", "v")
 
 
 def test_collapse_monad_transports_across_powerset_duality(monkeypatch):
