@@ -387,10 +387,7 @@ def main(argv=None) -> int:
     try:
         morphism_limit()  # a bad value is no fault of any input file
         code = command(args, out)
-    except EngineError as exc:
-        out.write(f"error: {exc}\n")
-        code = 2
-    except OSError as exc:
+    except (EngineError, OSError) as exc:
         out.write(f"error: {exc}\n")
         code = 2
     out.flush()

@@ -747,7 +747,9 @@ def _random_bounded_poset(rng: random.Random, max_elements: int, tag: str) -> Fi
         for b in sorted(chosen)
         if a & b == a
     ]
-    return poset_from_pairs(elems, pairs, names[0], names[full])
+    # the subset order is already reflexive and transitive, so it is the
+    # full relation as it stands: poset_from_pairs would only walk it again
+    return FiberPoset(tuple(sorted(elems)), frozenset(pairs), names[0], names[full])
 
 
 def _random_monotone(rng: random.Random, src: FiberPoset, dst: FiberPoset) -> dict[str, str]:

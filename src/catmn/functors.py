@@ -413,18 +413,20 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
         return ValidationReport(violations)
     dom, cod = F.source, F.target
 
-    bad_at: set[str] = set()
-    for x in dom.objects:
+    # a square is checked only between good components, each kept here at
+    # its object's vertex; an end that is no object has none, and
+    # validate_category reports it as morphism-endpoints
+    component: list = [None] * len(dom.vertices)
+    cid = cod.mor_id
+    for v, x in enumerate(dom.objects):  # the objects are the first vertices
         comp = alpha.components.get(x)
         if comp is None:
             violations.append(Violation("component-missing", (x,), "no component assigned"))
-            bad_at.add(x)
             continue
         if comp not in cod.morphisms:
             violations.append(
                 Violation("component-unknown", (x,), f"component {comp!r} is not a morphism")
             )
-            bad_at.add(x)
             continue
         m = cod.morphisms[comp]
         want_src = F.obj_map.get(x)
@@ -438,7 +440,8 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
                     f"expected {want_src!r} -> {want_dst!r}",
                 )
             )
-            bad_at.add(x)
+            continue
+        component[v] = cid[comp]
     dom_objects = set(dom.objects)
     for x in alpha.components:
         if x not in dom_objects:
@@ -446,14 +449,6 @@ def validate_nat(alpha: NaturalTransformation) -> ValidationReport:
                 Violation("component-extra", (x,), "component assigned to a non-object")
             )
 
-    # a square is checked only between good components; an end that is no
-    # object has none, and validate_category reports it as morphism-endpoints
-    good = alpha.components.keys() - bad_at
-    cid = cod.mor_id
-    component = [
-        cid.get(alpha.components[x], alpha.components[x]) if x in good else None
-        for x in dom.vertices
-    ]
     image_F, image_G = F.images, G.images
     after, name_of = cod.after, cod.name_of
     rows, pos, cod_src, cod_dst = cod.rows, cod.pos, cod.src, cod.dst

@@ -240,94 +240,67 @@ def verify_reflection(p: ReflectionPackage) -> ValidationReport:
     # names one
     images = reflector.images
     ambient_id = [mor_id.get(g, g) for g in reflector.target.names]
-    # the subcategory's objects with their vertex ids and the ids of the
-    # inverses of their units; an object that is none of cat's has no arrows
-    targets = [
-        (y, vid[y], mor_id.get(unit_inverses.get(y), unit_inverses.get(y)))
+    # each subcategory object's vertex with the id of its unit's inverse; an
+    # object that is none of cat's has no arrows
+    inverse_at = {
+        vid[y]: mor_id.get(unit_inverses.get(y), unit_inverses.get(y))
         for y in p.subcategory.objects
         if y in vid
-    ]
+    }
 
-    def by_end(v: int) -> dict[int, list[int]]:
-        """The arrows leaving vertex ``v``, grouped by the vertex they end
-        at, each group in id order: the hom-sets out of ``v``."""
-        groups: dict[int, list[int]] = {}
-        for f in leaving[v]:
-            e = end[f]
-            if e in groups:
-                groups[e].append(f)
-            else:
-                groups[e] = [f]
-        return groups
-
-    # the hom-sets out of each reflected object, made once per sweep
-    reflected: dict[int, dict[int, list[int]]] = {}
-
-    def sweep(x: str) -> list[Violation]:
-        found: list[Violation] = []
+    def sweep(x: str):
         eta_x = components.get(x)
         Nx = reflector.obj_map.get(x)
         if eta_x is None or Nx is None:
-            found.append(
-                Violation(
-                    f"{tag}-data", (x,), f"{side.unit} or {side.reflect}or undefined here"
-                )
-            )
-            return found
+            yield Violation(f"{tag}-data", (x,), f"{side.unit} or {side.reflect}or undefined here")
+            return
         eta_x = mor_id.get(eta_x, eta_x)
-        from_x, vNx = by_end(vid[x]), vid.get(Nx)
-        if vNx is not None and vNx not in reflected:
-            reflected[vNx] = by_end(vNx)
-        from_Nx = reflected.get(vNx, {})
-        for y, vy, inv_y in targets:
-            fs = from_x.get(vy)
-            if fs is None:
-                continue
-            # the mediators g: Nx -> y keyed by g after the unit, in id order
-            factors: dict = {}
-            for g in from_Nx.get(vy, ()):
+        # the arrows g leaving Nx that end in the subcategory, keyed by g
+        # after the unit, each list in id order; an Nx that is no vertex
+        # has none
+        factors: dict = {}
+        vNx = vid.get(Nx)
+        for g in leaving[vNx] if vNx is not None else ():
+            if end[g] in inverse_at:
                 k = after(g, eta_x)
                 if k in factors:
                     factors[k].append(g)
                 else:
                     factors[k] = [g]
-            for f in fs:
-                mediators = factors.get(f, ())
-                subject = (*side.orient(x, y), names[f])
-                if len(mediators) == 0:
-                    found.append(
-                        Violation(
-                            f"{tag}-no-mediator",
-                            subject,
-                            f"no morphism {side.mediator} the {side.reflect}ed object "
-                            f"factors f through the {side.unit}",
-                        )
-                    )
-                    continue
-                if len(mediators) > 1:
-                    found.append(
-                        Violation(
-                            f"{tag}-ambiguous-mediator",
-                            subject,
-                            f"{len(mediators)} morphisms factor f through the {side.unit}: "
-                            + ", ".join(names[g] for g in mediators),
-                        )
-                    )
-                    continue
-                Nf = images[f]
-                Nf = ambient_id[Nf] if type(Nf) is int else mor_id.get(Nf, Nf)
-                closed = (
-                    after(inv_y, Nf) if (inv_y is not None and Nf is not None) else None
+        for f in leaving[vid[x]]:
+            vy = end[f]
+            if vy not in inverse_at:
+                continue
+            # an ill-typed table can give f as the composite of a g that
+            # ends elsewhere; such a g is no mediator
+            mediators = [g for g in factors.get(f, ()) if end[g] == vy]
+            subject = (*side.orient(x, cat.vertices[vy]), names[f])
+            if len(mediators) == 0:
+                yield Violation(
+                    f"{tag}-no-mediator",
+                    subject,
+                    f"no morphism {side.mediator} the {side.reflect}ed object "
+                    f"factors f through the {side.unit}",
                 )
-                if mediators[0] != closed:
-                    found.append(
-                        Violation(
-                            f"{tag}-closed-form",
-                            subject,
-                            f"unique mediator is {names[mediators[0]]!r} but the closed form "
-                            f"gives {cat.name_of(closed)!r}",
-                        )
-                    )
-        return found
+                continue
+            if len(mediators) > 1:
+                yield Violation(
+                    f"{tag}-ambiguous-mediator",
+                    subject,
+                    f"{len(mediators)} morphisms factor f through the {side.unit}: "
+                    + ", ".join(names[g] for g in mediators),
+                )
+                continue
+            Nf = images[f]
+            Nf = ambient_id[Nf] if type(Nf) is int else mor_id.get(Nf, Nf)
+            inv_y = inverse_at[vy]
+            closed = after(inv_y, Nf) if (inv_y is not None and Nf is not None) else None
+            if mediators[0] != closed:
+                yield Violation(
+                    f"{tag}-closed-form",
+                    subject,
+                    f"unique mediator is {names[mediators[0]]!r} but the closed form "
+                    f"gives {cat.name_of(closed)!r}",
+                )
 
     return ValidationReport([v for x in cat.objects for v in sweep(x)])

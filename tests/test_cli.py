@@ -414,6 +414,20 @@ def test_nat_over_a_morphism_off_the_objects_is_no_traceback(tmp_path):
     ]
 
 
+def test_component_at_an_end_off_the_objects_checks_no_square(capsys, tmp_path):
+    # zz is an end but no object: its component is extra, and no square
+    # at f reads it
+    path = tmp_path / "extra.cm"
+    extra = "COMPONENTS\n    a: id_a\n    zz: f\n"
+    path.write_text(ENDPOINT_OFF_OBJECTS.replace("COMPONENTS\n    a: id_a\n", extra))
+    code, out, err = in_process(capsys, ["validate", str(path)])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [
+        "nat idn: FAIL",
+        "  component-extra [zz]: component assigned to a non-object",
+    ]
+
+
 def in_process(capsys, argv):
     """``main(argv)`` ended as a process ends: exit code, stdout, stderr."""
     try:

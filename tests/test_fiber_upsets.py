@@ -51,6 +51,8 @@ ACCEPTANCE_SEEDS = range(200)
 # default morphism limit
 LARGE_SEED, LARGE_LIMITS = 15, SizeLimits(32, 200, 64)
 LARGE_MORPHISM_LIMIT = "20000"
+# the ROADMAP's smaller rung: 290 objects and 3,883 morphisms
+ARTIFACTS_SEED, ARTIFACTS_LIMITS = 3, SizeLimits(24, 96, 64)
 
 
 def _digest(value) -> str:
@@ -269,6 +271,16 @@ def test_replaced_posets_get_fresh_up_sets():
     assert bent.down["top"] == {"mid", "top"}
     assert bent != p and dataclasses.replace(bent, leq=p.leq) == p
     assert "up=" not in repr(p) and "down=" not in repr(p)
+
+
+def test_generated_fibers_are_closed_as_drawn():
+    """``random_spec`` hands each fiber's subset order to ``FiberPoset`` as
+    it is drawn; closing it again changes nothing."""
+    specs = [random_spec(seed) for seed in ACCEPTANCE_SEEDS]
+    specs += [large_rung(), random_spec(ARTIFACTS_SEED, ARTIFACTS_LIMITS)]
+    for s in specs:
+        for b, p in s.fibers.items():
+            assert p == poset_from_pairs(p.elements, p.leq, p.bottom, p.top), (s.name, b)
 
 
 if __name__ == "__main__":

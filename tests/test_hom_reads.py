@@ -2,19 +2,21 @@
 
 ``Category`` keeps no index keyed by hom-set: ``hom_ids`` scans the
 morphisms leaving a vertex, ``inverse_of`` looks for the identity in the
-morphism's own row, and ``verify_reflection`` groups each object's arrows
-by the vertex they end at.  Each is compared here with a search that reads
-nothing but the morphism list and the compose view, on ``canonical_c2``'s
-total, ``orbit``, ``parallel_pair``, ``idem_endo``, the totals of
-``random_spec(0..49)``, every category of the corrupted corpus, a split
-idempotent, a table with an ill-typed composite, copies of the small ones
-whose identities name no morphism (so that their tables hold stray
-entries), and the opposites of all but the corpus.  The
+morphism's own row, and ``verify_reflection`` keys the arrows out of each
+reflected object by their composite with the unit.  Each is compared here
+with a search that reads nothing but the morphism list and the compose
+view, on ``canonical_c2``'s total, ``orbit``, ``parallel_pair``,
+``idem_endo``, the totals of ``random_spec(0..49)``, every category of the
+corrupted corpus, a split idempotent, a table with an ill-typed composite,
+copies of the small ones whose identities name no morphism (so that their
+tables hold stray entries), and the opposites of all but the corpus.  The
 reflection sweep runs on both sides, on the real fixed subcategories of the
-totals and on seeded packages that need not satisfy anything.
+totals, on seeded packages that need not satisfy anything, and on packages
+naming objects the ambient lacks.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -306,6 +308,46 @@ def test_reflection_sweeps_match_on_seeded_packages(categories):
         for tag in ("reflection", "coreflection")
         for rule in ("data", "no-mediator", "ambiguous-mediator", "closed-form")
     }
+
+
+def test_reflection_sweeps_match_where_a_name_is_no_ambient_vertex(totals):
+    """Two packages per side whose names leave the ambient: a reflector
+    sending an object to a name that is no vertex, which then has no
+    mediators, and a subcategory holding an object the ambient lacks, which
+    then has no arrows."""
+    for build in (build_final_monad, build_initial_comonad):
+        p = fixed_subcategory(build(totals[0]))
+        x = p.ambient.objects[0]
+        stray_image = replace(
+            p,
+            reflector=Functor(
+                p.ambient,
+                p.subcategory,
+                {**p.reflector.obj_map, x: "ghost"},
+                name="stray-image",
+                images=p.reflector.images,
+            ),
+        )
+        sub = p.subcategory
+        ghost_object = replace(
+            p,
+            subcategory=Category(
+                sub.name,
+                (*sub.objects, "ghost"),
+                [*sub.morphisms.values(), Mor("id_ghost", "ghost", "ghost")],
+                {**sub.identity, "ghost": "id_ghost"},
+                {**sub.compose, ("id_ghost", "id_ghost"): "id_ghost"},
+            ),
+            unit_inverses={**p.unit_inverses, "ghost": "id_ghost"},
+        )
+        for q in (stray_image, ghost_object):
+            got, want = verify_reflection(q), reflection_by_names(q)
+            assert (got.render(), got.omitted) == (want.render(), want.omitted), p.side.monad
+        # the object sent off the ambient has arrows into the subcategory,
+        # and none of them factors
+        assert {v.rule for v in verify_reflection(stray_image).violations} == {
+            f"{p.side.reflect}ion-no-mediator"
+        }
 
 
 def test_no_identity_at_an_end_means_no_inverse():
