@@ -61,6 +61,8 @@ class Mor(NamedTuple):
 Rows = Sequence[Sequence]
 # entries no row slot can hold: (g, f) -> g after f, all by name
 Stray = dict[tuple[str, str], str]
+# the most row slots (composable pairs) per morphism of the limit
+SLOTS_PER_LIMIT = 64
 
 
 def _gather(indices) -> Callable:
@@ -112,7 +114,7 @@ class Category:
     by builders, as ``fill``: a function that is handed the category with
     its ids in place and returns its ``(rows, stray)``, which are kept as
     they are.  Construction checks only what later code cannot survive
-    without: unique names and the configurable size guardrail.  The
+    without: unique names and the size guardrails on morphisms and slots.  The
     categorical axioms are the job of :func:`validate_category`.  Names are
     strings.
     """
@@ -192,6 +194,14 @@ class Category:
             leaving = out[s]
             pos.append(len(leaving))
             leaving.append(f)
+        # one slot per composable pair, counted before any row exists
+        slots = sum(map(len, map(out.__getitem__, dst)))
+        if slots > SLOTS_PER_LIMIT * limit:
+            raise SizeLimitError(
+                f"category {self.name!r} has {slots} composable pairs, over the "
+                f"limit of {SLOTS_PER_LIMIT * limit} ({SLOTS_PER_LIMIT} times the "
+                f"morphism limit; set CATMN_MAX_MORPHISMS to override)"
+            )
         self._into = self._identity_maps = None
         self.ident = [
             None if m is None else mor_id.get(m, m) for m in map(self.identity.get, vertices)
@@ -205,18 +215,21 @@ class Category:
         # of another size, and those lists fill up.)
         self.rows = list(map(tuple, rows))
 
-    def table_of(self, pairs: Mapping[tuple[str, str], str]) -> tuple[Rows, Stray]:
-        """``pairs`` as rows (lists, which a ``fill`` may complete) and stray
-        entries over this category's ids."""
+    def table_of(self, pairs: Mapping, rows: Rows | None = None) -> tuple[Rows, Stray]:
+        """``pairs`` written over ``rows`` (lists, by default empty ones) and
+        the stray entries, over this category's ids.  A slot whose entry
+        names a composite that is no morphism is left empty."""
         mor_id, src, dst, pos = self.mor_id, self.src, self.dst, self.pos
-        rows: Rows = [[None] * len(self.out[d]) for d in dst]
+        if rows is None:
+            rows = [[None] * len(self.out[d]) for d in dst]
         stray: Stray = {}
         for (g, f), h in pairs.items():
             try:
-                fi, gi, hi = mor_id[f], mor_id[g], mor_id[h]
+                fi, gi = mor_id[f], mor_id[g]
                 if src[gi] == dst[fi]:
-                    rows[fi][pos[gi]] = hi
-                    continue
+                    rows[fi][pos[gi]] = hi = mor_id.get(h)
+                    if hi is not None:
+                        continue
             except (KeyError, TypeError):  # a name of no morphism
                 pass
             stray[(g, f)] = h
@@ -440,7 +453,10 @@ def validate_category(c: Category) -> ValidationReport:
             )
 
     n_objects = len(c.objects)
+    # typed[f]: every slot of f's row holds a composite with the right ends
+    typed = []
     for f, (s, x, row) in enumerate(zip(src, dst, rows)):
+        found = len(violations)
         for g, h in zip(out[x], row):
             if h is None:
                 # missing unless a stray entry names an unknown composite for
@@ -462,6 +478,7 @@ def validate_category(c: Category) -> ValidationReport:
                         f"{names[h]!r} goes {vertices[src[h]]!r} -> {vertices[dst[h]]!r}",
                     )
                 )
+        typed.append(len(violations) == found and None not in row)
 
     ident = c.ident
     for f, (s, d) in enumerate(zip(src, dst)):
@@ -491,18 +508,29 @@ def validate_category(c: Category) -> ValidationReport:
                 )
 
     # h after (g after f) against (h after g) after f over every composable
-    # triple meeting at objects.  Each side is read straight off a row where
-    # its pair is typed; after() settles any triple where that gives no
-    # equal pair of entries
+    # triple meeting at objects.  Where the rows of f and g are typed, all
+    # triples of the pair (f, g) are compared at once (Light's test): the
+    # row of g after f against f's row read at the slots of the h after g.
+    # Any other pair, or one whose rows differ, is checked a triple at a
+    # time: each side is read straight off a row where its pair is typed,
+    # and after() settles any triple where that gives no equal pair of entries
+    readers: list = [None] * len(names)
     for f, (x, row_f) in enumerate(zip(dst, rows)):
         if x >= n_objects:
             continue
+        typed_f = typed[f]
         for g, gf in zip(out[x], row_f):
-            y = dst[g]
-            if gf is None or y >= n_objects:
+            y, row_g = dst[g], rows[g]
+            if gf is None or y >= n_objects or not row_g:  # no triple
                 continue
+            if typed_f and typed[g]:
+                read = readers[g]
+                if read is None:
+                    read = readers[g] = _gather(_gather(row_g)(pos))
+                if read(row_f) == rows[gf]:
+                    continue
             row_gf = rows[gf] if dst[gf] == y else None
-            for h, hg in zip(out[y], rows[g]):
+            for h, hg in zip(out[y], row_g):
                 if hg is None:
                     continue
                 left = row_gf[pos[h]] if row_gf is not None else None

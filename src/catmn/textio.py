@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .config import morphism_limit
-from .core import Category, Mor, validate_category
+from .core import Category, Mor, _gather, validate_category
 from .errors import InvalidArtifactError, ParseError, SizeLimitError
 from .fibered import FiberedSpec, FiberPoset, poset_from_pairs, validate_spec
 from .functors import (
@@ -71,65 +71,62 @@ class LoadedArtifact:
 
 
 def _completing(entries: dict[tuple[str, str], str]):
-    """A ``fill`` holding ``entries`` plus the omitted ones that
-    :func:`_derivation` gives.  Pairs that stay underdetermined are left for
-    the validator."""
-
-    def fill(c: Category):
-        rows, stray = c.table_of(entries)
-        derive, names = _derivation(c), c.names
-        # ids from mor_id, so every id stored is the shared one
-        for f, d, row in zip(c.mor_id.values(), c.dst, rows):
-            for i, (g, h) in enumerate(zip(c.out[d], row)):
-                if h is None and not (stray and (names[g], names[f]) in stray):
-                    row[i] = derive(g, f)
-        return rows, stray
-
-    return fill
+    """A ``fill`` writing ``entries`` over the rows :func:`_derived_rows`
+    gives.  Pairs that stay underdetermined are left for the validator."""
+    return lambda c: c.table_of(entries, _derived_rows(c))
 
 
-def _derivation(c: Category):
-    """The completion rules on ``c``'s ids: ``derive(g, f)`` is what they
-    give for ``g`` after ``f`` (identity laws first, then unique-choice
-    hom-sets), or None.  Each of ``g`` and ``f`` is a morphism id or, for
-    something that is no morphism, its name."""
-    src, dst, ident = c.src, c.dst, c.ident
-    n_vertices = len(c.vertices)
-    # per morphism id: whether it is the identity of its source, which it
-    # also ends at
-    is_identity = [s == d and ident[s] == f for f, (s, d) in enumerate(zip(src, dst))]
-    # per pair of vertices (a * n_vertices + b) with a morphism between them:
-    # the one morphism from a to b, or None when there are more.  Held only
-    # as long as ``derive`` is
-    sole: dict[int, int | None] = {}
+def _identity_loops(c: Category) -> dict[int, int]:
+    """Each vertex's identity, where that is a loop at the vertex."""
+    src, dst = c.src, c.dst
+    return {x: i for x, i in enumerate(c.ident) if type(i) is int and src[i] == x == dst[i]}
+
+
+def _derived_rows(c: Category) -> list[list]:
+    """The completion rules, a row at a time.  At each slot of ``f``'s row
+    they give ``g`` after ``f`` as ``g`` where ``f`` is an identity, else as
+    ``f`` where ``g`` is one, else as the sole morphism from ``f``'s source
+    to ``g``'s target, or None."""
+    src, dst, out, pos = c.src, c.dst, c.out, c.pos
+    loops = _identity_loops(c)
+    # sole[a][b]: the one morphism from vertex a to vertex b, or None
+    sole: list[dict] = [{} for _ in c.vertices]
     for f, a, b in zip(c.mor_id.values(), src, dst):
-        key = a * n_vertices + b
-        sole[key] = None if key in sole else f
-
-    def derive(g, f):
-        if type(f) is int:
-            if is_identity[f]:
-                return g
-            if type(g) is int:
-                if is_identity[g]:
-                    return f
-                return sole.get(src[f] * n_vertices + dst[g])
-        return f if type(g) is int and is_identity[g] else None
-
-    return derive
+        sole[a][b] = None if b in sole[a] else f
+    ends = [_gather(leaving)(dst) if leaving else () for leaving in out]
+    rows = []
+    # ids from mor_id, so every id stored is the shared one
+    for f, a, x in zip(c.mor_id.values(), src, dst):
+        if loops.get(a) == f:
+            rows.append(list(out[x]))
+            continue
+        rows.append(list(map(sole[a].get, ends[x])))
+        if x in loops:
+            rows[-1][pos[loops[x]]] = f
+    return rows
 
 
 def _nonderivable_entries(c: Category) -> list[tuple[str, str, str]]:
     """The compose entries the completion rules cannot reconstruct, sorted;
     these are exactly what the canonical form writes out."""
-    derive, name_of = _derivation(c), c.name_of
     keep = [
         (g, f, h)
-        for f, (d, row) in enumerate(zip(c.dst, c.rows))
-        for g, h in zip(c.out[d], row)
-        if h is not None and h != derive(g, f)
+        for f, (d, row, derived) in enumerate(zip(c.dst, c.rows, _derived_rows(c)))
+        if list(row) != derived
+        for g, h, derived_h in zip(c.out[d], row, derived)
+        if h is not None and h != derived_h
     ]
-    keep += [(g, f, h) for g, f, h in c.stray_ids() if h != derive(g, f)]
+    # a stray entry, which may name no morphism, is checked on its own
+    identities = set(_identity_loops(c).values())
+    for g, f, h in c.stray_ids():
+        if f in identities or g in identities:
+            derived = g if f in identities else f
+        else:
+            hom = c.hom_ids(c.src[f], c.dst[g]) if type(g) is type(f) is int else ()
+            derived = hom[0] if len(hom) == 1 else None
+        if h != derived:
+            keep.append((g, f, h))
+    name_of = c.name_of
     return sorted((name_of(g), name_of(f), name_of(h)) for g, f, h in keep)
 
 
@@ -322,11 +319,9 @@ def render_spec(s: FiberedSpec) -> str:
 class _Cursor:
     def __init__(self, text: str, filename: str):
         self.filename = filename
-        self.lines: list[tuple[int, str]] = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                self.lines.append((i, stripped))
+        # (line number, stripped line) of each line that is not blank or a comment
+        stripped = enumerate(map(str.strip, text.splitlines()), start=1)
+        self.lines = [(i, line) for i, line in stripped if line and line[0] != "#"]
         self.pos = 0
 
     def peek(self):
@@ -335,9 +330,20 @@ class _Cursor:
     def next(self):
         item = self.peek()
         if item is None:
-            raise ParseError("unexpected end of file", self.filename, self._eof_line())
+            raise self.error("unexpected end of file", self._eof_line())
         self.pos += 1
         return item
+
+    def body(self):
+        """The numbered lines up to the next ``END`` line, which is read too;
+        a file that ends before one is an error after its last line."""
+        lines = self.lines
+        for i in range(self.pos, len(lines)):
+            if lines[i][1] == "END":
+                self.pos = i + 1
+                return
+            yield lines[i]
+        raise self.error("unexpected end of file", self._eof_line())
 
     def _eof_line(self) -> int:
         return self.lines[-1][0] if self.lines else 1
@@ -346,12 +352,22 @@ class _Cursor:
         return ParseError(message, self.filename, line)
 
 
+def _names(values: list) -> bool:
+    """Whether every item of ``values`` is a name: a non-empty string with
+    no whitespace.  One C-level pass: joined by spaces and split at
+    whitespace, names and only names come back as they were."""
+    try:
+        return " ".join(values).split() == values
+    except TypeError:  # an item that is no string
+        return False
+
+
 def _split_arrow(text: str, sep: str, lineno: int, cur: _Cursor) -> tuple[str, str]:
     parts = text.split(sep)
     if len(parts) != 2:
         raise cur.error(f"expected exactly one {sep!r}", lineno)
     a, b = parts[0].strip(), parts[1].strip()
-    if not a or " " in a or not b or " " in b:
+    if not _names([a, b]):
         raise cur.error(f"malformed {sep!r} entry", lineno)
     return a, b
 
@@ -363,6 +379,27 @@ def _split_colon(text: str, lineno: int, cur: _Cursor) -> tuple[str, str]:
     return head.strip(), tail.strip()
 
 
+def _arrow_entry(line: str, lineno: int, cur: _Cursor) -> tuple[str, str]:
+    """An ``a -> b`` line as its two names, read off its tokens if canonical."""
+    tokens = line.split()
+    if len(tokens) == 3 and tokens[1] == "->" and line.count("->") == 1:
+        return tokens[0], tokens[2]
+    return _split_arrow(line, "->", lineno, cur)
+
+
+def _named_arrow(line: str, tokens: list[str], lineno: int, cur: _Cursor, what: str):
+    """A ``name: src -> dst`` line as its three names, read off ``tokens`` if canonical."""
+    if len(tokens) == 4 and tokens[2] == "->" and line.count("->") == 1:
+        head = tokens[0]
+        if head.find(":") == len(head) - 1 > 0:
+            return head[:-1], tokens[1], tokens[3]
+    name, rest = _split_colon(line, lineno, cur)
+    src, dst = _split_arrow(rest, "->", lineno, cur)
+    if not _names([name]):
+        raise cur.error(f"malformed {what} name", lineno)
+    return name, src, dst
+
+
 _SECTIONS = ("OBJECTS", "MORPHISMS", "IDENTITIES", "COMPOSE")
 
 
@@ -372,39 +409,32 @@ def _parse_category_sections(cur: _Cursor, terminators: set[str]) -> dict:
     identities: dict[str, str] = {}
     compose: list[list[str]] = []
     section = None
-    while True:
-        item = cur.peek()
-        if item is None:
+    lines, i = cur.lines, cur.pos
+    while i < len(lines):
+        lineno, line = lines[i]
+        tokens = line.split()
+        if tokens[0] in terminators:
             break
-        lineno, line = item
-        word = line.split()[0]
-        if word in terminators:
-            break
-        if word in _SECTIONS and line == word:
-            section = word
-            cur.next()
-            continue
-        cur.next()
-        if section == "OBJECTS":
-            objects.extend(line.split())
+        i += 1
+        if line in _SECTIONS:
+            section = line
         elif section == "MORPHISMS":
-            name, rest = _split_colon(line, lineno, cur)
-            src, dst = _split_arrow(rest, "->", lineno, cur)
-            if not name or " " in name:
-                raise cur.error("malformed morphism name", lineno)
+            name, src, dst = _named_arrow(line, tokens, lineno, cur, "morphism")
             morphisms.append({"name": name, "src": src, "dst": dst})
-        elif section == "IDENTITIES":
-            obj, mor = _split_colon(line, lineno, cur)
-            if not obj or " " in obj or not mor or " " in mor:
-                raise cur.error("malformed identity entry", lineno)
-            identities[obj] = mor
         elif section == "COMPOSE":
-            tokens = line.split()
             if len(tokens) != 5 or tokens[1] != "o" or tokens[3] != "=":
                 raise cur.error("expected 'g o f = h'", lineno)
             compose.append([tokens[0], tokens[2], tokens[4]])
+        elif section == "OBJECTS":
+            objects.extend(tokens)
+        elif section == "IDENTITIES":
+            obj, mor = _split_colon(line, lineno, cur)
+            if not _names([obj, mor]):
+                raise cur.error("malformed identity entry", lineno)
+            identities[obj] = mor
         else:
             raise cur.error(f"unexpected line {line!r}", lineno)
+    cur.pos = i
     return {
         "objects": objects,
         "morphisms": morphisms,
@@ -416,13 +446,13 @@ def _parse_category_sections(cur: _Cursor, terminators: set[str]) -> dict:
 def _block_lines(cur: _Cursor, block: str, lineno: int):
     """The numbered lines of a FIBER or ACTION block opened at ``lineno``,
     up to the next FIBER, ACTION or END line, which is left unread."""
-    while True:
-        item = cur.peek()
-        if item is None:
-            raise cur.error(f"unterminated {block} block", lineno)
-        if item[1].split()[0] in ("FIBER", "ACTION", "END"):
+    lines = cur.lines
+    for i in range(cur.pos, len(lines)):
+        if lines[i][1].split()[0] in ("FIBER", "ACTION", "END"):
+            cur.pos = i
             return
-        yield cur.next()
+        yield lines[i]
+    raise cur.error(f"unterminated {block} block", lineno)
 
 
 def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
@@ -464,7 +494,7 @@ def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
                 raise cur.error(f"duplicate ACTION block for {f!r}", lineno)
             mapping: dict[str, str] = {}
             for alineno, aline in _block_lines(cur, "ACTION", lineno):
-                k, k2 = _split_arrow(aline, "->", alineno, cur)
+                k, k2 = _arrow_entry(aline, alineno, cur)
                 mapping[k] = k2
             actions[f] = mapping
         else:
@@ -508,24 +538,20 @@ def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
                 })
             )
         elif head == "FUNCTOR":
-            name, rest = _split_colon(line[len("FUNCTOR") :].strip(), lineno, cur)
-            src, dst = _split_arrow(rest, "->", lineno, cur)
-            if not name or " " in name:
-                raise cur.error("malformed functor name", lineno)
+            name, src, dst = _named_arrow(
+                line[len("FUNCTOR") :].strip(), tokens[1:], lineno, cur, "functor"
+            )
             objmap: dict[str, str] = {}
             mormap: dict[str, str] = {}
             section = None
-            while True:
-                elineno, eline = cur.next()
-                if eline == "END":
-                    break
+            for elineno, eline in cur.body():
                 if eline in ("OBJMAP", "MORMAP"):
-                    section = eline
+                    section = objmap if eline == "OBJMAP" else mormap
                     continue
                 if section is None:
                     raise cur.error("expected OBJMAP or MORMAP", elineno)
-                a, b = _split_arrow(eline, "->", elineno, cur)
-                (objmap if section == "OBJMAP" else mormap)[a] = b
+                a, b = _arrow_entry(eline, elineno, cur)
+                section[a] = b
             docs.append(
                 (lineno, {
                     "kind": "functor",
@@ -539,21 +565,18 @@ def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
         elif head == "NAT":
             name, rest = _split_colon(line[len("NAT") :].strip(), lineno, cur)
             src, dst = _split_arrow(rest, "=>", lineno, cur)
-            if not name or " " in name:
+            if not _names([name]):
                 raise cur.error("malformed transformation name", lineno)
             components: dict[str, str] = {}
             seen_section = False
-            while True:
-                elineno, eline = cur.next()
-                if eline == "END":
-                    break
+            for elineno, eline in cur.body():
                 if eline == "COMPONENTS":
                     seen_section = True
                     continue
                 if not seen_section:
                     raise cur.error("expected COMPONENTS", elineno)
                 x, m = _split_colon(eline, elineno, cur)
-                if not x or " " in x or not m or " " in m:
+                if not _names([x, m]):
                     raise cur.error("malformed component entry", elineno)
                 components[x] = m
             docs.append(
@@ -576,7 +599,7 @@ def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
 
 
 def _build_category(doc: dict, name: str) -> Category:
-    mors = [Mor(m["name"], m["src"], m["dst"]) for m in doc["morphisms"]]
+    mors = map(Mor._make, map(_gather(("name", "src", "dst")), doc["morphisms"]))
     identity = dict(doc["identities"])
     entries = {(g, f): h for g, f, h in doc["compose"]}
     return Category(name, doc["objects"], mors, identity, fill=_completing(entries))
@@ -665,42 +688,73 @@ def parse_text(text: str, filename: str = "<input>"):
 
 
 # The shape of each JSON artifact, as ``artifact_doc`` writes it.  ``str`` is
-# a string, ``[x]`` a list of x, ``(x, y, ...)`` a list of exactly those, a
-# dict with the key ``"*"`` an object mapping strings to its value, and any
-# other dict an object that must carry every listed field.
+# a string, ``_NAME`` a name (a string that :func:`_names` accepts), ``[x]``
+# a list of x, ``(x, y, ...)`` a list of exactly those, a dict with the key
+# ``"*"`` an object mapping names to its value, and any other dict an object
+# that must carry every listed field.
+_NAME = "<name>"
 _CATEGORY_SHAPE = {
-    "objects": [str],
-    "morphisms": [{"name": str, "src": str, "dst": str}],
-    "identities": {"*": str},
-    "compose": [(str, str, str)],
+    "objects": [_NAME],
+    "morphisms": [{"name": _NAME, "src": _NAME, "dst": _NAME}],
+    "identities": {"*": _NAME},
+    "compose": [(_NAME, _NAME, _NAME)],
 }
+_FIBER_SHAPE = {"elements": [_NAME], "bottom": _NAME, "top": _NAME, "leq": [(_NAME, _NAME)]}
 _JSON_SHAPES = {
     "category": _CATEGORY_SHAPE,
     "spec": {
         "base": _CATEGORY_SHAPE,
-        "fibers": {"*": {"elements": [str], "bottom": str, "top": str, "leq": [(str, str)]}},
-        "actions": {"*": {"*": str}},
+        "fibers": {"*": _FIBER_SHAPE},
+        "actions": {"*": {"*": _NAME}},
     },
-    "functor": {"source": str, "target": str, "objmap": {"*": str}, "mormap": {"*": str}},
-    "nat": {"source": str, "target": str, "components": {"*": str}},
+    "functor": {"source": _NAME, "target": _NAME, "objmap": {"*": _NAME}, "mormap": {"*": _NAME}},
+    "nat": {"source": _NAME, "target": _NAME, "components": {"*": _NAME}},
 }
+
+
+def _all_fit(items: list, shape) -> bool:
+    """Whether every item fits ``shape``, when that is a name or a list or
+    object of names, in a few C-level passes; False leaves it to the walk."""
+    if shape is _NAME:
+        return _names(items)
+    if isinstance(shape, tuple) and all(s is _NAME for s in shape):
+        typed = set(map(type, items)) <= {list} and set(map(len, items)) <= {len(shape)}
+        return typed and _names(list(chain.from_iterable(items)))
+    if isinstance(shape, dict) and all(s is _NAME for s in shape.values()):
+        try:
+            return _names(list(chain.from_iterable(map(_gather(list(shape)), items))))
+        except (KeyError, TypeError):  # an item that is no object, or lacks a field
+            return False
+    return False
 
 
 def _misfit(value, shape):
     """None when ``value`` fits ``shape``; otherwise ``(path, problem)``,
     with the path's keys and indices innermost first."""
-    if shape is str:
-        return None if isinstance(value, str) else ([], "must be a string")
+    if shape is str or shape is _NAME:
+        if not isinstance(value, str):
+            return [], "must be a string"
+        if shape is _NAME and not _names([value]):
+            return [], "must be a name: a non-empty string with no whitespace"
+        return None
     if isinstance(shape, (list, tuple)):
         if not isinstance(value, list):
             return [], "must be a list"
         if isinstance(shape, tuple) and len(value) != len(shape):
             return [], f"must be a list of length {len(shape)}"
+        if isinstance(shape, list) and _all_fit(value, shape[0]):
+            return None
         items = enumerate(value)
         shapes = shape if isinstance(shape, tuple) else repeat(shape[0])
     elif not isinstance(value, dict):
         return [], "must be an object"
     elif "*" in shape:
+        keys = list(value)
+        if not _names(keys):
+            bad = next(k for k in keys if not _names([k]))
+            return [], f"has key {bad!r}, which is not a name"
+        if _all_fit(list(value.values()), shape["*"]):
+            return None
         items, shapes = value.items(), repeat(shape["*"])
     else:
         for key in shape:
@@ -742,7 +796,7 @@ def parse_json_text(text: str, filename: str = "<input>"):
     for i, doc in enumerate(docs):
         if not isinstance(doc, dict) or "kind" not in doc or "name" not in doc:
             raise ParseError("every artifact needs a kind and a name", filename, 1)
-        err = _shape_error(doc, {"kind": str, "name": str})
+        err = _shape_error(doc, {"kind": str, "name": _NAME})
         if err is None and doc["kind"] in _JSON_SHAPES:
             err = _shape_error(doc, _JSON_SHAPES[doc["kind"]])
         if err:

@@ -1,7 +1,10 @@
 """Hand-built gadget categories and (co)monads the test modules share, the
 name-level collapse search the fiber builders are compared with, the
-rescanning linear extension that ``FiberPoset.linear_extension`` is, and the
-name-level tables that each functor builder gave before functors held ids.
+rescanning linear extension that ``FiberPoset.linear_extension`` is, the
+name-level tables that each functor builder gave before functors held ids,
+and the slot-at-a-time completion, triple-at-a-time associativity check and
+line-at-a-time parser that the loader and validator did before they worked
+by rows.
 
 Each is small enough to check by eye; the composition tables are written
 out in full so the tests do not depend on the loader's completion rules.
@@ -19,6 +22,7 @@ from catmn import (
     MonadDatum,
     Mor,
     NaturalTransformation,
+    ParseError,
     Violation,
     compose_functors,
     identity_functor,
@@ -422,3 +426,364 @@ def functor_table_by_names(builder: str, F: Functor, scope: dict, refs: dict) ->
     if builder == "_build":
         return collapse_by_names(scope["t"], scope["side"])[2]
     raise AssertionError(f"no name-level table for the functors {builder} builds")
+
+
+# ---------------------------------------------------------------------------
+# the slot-at-a-time completion rules and the triple-at-a-time associativity
+# check that the row passes replaced
+
+
+def _derivation(c: Category):
+    """The completion rules on ``c``'s ids: ``derive(g, f)`` is what they
+    give for ``g`` after ``f`` (identity laws first, then unique-choice
+    hom-sets), or None.  Each of ``g`` and ``f`` is a morphism id or, for
+    something that is no morphism, its name."""
+    src, dst, ident = c.src, c.dst, c.ident
+    n_vertices = len(c.vertices)
+    # per morphism id: whether it is the identity of its source, which it
+    # also ends at
+    is_identity = [s == d and ident[s] == f for f, (s, d) in enumerate(zip(src, dst))]
+    # per pair of vertices (a * n_vertices + b) with a morphism between them:
+    # the one morphism from a to b, or None when there are more.  Held only
+    # as long as ``derive`` is
+    sole: dict[int, int | None] = {}
+    for f, a, b in zip(c.mor_id.values(), src, dst):
+        key = a * n_vertices + b
+        sole[key] = None if key in sole else f
+
+    def derive(g, f):
+        if type(f) is int:
+            if is_identity[f]:
+                return g
+            if type(g) is int:
+                if is_identity[g]:
+                    return f
+                return sole.get(src[f] * n_vertices + dst[g])
+        return f if type(g) is int and is_identity[g] else None
+
+    return derive
+
+
+def completing_by_slots(entries: dict[tuple[str, str], str]):
+    """A ``fill`` holding ``entries`` plus what :func:`_derivation` gives
+    for each empty slot that no stray entry names."""
+
+    def fill(c: Category):
+        rows, stray = c.table_of(entries)
+        derive, names = _derivation(c), c.names
+        for f, d, row in zip(c.mor_id.values(), c.dst, rows):
+            for i, (g, h) in enumerate(zip(c.out[d], row)):
+                if h is None and not (stray and (names[g], names[f]) in stray):
+                    row[i] = derive(g, f)
+        return rows, stray
+
+    return fill
+
+
+def nonderivable_by_slots(c: Category) -> list[tuple[str, str, str]]:
+    """The compose entries that :func:`_derivation` cannot reconstruct,
+    sorted, one entry at a time."""
+    derive, name_of = _derivation(c), c.name_of
+    keep = [
+        (g, f, h)
+        for f, (d, row) in enumerate(zip(c.dst, c.rows))
+        for g, h in zip(c.out[d], row)
+        if h is not None and h != derive(g, f)
+    ]
+    keep += [(g, f, h) for g, f, h in c.stray_ids() if h != derive(g, f)]
+    return sorted((name_of(g), name_of(f), name_of(h)) for g, f, h in keep)
+
+
+def associativity_by_names(c: Category) -> list[Violation]:
+    """Every associativity violation of ``c``: each triple h, g, f of
+    morphisms meeting at objects, where g after f and h after g are
+    morphisms, read through the ``compose`` view."""
+    comp, mors, objects = c.compose, c.morphisms, set(c.objects)
+    leaving: dict[str, list[str]] = {}
+    for m in mors.values():
+        leaving.setdefault(m.src, []).append(m.name)
+    found = []
+    for f, mf in mors.items():
+        if mf.dst not in objects:
+            continue
+        for g in leaving.get(mf.dst, ()):
+            gf, y = comp.get((g, f)), mors[g].dst
+            if gf not in mors or y not in objects:
+                continue
+            for h in leaving.get(y, ()):
+                hg = comp.get((h, g))
+                if hg not in mors:
+                    continue
+                left, right = comp.get((h, gf)), comp.get((hg, f))
+                if left != right:
+                    found.append(
+                        Violation(
+                            "associativity",
+                            (h, g, f),
+                            f"({h!r} after {gf!r}) = {left!r} but "
+                            f"({hg!r} after {f!r}) = {right!r}",
+                        )
+                    )
+    return found
+
+
+# ---------------------------------------------------------------------------
+# the line-at-a-time parser that the token readers replaced
+
+
+def parse_blocks_by_lines(text: str, filename: str = "<input>") -> list[tuple[int, dict]]:
+    """Each block's document, with the line number of its header, as the
+    parser that read every line through ``peek``/``next`` gave them."""
+    return _parse_blocks(_Cursor(text, filename))
+
+
+class _Cursor:
+    def __init__(self, text: str, filename: str):
+        self.filename = filename
+        self.lines: list[tuple[int, str]] = []
+        for i, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("#"):
+                self.lines.append((i, stripped))
+        self.pos = 0
+
+    def peek(self):
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
+
+    def next(self):
+        item = self.peek()
+        if item is None:
+            raise ParseError("unexpected end of file", self.filename, self._eof_line())
+        self.pos += 1
+        return item
+
+    def _eof_line(self) -> int:
+        return self.lines[-1][0] if self.lines else 1
+
+    def error(self, message: str, line: int) -> ParseError:
+        return ParseError(message, self.filename, line)
+
+
+def _split_arrow(text: str, sep: str, lineno: int, cur: _Cursor) -> tuple[str, str]:
+    parts = text.split(sep)
+    if len(parts) != 2:
+        raise cur.error(f"expected exactly one {sep!r}", lineno)
+    a, b = parts[0].strip(), parts[1].strip()
+    if not a or " " in a or not b or " " in b:
+        raise cur.error(f"malformed {sep!r} entry", lineno)
+    return a, b
+
+
+def _split_colon(text: str, lineno: int, cur: _Cursor) -> tuple[str, str]:
+    head, sep, tail = text.partition(":")
+    if not sep:
+        raise cur.error("expected ':'", lineno)
+    return head.strip(), tail.strip()
+
+
+_SECTIONS = ("OBJECTS", "MORPHISMS", "IDENTITIES", "COMPOSE")
+
+
+def _parse_category_sections(cur: _Cursor, terminators: set[str]) -> dict:
+    objects: list[str] = []
+    morphisms: list[dict] = []
+    identities: dict[str, str] = {}
+    compose: list[list[str]] = []
+    section = None
+    while True:
+        item = cur.peek()
+        if item is None:
+            break
+        lineno, line = item
+        word = line.split()[0]
+        if word in terminators:
+            break
+        if word in _SECTIONS and line == word:
+            section = word
+            cur.next()
+            continue
+        cur.next()
+        if section == "OBJECTS":
+            objects.extend(line.split())
+        elif section == "MORPHISMS":
+            name, rest = _split_colon(line, lineno, cur)
+            src, dst = _split_arrow(rest, "->", lineno, cur)
+            if not name or " " in name:
+                raise cur.error("malformed morphism name", lineno)
+            morphisms.append({"name": name, "src": src, "dst": dst})
+        elif section == "IDENTITIES":
+            obj, mor = _split_colon(line, lineno, cur)
+            if not obj or " " in obj or not mor or " " in mor:
+                raise cur.error("malformed identity entry", lineno)
+            identities[obj] = mor
+        elif section == "COMPOSE":
+            tokens = line.split()
+            if len(tokens) != 5 or tokens[1] != "o" or tokens[3] != "=":
+                raise cur.error("expected 'g o f = h'", lineno)
+            compose.append([tokens[0], tokens[2], tokens[4]])
+        else:
+            raise cur.error(f"unexpected line {line!r}", lineno)
+    return {
+        "objects": objects,
+        "morphisms": morphisms,
+        "identities": identities,
+        "compose": compose,
+    }
+
+
+def _block_lines(cur: _Cursor, block: str, lineno: int):
+    """The numbered lines of a FIBER or ACTION block opened at ``lineno``,
+    up to the next FIBER, ACTION or END line, which is left unread."""
+    while True:
+        item = cur.peek()
+        if item is None:
+            raise cur.error(f"unterminated {block} block", lineno)
+        if item[1].split()[0] in ("FIBER", "ACTION", "END"):
+            return
+        yield cur.next()
+
+
+def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
+    fibers: dict[str, dict] = {}
+    actions: dict[str, dict[str, str]] = {}
+    while True:
+        lineno, line = cur.next()
+        tokens = line.split()
+        if tokens[0] == "END":
+            return fibers, actions
+        if tokens[0] == "FIBER":
+            if len(tokens) != 2:
+                raise cur.error("expected 'FIBER <base object>'", lineno)
+            b = tokens[1]
+            if b in fibers:
+                raise cur.error(f"duplicate FIBER block for {b!r}", lineno)
+            fib = {"elements": [], "bottom": None, "top": None, "leq": []}
+            for dlineno, dline in _block_lines(cur, "FIBER", lineno):
+                dtok = dline.split()
+                if dtok[0] == "ELEMENTS":
+                    fib["elements"].extend(dtok[1:])
+                elif dtok[0] == "BOTTOM" and len(dtok) == 2:
+                    fib["bottom"] = dtok[1]
+                elif dtok[0] == "TOP" and len(dtok) == 2:
+                    fib["top"] = dtok[1]
+                elif dtok[0] == "LEQ" and len(dtok) == 3:
+                    fib["leq"].append([dtok[1], dtok[2]])
+                else:
+                    raise cur.error(f"unknown fiber directive {dline!r}", dlineno)
+            for req in ("bottom", "top"):
+                if fib[req] is None:
+                    raise cur.error(f"fiber {b!r} lacks a {req.upper()} directive", lineno)
+            fibers[b] = fib
+        elif tokens[0] == "ACTION":
+            if len(tokens) != 2:
+                raise cur.error("expected 'ACTION <morphism>'", lineno)
+            f = tokens[1]
+            if f in actions:
+                raise cur.error(f"duplicate ACTION block for {f!r}", lineno)
+            mapping: dict[str, str] = {}
+            for alineno, aline in _block_lines(cur, "ACTION", lineno):
+                k, k2 = _split_arrow(aline, "->", alineno, cur)
+                mapping[k] = k2
+            actions[f] = mapping
+        else:
+            raise cur.error(f"expected FIBER, ACTION, or END, got {line!r}", lineno)
+
+
+def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
+    """Each block's document, with the line number of its header."""
+    docs: list[tuple[int, dict]] = []
+    while True:
+        item = cur.peek()
+        if item is None:
+            return docs
+        lineno, line = cur.next()
+        tokens = line.split()
+        head = tokens[0]
+        if head == "CATEGORY":
+            if len(tokens) != 2:
+                raise cur.error("expected 'CATEGORY <name>'", lineno)
+            doc = {"kind": "category", "name": tokens[1]}
+            doc.update(_parse_category_sections(cur, {"END"}))
+            endline, end = cur.next()
+            if end != "END":
+                raise cur.error("expected END", endline)
+            docs.append((lineno, doc))
+        elif head == "SPEC":
+            if len(tokens) != 2:
+                raise cur.error("expected 'SPEC <name>'", lineno)
+            blineno, bline = cur.next()
+            if bline != "BASE":
+                raise cur.error("a SPEC block must start with BASE", blineno)
+            base = _parse_category_sections(cur, {"FIBER", "ACTION", "END"})
+            fibers, actions = _parse_spec_tail(cur)
+            docs.append(
+                (lineno, {
+                    "kind": "spec",
+                    "name": tokens[1],
+                    "base": base,
+                    "fibers": fibers,
+                    "actions": actions,
+                })
+            )
+        elif head == "FUNCTOR":
+            name, rest = _split_colon(line[len("FUNCTOR") :].strip(), lineno, cur)
+            src, dst = _split_arrow(rest, "->", lineno, cur)
+            if not name or " " in name:
+                raise cur.error("malformed functor name", lineno)
+            objmap: dict[str, str] = {}
+            mormap: dict[str, str] = {}
+            section = None
+            while True:
+                elineno, eline = cur.next()
+                if eline == "END":
+                    break
+                if eline in ("OBJMAP", "MORMAP"):
+                    section = eline
+                    continue
+                if section is None:
+                    raise cur.error("expected OBJMAP or MORMAP", elineno)
+                a, b = _split_arrow(eline, "->", elineno, cur)
+                (objmap if section == "OBJMAP" else mormap)[a] = b
+            docs.append(
+                (lineno, {
+                    "kind": "functor",
+                    "name": name,
+                    "source": src,
+                    "target": dst,
+                    "objmap": objmap,
+                    "mormap": mormap,
+                })
+            )
+        elif head == "NAT":
+            name, rest = _split_colon(line[len("NAT") :].strip(), lineno, cur)
+            src, dst = _split_arrow(rest, "=>", lineno, cur)
+            if not name or " " in name:
+                raise cur.error("malformed transformation name", lineno)
+            components: dict[str, str] = {}
+            seen_section = False
+            while True:
+                elineno, eline = cur.next()
+                if eline == "END":
+                    break
+                if eline == "COMPONENTS":
+                    seen_section = True
+                    continue
+                if not seen_section:
+                    raise cur.error("expected COMPONENTS", elineno)
+                x, m = _split_colon(eline, elineno, cur)
+                if not x or " " in x or not m or " " in m:
+                    raise cur.error("malformed component entry", elineno)
+                components[x] = m
+            docs.append(
+                (lineno, {
+                    "kind": "nat",
+                    "name": name,
+                    "source": src,
+                    "target": dst,
+                    "components": components,
+                })
+            )
+        else:
+            raise cur.error(
+                f"expected CATEGORY, SPEC, FUNCTOR, or NAT, got {line!r}", lineno
+            )

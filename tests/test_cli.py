@@ -309,6 +309,27 @@ def test_over_limit_category_is_a_parse_error_at_the_block(capsys, tmp_path, mon
             assert out == f"error: CATMN_MAX_MORPHISMS {error}\n"
 
 
+def test_dense_category_is_refused_before_any_row(capsys, tmp_path, monkeypatch):
+    # one object and 2,001 endomorphisms: 4,004,001 composable pairs, over
+    # 64 times the default morphism limit, refused at the block line before
+    # the loader completes a single row
+    lines = ["# one object, 2,001 endomorphisms", "CATEGORY dense", "  OBJECTS", "    x"]
+    lines += ["  MORPHISMS"] + [f"    m{i}: x -> x" for i in range(2001)] + ["END"]
+    path = tmp_path / "dense.cm"
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_rows(c):
+        raise AssertionError("rows completed for an over-bound category")
+
+    monkeypatch.setattr(catmn.textio, "_derived_rows", no_rows)
+    code, out = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (
+        2,
+        f"error: {path}:2:1: category 'dense' has 4004001 composable pairs, over the "
+        "limit of 640000 (64 times the morphism limit; set CATMN_MAX_MORPHISMS to override)\n",
+    )
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -92,6 +92,22 @@ def test_morphism_limit_guard(monkeypatch):
     walking_arrow()
 
 
+def test_composable_pair_guard(monkeypatch):
+    # one object and n endomorphisms make n * n composable pairs; the bound
+    # is 64 times the morphism limit, inclusive
+    def loops(n):
+        return Category("dense", ["x"], [Mor(f"m{i}", "x", "x") for i in range(n)], {})
+
+    monkeypatch.setenv("CATMN_MAX_MORPHISMS", "65")
+    assert len(loops(64).compose) == 0
+    with pytest.raises(SizeLimitError) as exc:
+        loops(65)
+    assert str(exc.value) == (
+        "category 'dense' has 4225 composable pairs, over the limit of 4160 "
+        "(64 times the morphism limit; set CATMN_MAX_MORPHISMS to override)"
+    )
+
+
 def test_bad_environment_values_rejected(monkeypatch):
     monkeypatch.setenv("CATMN_MAX_MORPHISMS", "many")
     with pytest.raises(SizeLimitError):

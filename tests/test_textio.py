@@ -2,6 +2,7 @@
 and parse errors."""
 
 import importlib.resources
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,88 @@ def test_reference_error_carries_the_block_line(block, message):
     with pytest.raises(ParseError, match=message) as exc:
         parse_text(head + block, filename="bad.cm")
     assert str(exc.value).startswith(f"bad.cm:{head.count(chr(10)) + 1}:1: ")
+
+
+# ---------------------------------------------------------------------------
+# names: non-empty, with no whitespace, in both encodings
+
+
+def _json_category(objects, morphisms, identities, compose=()):
+    doc = {
+        "kind": "category",
+        "name": "y",
+        "objects": objects,
+        "morphisms": [{"name": n, "src": a, "dst": b} for n, a, b in morphisms],
+        "identities": identities,
+        "compose": [list(e) for e in compose],
+    }
+    return json.dumps({"artifacts": [doc]})
+
+
+TAB_NAME = _json_category(
+    ["a"],
+    [("id_a", "a", "a"), ("f\tg", "a", "a"), ("h", "a", "a")],
+    {"a": "id_a"},
+    [("f\tg", "f\tg", "h"), ("h", "h", "h"), ("f\tg", "h", "h"), ("h", "f\tg", "h")],
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (TAB_NAME, "field morphisms[1].name must be a name: a non-empty string with no whitespace"),
+        (
+            _json_category(["a b"], [("id", "a b", "a b")], {"a b": "id"}),
+            "field objects[0] must be a name: a non-empty string with no whitespace",
+        ),
+        (
+            _json_category(["a"], [("id", "a", "a")], {"a b": "id"}),
+            "field identities has key 'a b', which is not a name",
+        ),
+        (
+            _json_category(["a"], [("id", "a", "a")], {"a": "id"}, [("id", "", "id")]),
+            "field compose[0][1] must be a name: a non-empty string with no whitespace",
+        ),
+    ],
+)
+def test_json_names_are_non_empty_with_no_whitespace(text, message):
+    with pytest.raises(ParseError) as exc:
+        load_text(text, "y.json")
+    assert str(exc.value) == f"y.json:1:1: artifact 0: {message}"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("    f\tg: a -> a", "malformed morphism name"),
+        ("    f: a\tb -> a", "malformed '->' entry"),
+        ("    a: id\ta", "malformed identity entry"),
+    ],
+)
+def test_text_names_with_tabs_are_refused(line, message):
+    sections = ["CATEGORY c", "  OBJECTS", "    a", "  MORPHISMS", "    id_a: a -> a"]
+    at = 6 if "->" in line else 7
+    lines = sections + (["  IDENTITIES"] if at == 7 else []) + [line, "END"]
+    with pytest.raises(ParseError) as exc:
+        parse_text("\n".join(lines) + "\n", "y.cm")
+    assert str(exc.value) == f"y.cm:{at}:1: {message}"
+
+
+@settings(max_examples=200)
+@given(name=st.text(alphabet="bc \t\n\x0b\u00a0", max_size=3))
+def test_what_either_encoding_loads_round_trips(name):
+    """A name the JSON loader accepts renders to text that loads back, and
+    one it refuses is refused with a parse error."""
+    text = _json_category(
+        ["a", name], [("id_a", "a", "a"), ("f", "a", name)], {"a": "id_a"}, [("f", "id_a", "f")]
+    )
+    try:
+        arts = load_text(text, "y.json")
+    except ParseError:
+        assert name.split() != [name]
+        return
+    rendered = render_artifacts(arts)
+    assert [a.value for a in parse_text(rendered)] == [a.value for a in arts]
 
 
 def test_load_path_reads_files(tmp_path):
