@@ -512,8 +512,7 @@ def validate_category(c: Category) -> ValidationReport:
     # triples of the pair (f, g) are compared at once (Light's test): the
     # row of g after f against f's row read at the slots of the h after g.
     # Any other pair, or one whose rows differ, is checked a triple at a
-    # time: each side is read straight off a row where its pair is typed,
-    # and after() settles any triple where that gives no equal pair of entries
+    # time through after()
     readers: list = [None] * len(names)
     for f, (x, row_f) in enumerate(zip(dst, rows)):
         if x >= n_objects:
@@ -529,13 +528,8 @@ def validate_category(c: Category) -> ValidationReport:
                     read = readers[g] = _gather(_gather(row_g)(pos))
                 if read(row_f) == rows[gf]:
                     continue
-            row_gf = rows[gf] if dst[gf] == y else None
             for h, hg in zip(out[y], row_g):
                 if hg is None:
-                    continue
-                left = row_gf[pos[h]] if row_gf is not None else None
-                right = row_f[pos[hg]] if src[hg] == x else None
-                if left is not None and left == right:
                     continue
                 left, right = after(h, gf), after(hg, f)
                 if left != right:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 
 from .config import morphism_limit
@@ -76,19 +77,14 @@ def _completing(entries: dict[tuple[str, str], str]):
     return lambda c: c.table_of(entries, _derived_rows(c))
 
 
-def _identity_loops(c: Category) -> dict[int, int]:
-    """Each vertex's identity, where that is a loop at the vertex."""
-    src, dst = c.src, c.dst
-    return {x: i for x, i in enumerate(c.ident) if type(i) is int and src[i] == x == dst[i]}
-
-
 def _derived_rows(c: Category) -> list[list]:
     """The completion rules, a row at a time.  At each slot of ``f``'s row
     they give ``g`` after ``f`` as ``g`` where ``f`` is an identity, else as
     ``f`` where ``g`` is one, else as the sole morphism from ``f``'s source
     to ``g``'s target, or None."""
     src, dst, out, pos = c.src, c.dst, c.out, c.pos
-    loops = _identity_loops(c)
+    # each vertex's identity, where that is a loop at the vertex
+    loops = {x: i for x, i in enumerate(c.ident) if type(i) is int and src[i] == x == dst[i]}
     # sole[a][b]: the one morphism from vertex a to vertex b, or None
     sole: list[dict] = [{} for _ in c.vertices]
     for f, a, b in zip(c.mor_id.values(), src, dst):
@@ -107,27 +103,18 @@ def _derived_rows(c: Category) -> list[list]:
 
 
 def _nonderivable_entries(c: Category) -> list[tuple[str, str, str]]:
-    """The compose entries the completion rules cannot reconstruct, sorted;
-    these are exactly what the canonical form writes out."""
+    """The compose entries the completion rules cannot reconstruct, and
+    every stray entry, sorted: exactly what the canonical form writes out.
+    The loader completes row slots only, so no stray entry is derivable."""
+    name_of = c.name_of
     keep = [
-        (g, f, h)
+        (name_of(g), name_of(f), name_of(h))
         for f, (d, row, derived) in enumerate(zip(c.dst, c.rows, _derived_rows(c)))
         if list(row) != derived
         for g, h, derived_h in zip(c.out[d], row, derived)
         if h is not None and h != derived_h
     ]
-    # a stray entry, which may name no morphism, is checked on its own
-    identities = set(_identity_loops(c).values())
-    for g, f, h in c.stray_ids():
-        if f in identities or g in identities:
-            derived = g if f in identities else f
-        else:
-            hom = c.hom_ids(c.src[f], c.dst[g]) if type(g) is type(f) is int else ()
-            derived = hom[0] if len(hom) == 1 else None
-        if h != derived:
-            keep.append((g, f, h))
-    name_of = c.name_of
-    return sorted((name_of(g), name_of(f), name_of(h)) for g, f, h in keep)
+    return sorted(keep + [(g, f, h) for (g, f), h in c.stray.items()])
 
 
 def _category_sections_doc(c: Category) -> dict:
@@ -272,17 +259,10 @@ def render_block(doc: dict) -> str:
             act = doc["actions"][f]
             lines.extend(f"    {k} -> {act[k]}" for k in sorted(act))
     elif kind == "functor":
-        lines.append(
-            f"FUNCTOR {doc['name']}: {doc['source']} -> {doc['target']}"
-        )
-        lines.append("  OBJMAP")
-        lines.extend(
-            f"    {x} -> {doc['objmap'][x]}" for x in sorted(doc["objmap"])
-        )
-        lines.append("  MORMAP")
-        lines.extend(
-            f"    {f} -> {doc['mormap'][f]}" for f in sorted(doc["mormap"])
-        )
+        lines.append(f"FUNCTOR {doc['name']}: {doc['source']} -> {doc['target']}")
+        for key in ("objmap", "mormap"):
+            lines.append("  " + key.upper())
+            lines.extend(f"    {x} -> {y}" for x, y in sorted(doc[key].items()))
     elif kind == "nat":
         lines.append(f"NAT {doc['name']}: {doc['source']} => {doc['target']}")
         lines.append("  COMPONENTS")
@@ -323,30 +303,14 @@ class _Cursor:
         stripped = enumerate(map(str.strip, text.splitlines()), start=1)
         self.lines = [(i, line) for i, line in stripped if line and line[0] != "#"]
         self.pos = 0
-
-    def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        # where a file that ends too early is reported: at its last line
+        self.eof_line = self.lines[-1][0] if self.lines else 1
 
     def next(self):
-        item = self.peek()
-        if item is None:
-            raise self.error("unexpected end of file", self._eof_line())
+        if self.pos == len(self.lines):
+            raise self.error("unexpected end of file", self.eof_line)
         self.pos += 1
-        return item
-
-    def body(self):
-        """The numbered lines up to the next ``END`` line, which is read too;
-        a file that ends before one is an error after its last line."""
-        lines = self.lines
-        for i in range(self.pos, len(lines)):
-            if lines[i][1] == "END":
-                self.pos = i + 1
-                return
-            yield lines[i]
-        raise self.error("unexpected end of file", self._eof_line())
-
-    def _eof_line(self) -> int:
-        return self.lines[-1][0] if self.lines else 1
+        return self.lines[self.pos - 1]
 
     def error(self, message: str, line: int) -> ParseError:
         return ParseError(message, self.filename, line)
@@ -379,80 +343,142 @@ def _split_colon(text: str, lineno: int, cur: _Cursor) -> tuple[str, str]:
     return head.strip(), tail.strip()
 
 
-def _arrow_entry(line: str, lineno: int, cur: _Cursor) -> tuple[str, str]:
-    """An ``a -> b`` line as its two names, read off its tokens if canonical."""
-    tokens = line.split()
-    if len(tokens) == 3 and tokens[1] == "->" and line.count("->") == 1:
-        return tokens[0], tokens[2]
-    return _split_arrow(line, "->", lineno, cur)
-
-
-def _named_arrow(line: str, tokens: list[str], lineno: int, cur: _Cursor, what: str):
-    """A ``name: src -> dst`` line as its three names, read off ``tokens`` if canonical."""
-    if len(tokens) == 4 and tokens[2] == "->" and line.count("->") == 1:
+def _named_arrow(line: str, tokens: list[str], lineno: int, cur: _Cursor, what: str, sep: str):
+    """A ``name: src <sep> dst`` line as its three names, read off ``tokens``
+    if canonical."""
+    if len(tokens) == 4 and tokens[2] == sep and line.count(sep) == 1:
         head = tokens[0]
         if head.find(":") == len(head) - 1 > 0:
             return head[:-1], tokens[1], tokens[3]
     name, rest = _split_colon(line, lineno, cur)
-    src, dst = _split_arrow(rest, "->", lineno, cur)
+    src, dst = _split_arrow(rest, sep, lineno, cur)
     if not _names([name]):
         raise cur.error(f"malformed {what} name", lineno)
     return name, src, dst
 
 
-_SECTIONS = ("OBJECTS", "MORPHISMS", "IDENTITIES", "COMPOSE")
+# The entry readers.  Each is called as ``read(into, line, tokens, lineno,
+# cur)`` and stores one entry line in ``into``, its section's container.
 
 
-def _parse_category_sections(cur: _Cursor, terminators: set[str]) -> dict:
-    objects: list[str] = []
-    morphisms: list[dict] = []
-    identities: dict[str, str] = {}
-    compose: list[list[str]] = []
-    section = None
-    lines, i = cur.lines, cur.pos
-    while i < len(lines):
-        lineno, line = lines[i]
-        tokens = line.split()
-        if tokens[0] in terminators:
-            break
-        i += 1
-        if line in _SECTIONS:
-            section = line
-        elif section == "MORPHISMS":
-            name, src, dst = _named_arrow(line, tokens, lineno, cur, "morphism")
-            morphisms.append({"name": name, "src": src, "dst": dst})
-        elif section == "COMPOSE":
-            if len(tokens) != 5 or tokens[1] != "o" or tokens[3] != "=":
-                raise cur.error("expected 'g o f = h'", lineno)
-            compose.append([tokens[0], tokens[2], tokens[4]])
-        elif section == "OBJECTS":
-            objects.extend(tokens)
-        elif section == "IDENTITIES":
-            obj, mor = _split_colon(line, lineno, cur)
-            if not _names([obj, mor]):
-                raise cur.error("malformed identity entry", lineno)
-            identities[obj] = mor
-        else:
-            raise cur.error(f"unexpected line {line!r}", lineno)
-    cur.pos = i
-    return {
-        "objects": objects,
-        "morphisms": morphisms,
-        "identities": identities,
-        "compose": compose,
-    }
+def _unexpected(message, line, tokens, lineno, cur):
+    """The reader ahead of a block's first header, where no line belongs."""
+    raise cur.error(message.format(line), lineno)
 
 
-def _block_lines(cur: _Cursor, block: str, lineno: int):
-    """The numbered lines of a FIBER or ACTION block opened at ``lineno``,
-    up to the next FIBER, ACTION or END line, which is left unread."""
+def _objects_entry(objects, line, tokens, lineno, cur):
+    objects.extend(tokens)
+
+
+def _morphism_entry(morphisms, line, tokens, lineno, cur):
+    name, src, dst = _named_arrow(line, tokens, lineno, cur, "morphism", "->")
+    morphisms.append({"name": name, "src": src, "dst": dst})
+
+
+def _colon_entry(what, into, line, tokens, lineno, cur):
+    """An ``x: m`` line of an IDENTITIES or COMPONENTS section."""
+    x, m = _split_colon(line, lineno, cur)
+    if not _names([x, m]):
+        raise cur.error(f"malformed {what} entry", lineno)
+    into[x] = m
+
+
+def _compose_entry(compose, line, tokens, lineno, cur):
+    if len(tokens) != 5 or tokens[1] != "o" or tokens[3] != "=":
+        raise cur.error("expected 'g o f = h'", lineno)
+    compose.append([tokens[0], tokens[2], tokens[4]])
+
+
+def _arrow_entry(into, line, tokens, lineno, cur):
+    """An ``a -> b`` line of an OBJMAP, MORMAP or ACTION section, read off
+    its tokens if canonical."""
+    if len(tokens) == 3 and tokens[1] == "->" and line.count("->") == 1:
+        into[tokens[0]] = tokens[2]
+    else:
+        a, b = _split_arrow(line, "->", lineno, cur)
+        into[a] = b
+
+
+# each FIBER directive's document key and number of tokens, None for any
+_FIBER_DIRECTIVES = {
+    "ELEMENTS": ("elements", None),
+    "BOTTOM": ("bottom", 2),
+    "TOP": ("top", 2),
+    "LEQ": ("leq", 3),
+}
+
+
+def _fiber_entry(fib, line, tokens, lineno, cur):
+    key, count = _FIBER_DIRECTIVES.get(tokens[0], (None, 0))
+    if count != len(tokens) and count is not None:
+        raise cur.error(f"unknown fiber directive {line!r}", lineno)
+    if key == "elements":
+        fib[key].extend(tokens[1:])
+    elif key == "leq":
+        fib[key].append(tokens[1:])
+    else:
+        fib[key] = tokens[1]
+
+
+# each block body's sections: header line -> (document key, entry reader),
+# or None for the line that ends the body
+_CATEGORY_BODY = {
+    "OBJECTS": ("objects", _objects_entry),
+    "MORPHISMS": ("morphisms", _morphism_entry),
+    "IDENTITIES": ("identities", partial(_colon_entry, "identity")),
+    "COMPOSE": ("compose", _compose_entry),
+}
+_FUNCTOR_BODY = {
+    "OBJMAP": ("objmap", _arrow_entry),
+    "MORMAP": ("mormap", _arrow_entry),
+    "END": None,
+}
+_NAT_BODY = {"COMPONENTS": ("components", partial(_colon_entry, "component")), "END": None}
+# the first words that end a SPEC's BASE, FIBER and ACTION parts
+_SPEC_PARTS = ("FIBER", "ACTION", "END")
+# what each ``KEYWORD <name>`` header names
+_ONE_NAME = {"CATEGORY": "name", "SPEC": "name", "FIBER": "base object", "ACTION": "morphism"}
+
+
+def _sections(cur: _Cursor, doc, sections, stop, read, into) -> None:
+    """Read a block's body up to the end of the file or the line that ends
+    the body, which is left unread: one whose first word is in ``stop``, or
+    one that ``sections`` maps to None.  A line it maps to ``(key, reader)``
+    starts that section, whose container is ``doc[key]``; any other line
+    goes to the current section's reader, which is ``read``, into ``into``,
+    ahead of every header."""
     lines = cur.lines
     for i in range(cur.pos, len(lines)):
-        if lines[i][1].split()[0] in ("FIBER", "ACTION", "END"):
-            cur.pos = i
-            return
-        yield lines[i]
-    raise cur.error(f"unterminated {block} block", lineno)
+        lineno, line = lines[i]
+        tokens = line.split()
+        if tokens[0] in stop:
+            break
+        if line in sections:
+            if sections[line] is None:
+                break
+            key, read = sections[line]
+            into = doc[key]
+        else:
+            read(into, line, tokens, lineno, cur)
+    else:
+        i = len(lines)
+    cur.pos = i
+
+
+def _one_name(tokens: list[str], lineno: int, cur: _Cursor) -> str:
+    if len(tokens) != 2:
+        raise cur.error(f"expected '{tokens[0]} <{_ONE_NAME[tokens[0]]}>'", lineno)
+    return tokens[1]
+
+
+def _end(cur: _Cursor) -> None:
+    lineno, line = cur.next()
+    if line != "END":
+        raise cur.error("expected END", lineno)
+
+
+def _category_doc() -> dict:
+    return {"objects": [], "morphisms": [], "identities": {}, "compose": []}
 
 
 def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
@@ -461,137 +487,63 @@ def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
     while True:
         lineno, line = cur.next()
         tokens = line.split()
-        if tokens[0] == "END":
+        head = tokens[0]
+        if head == "END":
             return fibers, actions
-        if tokens[0] == "FIBER":
-            if len(tokens) != 2:
-                raise cur.error("expected 'FIBER <base object>'", lineno)
-            b = tokens[1]
-            if b in fibers:
-                raise cur.error(f"duplicate FIBER block for {b!r}", lineno)
-            fib = {"elements": [], "bottom": None, "top": None, "leq": []}
-            for dlineno, dline in _block_lines(cur, "FIBER", lineno):
-                dtok = dline.split()
-                if dtok[0] == "ELEMENTS":
-                    fib["elements"].extend(dtok[1:])
-                elif dtok[0] == "BOTTOM" and len(dtok) == 2:
-                    fib["bottom"] = dtok[1]
-                elif dtok[0] == "TOP" and len(dtok) == 2:
-                    fib["top"] = dtok[1]
-                elif dtok[0] == "LEQ" and len(dtok) == 3:
-                    fib["leq"].append([dtok[1], dtok[2]])
-                else:
-                    raise cur.error(f"unknown fiber directive {dline!r}", dlineno)
+        if head not in ("FIBER", "ACTION"):
+            raise cur.error(f"expected FIBER, ACTION, or END, got {line!r}", lineno)
+        x = _one_name(tokens, lineno, cur)
+        if x in (fibers if head == "FIBER" else actions):
+            raise cur.error(f"duplicate {head} block for {x!r}", lineno)
+        if head == "ACTION":
+            actions[x] = {}
+            _sections(cur, None, (), _SPEC_PARTS, _arrow_entry, actions[x])
+        else:
+            fibers[x] = fib = {"elements": [], "bottom": None, "top": None, "leq": []}
+            _sections(cur, None, (), _SPEC_PARTS, _fiber_entry, fib)
+        if cur.pos == len(cur.lines):
+            raise cur.error(f"unterminated {head} block", lineno)
+        if head == "FIBER":
             for req in ("bottom", "top"):
                 if fib[req] is None:
-                    raise cur.error(f"fiber {b!r} lacks a {req.upper()} directive", lineno)
-            fibers[b] = fib
-        elif tokens[0] == "ACTION":
-            if len(tokens) != 2:
-                raise cur.error("expected 'ACTION <morphism>'", lineno)
-            f = tokens[1]
-            if f in actions:
-                raise cur.error(f"duplicate ACTION block for {f!r}", lineno)
-            mapping: dict[str, str] = {}
-            for alineno, aline in _block_lines(cur, "ACTION", lineno):
-                k, k2 = _arrow_entry(aline, alineno, cur)
-                mapping[k] = k2
-            actions[f] = mapping
-        else:
-            raise cur.error(f"expected FIBER, ACTION, or END, got {line!r}", lineno)
+                    raise cur.error(f"fiber {x!r} lacks a {req.upper()} directive", lineno)
 
 
 def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
     """Each block's document, with the line number of its header."""
     docs: list[tuple[int, dict]] = []
-    while True:
-        item = cur.peek()
-        if item is None:
-            return docs
+    while cur.pos < len(cur.lines):
         lineno, line = cur.next()
         tokens = line.split()
-        head = tokens[0]
+        head, rest = tokens[0], line[len(tokens[0]) :].strip()
         if head == "CATEGORY":
-            if len(tokens) != 2:
-                raise cur.error("expected 'CATEGORY <name>'", lineno)
-            doc = {"kind": "category", "name": tokens[1]}
-            doc.update(_parse_category_sections(cur, {"END"}))
-            endline, end = cur.next()
-            if end != "END":
-                raise cur.error("expected END", endline)
-            docs.append((lineno, doc))
+            doc = {"kind": "category", "name": _one_name(tokens, lineno, cur), **_category_doc()}
+            _sections(cur, doc, _CATEGORY_BODY, ("END",), _unexpected, "unexpected line {!r}")
+            _end(cur)
         elif head == "SPEC":
-            if len(tokens) != 2:
-                raise cur.error("expected 'SPEC <name>'", lineno)
+            doc = {"kind": "spec", "name": _one_name(tokens, lineno, cur), "base": _category_doc()}
             blineno, bline = cur.next()
             if bline != "BASE":
                 raise cur.error("a SPEC block must start with BASE", blineno)
-            base = _parse_category_sections(cur, {"FIBER", "ACTION", "END"})
-            fibers, actions = _parse_spec_tail(cur)
-            docs.append(
-                (lineno, {
-                    "kind": "spec",
-                    "name": tokens[1],
-                    "base": base,
-                    "fibers": fibers,
-                    "actions": actions,
-                })
+            _sections(
+                cur, doc["base"], _CATEGORY_BODY, _SPEC_PARTS, _unexpected, "unexpected line {!r}"
             )
+            doc["fibers"], doc["actions"] = _parse_spec_tail(cur)
         elif head == "FUNCTOR":
-            name, src, dst = _named_arrow(
-                line[len("FUNCTOR") :].strip(), tokens[1:], lineno, cur, "functor"
-            )
-            objmap: dict[str, str] = {}
-            mormap: dict[str, str] = {}
-            section = None
-            for elineno, eline in cur.body():
-                if eline in ("OBJMAP", "MORMAP"):
-                    section = objmap if eline == "OBJMAP" else mormap
-                    continue
-                if section is None:
-                    raise cur.error("expected OBJMAP or MORMAP", elineno)
-                a, b = _arrow_entry(eline, elineno, cur)
-                section[a] = b
-            docs.append(
-                (lineno, {
-                    "kind": "functor",
-                    "name": name,
-                    "source": src,
-                    "target": dst,
-                    "objmap": objmap,
-                    "mormap": mormap,
-                })
-            )
+            name, src, dst = _named_arrow(rest, tokens[1:], lineno, cur, "functor", "->")
+            doc = {"kind": "functor", "name": name, "source": src, "target": dst}
+            doc.update(objmap={}, mormap={})
+            _sections(cur, doc, _FUNCTOR_BODY, (), _unexpected, "expected OBJMAP or MORMAP")
+            _end(cur)
         elif head == "NAT":
-            name, rest = _split_colon(line[len("NAT") :].strip(), lineno, cur)
-            src, dst = _split_arrow(rest, "=>", lineno, cur)
-            if not _names([name]):
-                raise cur.error("malformed transformation name", lineno)
-            components: dict[str, str] = {}
-            seen_section = False
-            for elineno, eline in cur.body():
-                if eline == "COMPONENTS":
-                    seen_section = True
-                    continue
-                if not seen_section:
-                    raise cur.error("expected COMPONENTS", elineno)
-                x, m = _split_colon(eline, elineno, cur)
-                if not _names([x, m]):
-                    raise cur.error("malformed component entry", elineno)
-                components[x] = m
-            docs.append(
-                (lineno, {
-                    "kind": "nat",
-                    "name": name,
-                    "source": src,
-                    "target": dst,
-                    "components": components,
-                })
-            )
+            name, src, dst = _named_arrow(rest, tokens[1:], lineno, cur, "transformation", "=>")
+            doc = {"kind": "nat", "name": name, "source": src, "target": dst, "components": {}}
+            _sections(cur, doc, _NAT_BODY, (), _unexpected, "expected COMPONENTS")
+            _end(cur)
         else:
-            raise cur.error(
-                f"expected CATEGORY, SPEC, FUNCTOR, or NAT, got {line!r}", lineno
-            )
+            raise cur.error(f"expected CATEGORY, SPEC, FUNCTOR, or NAT, got {line!r}", lineno)
+        docs.append((lineno, doc))
+    return docs
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +551,8 @@ def _parse_blocks(cur: _Cursor) -> list[tuple[int, dict]]:
 
 
 def _build_category(doc: dict, name: str) -> Category:
-    mors = map(Mor._make, map(_gather(("name", "src", "dst")), doc["morphisms"]))
+    # each Mor made in C, as Mor._make makes it in Python
+    mors = map(tuple.__new__, repeat(Mor), map(_gather(("name", "src", "dst")), doc["morphisms"]))
     identity = dict(doc["identities"])
     entries = {(g, f): h for g, f, h in doc["compose"]}
     return Category(name, doc["objects"], mors, identity, fill=_completing(entries))

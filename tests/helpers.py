@@ -481,8 +481,9 @@ def completing_by_slots(entries: dict[tuple[str, str], str]):
 
 
 def nonderivable_by_slots(c: Category) -> list[tuple[str, str, str]]:
-    """The compose entries that :func:`_derivation` cannot reconstruct,
-    sorted, one entry at a time."""
+    """The compose entries that :func:`_derivation` cannot reconstruct, and
+    every stray entry, since the loader completes row slots only; sorted,
+    one entry at a time."""
     derive, name_of = _derivation(c), c.name_of
     keep = [
         (g, f, h)
@@ -490,7 +491,7 @@ def nonderivable_by_slots(c: Category) -> list[tuple[str, str, str]]:
         for g, h in zip(c.out[d], row)
         if h is not None and h != derive(g, f)
     ]
-    keep += [(g, f, h) for g, f, h in c.stray_ids() if h != derive(g, f)]
+    keep += c.stray_ids()
     return sorted((name_of(g), name_of(f), name_of(h)) for g, f, h in keep)
 
 

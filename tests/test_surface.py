@@ -14,6 +14,9 @@ comments never count as a use:
 * every public method of a class of the package is used as code by the
   package or the harness.  Like the export check, it matches by attribute
   name, so a method shares its use with any namesake;
+* every private module-level function, class and constant of the package
+  is read as code somewhere in the package, so a refactor leaves no dead
+  helper behind;
 * no two public module-level names of the package read the same once their
   comonad words are read as monad words: a comonad function or type is the
   monad one on the other side, not a second copy of it.
@@ -152,6 +155,32 @@ def test_every_public_method_is_used_by_the_package_or_the_benchmark():
     bench = sorted(PERFBENCH.glob("*.py"))
     used = set().union(*(used_names(parse(p)) for p in modules() + bench))
     assert sorted(m for m in methods if m.split(".")[1] not in used) == []
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Every name read as code: bare names loaded, and attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_definition_is_read_by_the_package():
+    defined = set()
+    for path in modules():
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((path.name, t.id) for t in targets if isinstance(t, ast.Name))
+    private = {(m, n) for m, n in defined if n.startswith("_") and not n.startswith("__")}
+    assert private
+    read = set().union(*(read_names(parse(p)) for p in modules()))
+    assert sorted((m, n) for m, n in private if n not in read) == []
 
 
 # how the comonad side of a name reads on the monad side
