@@ -10,12 +10,12 @@ thin category of its poset.
 
 Collapsing every fiber onto its top gives an idempotent monad whose unit is
 the in-fiber morphism up to the top; collapsing onto bottoms gives the dual
-comonad, built by the same code reading the total category flipped.  Both
-functors are defined on morphisms by a unique-lift search, and
-:func:`check_extension_property` is the diagnostic that explains any
-failure of those searches.  :func:`random_spec` produces seeded random
-instances inside configurable size limits, none of which may exceed the
-morphism limit.
+comonad, built by the same code reading the total category flipped.  This
+module only chooses those units; :func:`monads.from_units`, which takes
+units from any source, extends them to functors by unique lifts, and
+:func:`check_extension_property` reports every failure of the choice and
+the extension.  :func:`random_spec` produces seeded random instances inside
+configurable size limits, none of which may exceed the morphism limit.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .errors import (
     LiftError,
     SizeLimitError,
 )
-from .core import Category, Mor, Rows, _gather, oriented, validate_category
-from .functors import Functor, NaturalTransformation, identity_functor
-from .monads import COMONAD, MONAD, MonadDatum, Side
+from .core import Category, Mor, Rows, _gather, validate_category
+from .functors import Functor
+from .monads import COMONAD, MONAD, MonadDatum, Side, from_units
 from .report import ValidationReport, Violation, remembered, report_field
 
 
@@ -505,126 +505,59 @@ def fiber_objects(t: TotalCategory, b: str) -> list[str]:
     return sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
 
 
-def _fiber_extremum(objs: list[int], idb, entering, start, over: list):
-    """The first of the fiber's vertex ids ``objs`` that every one of them
-    reaches by exactly one in-fiber morphism, with those morphisms (one
-    starting at each of ``objs``), or None.  ``entering[v]`` lists the
-    morphisms into vertex ``v`` and ``start`` their sources; a morphism is
-    in-fiber when ``over`` sends it to ``idb``."""
-    inside = set(objs)
-    for cand in objs:
-        arrows = [u for u in entering[cand] if over[u] == idb and start[u] in inside]
-        if len(arrows) == len(objs) == len(set(map(start.__getitem__, arrows))):
-            return cand, arrows
-    return None
-
-
-def _collapse(t: TotalCategory, side: Side, found: list[Violation] | None = None):
+def _collapse(t: TotalCategory, side: Side):
     """Collapse every fiber onto its ``side.final`` object, reading the total
-    category flipped for the comonad.
+    category flipped for the comonad: each object's unit is the in-fiber
+    arrow the scan for that object counted, and :func:`monads.from_units`
+    extends the units by unique lifts.
 
-    Returns the object map, the unit (the unique in-fiber arrow to the final
-    object, which the scan for that object counted) and, per morphism id,
-    the id of its image (the unique lift making the naturality square
-    commute), or None.  Without ``found`` the first failure raises; with
-    it, each failure is appended as a violation and whatever depends on it
-    is skipped.  The searches run on ids.
+    Returns that datum, or None, and every failure of the one walk as
+    ``(error, violation)``: each fiber without the object, in base order,
+    then each morphism without exactly one lift, in id order.  A builder
+    raises the first error; :func:`check_extension_property` reports every
+    violation.
     """
-    cat = t.total
-    base = t.projection.target
-    flip = side.flip
-    hom, after, src, dst = oriented(cat, flip)
-    # the morphisms entering and leaving each vertex, as the view reads them
-    entering, leaving = (cat.out, cat.into) if flip else (cat.into, cat.out)
-    over = t.projection.images
-    names, vid, rows, pos = cat.names, cat.vid, cat.rows, cat.pos
-
-    def fail(error: Exception, rule: str, where: str, detail: str) -> None:
-        if found is None:
-            raise error
-        found.append(Violation(f"extension-{rule}", (where,), detail))
-
+    cat, base = t.total, t.projection.target
+    # the morphisms entering each vertex as the view reads them, and their starts
+    entering, src = (cat.out, cat.dst) if side.flip else (cat.into, cat.src)
+    over, names, vid = t.projection.images, cat.names, cat.vid
+    failures = []
     # per vertex id: the unit there, set at the objects alone (the first
-    # vertices), as the object map covers only those; the vertex collapses
-    # to where its unit ends
+    # vertices), as the object map covers only those
     eta = [None] * len(cat.vertices)
     for b in base.objects:
         objs = [vid[x] for x in fiber_objects(t, b)]
-        extremum = _fiber_extremum(objs, base.ident[base.vid[b]], entering, src, over)
-        if extremum is None:
-            fail(
-                ExtremumError(b, side.final),
-                f"no-{side.final}",
-                b,
-                f"fiber has no {side.final} object",
+        idb, inside = base.ident[base.vid[b]], set(objs)
+        # the extremum is the first object that each of objs reaches by
+        # exactly one in-fiber arrow, and those arrows are the units
+        for cand in objs:
+            arrows = [u for u in entering[cand] if over[u] == idb and src[u] in inside]
+            if len(arrows) == len(objs) == len(set(map(src.__getitem__, arrows))):
+                break
+        else:
+            detail = f"fiber has no {side.final} object"
+            failures.append(
+                (ExtremumError(b, side.final), Violation(f"extension-no-{side.final}", (b,), detail))
             )
             continue
-        _, arrows = extremum
         for u in arrows:
             if src[u] < len(cat.objects):
                 eta[src[u]] = u
-
-    # per vertex a with a unit: the morphisms v leaving dst[eta_a], keyed by
-    # v after eta_a read off the unit's row (flipped: off the column of the
-    # unit in the rows of the v).  When those are distinct entries of the
-    # type of their v, the one lift of a morphism u from a is the v keyed
-    # by eta_b after u, if that is an entry of its type; otherwise the index
-    # is None and the search below settles it with after()
-    index = [None] * len(cat.vertices)
-    for a, e in enumerate(eta):
-        if e is None:
-            continue
-        cands = leaving[dst[e]]
-        comps = [rows[v][pos[e]] for v in cands] if flip else rows[e]
-        try:
-            if list(map(dst.__getitem__, comps)) != list(map(dst.__getitem__, cands)):
-                continue
-        except TypeError:  # an empty slot
-            continue
-        by_comp = dict(zip(comps, cands))
-        if len(by_comp) == len(cands):
-            index[a] = by_comp
-
-    images = [None] * len(names)
-    for u, (a, b) in enumerate(zip(src, dst)):  # ids follow name order
-        eta_a, eta_b = eta[a], eta[b]
-        if eta_a is None or eta_b is None:
-            continue
-        by_comp = index[a]
-        target_side = rows[eta_b][pos[u]] if flip else rows[u][pos[eta_b]]
-        if by_comp is not None and target_side is not None and dst[target_side] == dst[eta_b]:
-            v = by_comp.get(target_side)
-            lifts = () if v is None else (v,)
-        else:
-            target_side = after(eta_b, u)
-            lifts = [v for v in hom(dst[eta_a], dst[eta_b]) if after(v, eta_a) == target_side]
-        if len(lifts) == 1:
-            images[u] = lifts[0]
-        else:
-            fail(
-                LiftError(names[u], len(lifts)),
-                f"{side.final}-lift",
-                names[u],
-                f"{len(lifts)} lifts between the fiber {side.top}s",
-            )
-    # the objects are the first vertices
-    obj_map = {x: cat.vertices[dst[u]] for x, u in zip(cat.objects, eta) if u is not None}
-    units = {x: names[u] for x, u in zip(cat.objects, eta) if u is not None}
-    return obj_map, units, images
-
-
-def _build(t: TotalCategory, side: Side):
-    obj_map, eta, images = _collapse(t, side)
-    cat = t.total
     name = f"fiber-{side.top}-{side.monad}"
-    # None where a morphism at a vertex that is no object has no image
-    functor = Functor(cat, cat, obj_map, name=name, images=images)
-    unit = NaturalTransformation(
-        *side.orient(identity_functor(cat), functor),
-        eta,
-        name=f"{side.unit}-{side.to}-{side.top}",
-    )
-    return MonadDatum(functor, unit, side, name=name)
+    datum, lifts = from_units(cat, side, eta, name, f"{side.unit}-{side.to}-{side.top}")
+    for u, n in lifts:
+        detail = f"{n} lifts between the fiber {side.top}s"
+        failures.append(
+            (LiftError(names[u], n), Violation(f"extension-{side.final}-lift", (names[u],), detail))
+        )
+    return datum, failures
+
+
+def _build(t: TotalCategory, side: Side) -> MonadDatum:
+    datum, failures = _collapse(t, side)
+    if failures:
+        raise failures[0][0]
+    return datum
 
 
 def build_final_monad(t: TotalCategory) -> MonadDatum:
@@ -632,10 +565,10 @@ def build_final_monad(t: TotalCategory) -> MonadDatum:
 
     eta at (b, k) is the unique in-fiber morphism up to the final object;
     the functor acts on a morphism u by the unique v between the collapsed
-    objects making the naturality square commute.  Raises
-    :class:`ExtremumError` when a fiber has no final object and
-    :class:`LiftError` when a lift is missing or ambiguous
-    (:func:`check_extension_property` pinpoints why).
+    objects making the naturality square commute.  Raises the first failure
+    of the walk: :class:`ExtremumError` for a fiber with no final object,
+    before any :class:`LiftError` for a lift that is missing or ambiguous
+    (:func:`check_extension_property` lists them all).
     """
     return _build(t, MONAD)
 
@@ -648,16 +581,14 @@ def build_initial_comonad(t: TotalCategory) -> MonadDatum:
 
 
 def check_extension_property(t: TotalCategory) -> ValidationReport:
-    """Diagnostic behind the two builders: their walk on both sides, with
-    every failure recorded instead of raised.  Reports every fiber lacking an
-    extremal object (``extension-no-{final,initial}``) and every morphism
-    whose lift is missing or ambiguous (``extension-{final,initial}-lift``).
-    An extremal object is one each fiber object reaches by exactly one
-    in-fiber arrow, so every object of a fiber that has one has its unit."""
-    found: list[Violation] = []
-    for side in (MONAD, COMONAD):
-        _collapse(t, side, found)
-    return ValidationReport(found)
+    """Diagnostic behind the two builders: every failure of their walk on
+    both sides, which the builders raise the first of.  Reports every fiber
+    lacking an extremal object (``extension-no-{final,initial}``) and every
+    morphism whose lift is missing or ambiguous
+    (``extension-{final,initial}-lift``).  An extremal object is one each
+    fiber object reaches by exactly one in-fiber arrow, so every object of a
+    fiber that has one has its unit."""
+    return ValidationReport([v for side in (MONAD, COMONAD) for _, v in _collapse(t, side)[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ subcategory (:func:`fixed_subcategory`, the objects whose unit component is
 invertible) is full, and the restriction of ``N`` is a reflector onto it,
 or a coreflector on the comonad side; :func:`verify_reflection` re-proves
 the universal property object by object, including agreement with the
-closed-form mediating morphism.
+closed-form mediating morphism.  :func:`from_units` builds a datum from a
+unit per object, chosen anywhere, by unique lifts.
 
 Each check, builder and sweep is written once, for the monad, and reads its
 datum's side.  The comonad side runs the same code on the flipped view of C
@@ -105,6 +106,70 @@ def _expect(d: MonadDatum, side: Side) -> None:
         raise MismatchError(
             f"expected a {side.monad}, got the {d.side.monad} {d.name or d.functor.name!r}"
         )
+
+
+def from_units(
+    cat: Category, side: Side, eta: list, name: str, unit_name: str
+) -> tuple[MonadDatum | None, list[tuple[int, int]]]:
+    """Extend units to the (co)monad ``name`` of ``side``, with unit
+    ``unit_name`` (Mac Lane, *CWM* IV.1 and IV.3).  ``eta`` holds a unit id,
+    or None, per vertex of ``cat``, from any source; counits are read on the
+    flipped view.  A vertex goes where its unit ends, and u: a -> b to its
+    one lift v, with v after eta_a = eta_b after u; a morphism at a vertex
+    without a unit has none.  Returns the datum and no failures, or None and
+    every ``(morphism id, number of lifts)`` that is not one, in id order."""
+    flip = side.flip
+    hom, after, src, dst = oriented(cat, flip)
+    leaving = cat.into if flip else cat.out
+    names, rows, pos = cat.names, cat.rows, cat.pos
+    # per vertex a with a unit: the morphisms v leaving dst[eta_a], keyed by
+    # v after eta_a read off the unit's row (flipped: off the column of the
+    # unit in the rows of the v).  When those are distinct entries of the
+    # type of their v, the one lift of a morphism u from a is the v keyed
+    # by eta_b after u, if that is an entry of its type; otherwise the index
+    # is None and the search below settles it with after()
+    index = [None] * len(cat.vertices)
+    for a, e in enumerate(eta):
+        if e is None:
+            continue
+        cands = leaving[dst[e]]
+        comps = [rows[v][pos[e]] for v in cands] if flip else rows[e]
+        try:
+            if list(map(dst.__getitem__, comps)) != list(map(dst.__getitem__, cands)):
+                continue
+        except TypeError:  # an empty slot
+            continue
+        by_comp = dict(zip(comps, cands))
+        if len(by_comp) == len(cands):
+            index[a] = by_comp
+
+    images = [None] * len(names)
+    failures = []
+    for u, (a, b) in enumerate(zip(src, dst)):  # ids follow name order
+        eta_a, eta_b = eta[a], eta[b]
+        if eta_a is None or eta_b is None:
+            continue
+        by_comp = index[a]
+        target_side = rows[eta_b][pos[u]] if flip else rows[u][pos[eta_b]]
+        if by_comp is not None and target_side is not None and dst[target_side] == dst[eta_b]:
+            v = by_comp.get(target_side)
+            lifts = () if v is None else (v,)
+        else:
+            target_side = after(eta_b, u)
+            lifts = [v for v in hom(dst[eta_a], dst[eta_b]) if after(v, eta_a) == target_side]
+        if len(lifts) == 1:
+            images[u] = lifts[0]
+        else:
+            failures.append((u, len(lifts)))
+    if failures:
+        return None, failures
+    # the objects are the first vertices
+    obj_map = {x: cat.vertices[dst[u]] for x, u in zip(cat.objects, eta) if u is not None}
+    units = {x: names[u] for x, u in zip(cat.objects, eta) if u is not None}
+    # None where a morphism at a vertex that is no object has no image
+    functor = Functor(cat, cat, obj_map, name=name, images=images)
+    unit = NaturalTransformation(*side.orient(identity_functor(cat), functor), units, name=unit_name)
+    return MonadDatum(functor, unit, side, name=name), failures
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Hand-built gadget categories and (co)monads the test modules share, the
-name-level collapse search the fiber builders are compared with, the
+name-level lift and collapse searches the builders are compared with, the
 rescanning linear extension that ``FiberPoset.linear_extension`` is, the
 name-level tables that each functor builder gave before functors held ids,
 and the slot-at-a-time completion, triple-at-a-time associativity check and
@@ -67,6 +67,21 @@ def parallel_pair() -> Category:
             ("id_t", "u"): "u",
             ("id_t", "v"): "v",
         },
+    )
+
+
+def isomorphic_pair() -> Category:
+    """Two objects and an isomorphism between them: i: a -> b with inverse
+    j: b -> a."""
+    ids = {"a": "id_a", "b": "id_b"}
+    return Category(
+        "isomorphic-pair",
+        ["a", "b"],
+        [Mor("id_a", "a", "a"), Mor("id_b", "b", "b"), Mor("i", "a", "b"), Mor("j", "b", "a")],
+        ids,
+        {(m, m): m for m in ids.values()}
+        | {("i", "id_a"): "i", ("id_b", "i"): "i", ("j", "id_b"): "j", ("id_a", "j"): "j"}
+        | {("j", "i"): "id_a", ("i", "j"): "id_b"},
     )
 
 
@@ -297,10 +312,45 @@ def spy(monkeypatch, module, name, calls):
             monkeypatch.setattr(mod, name, counted)
 
 
+def _view_by_names(cat, side):
+    """``cat``'s hom-sets by name and composites by ``comp_or_none``, both
+    read flipped on the comonad side."""
+    if side.flip:
+        return (lambda a, b: cat.hom(b, a)), (lambda g, f: cat.comp_or_none(f, g))
+    return cat.hom, cat.comp_or_none
+
+
+def lifts_by_names(cat, side, units):
+    """The name-level lift search from ``units`` (a unit name per object
+    name, on any category): each morphism u: a -> b, as the view reads it,
+    between objects with units, goes to the one v with v after units[a] =
+    units[b] after u.
+
+    Returns the morphism map, and each ``(morphism, number of lifts)`` that
+    is not one, in name order.
+    """
+    hom, after = _view_by_names(cat, side)
+    # where each unit ends, as the view reads it
+    ends = {x: getattr(cat.morphisms[e], "src" if side.flip else "dst") for x, e in units.items()}
+    mor_map, failures = {}, []
+    for u, m in cat.morphisms.items():
+        a, b = (m.dst, m.src) if side.flip else (m.src, m.dst)
+        if a not in units or b not in units:
+            continue
+        target_side = after(units[b], u)
+        lifts = [v for v in hom(ends[a], ends[b]) if after(v, units[a]) == target_side]
+        if len(lifts) == 1:
+            mor_map[u] = lifts[0]
+        else:
+            failures.append((u, len(lifts)))
+    return mor_map, failures
+
+
 def collapse_by_names(t, side):
     """The collapse of every fiber of the total category ``t`` onto its
     ``side.final`` object, found by the name-level search: hom-sets by name
-    and composites by ``comp_or_none``, both read flipped for the comonad.
+    and composites by ``comp_or_none``, both read flipped for the comonad,
+    and the lifts by :func:`lifts_by_names`.
 
     Returns the object map, the units, the morphism map, and each failure
     as ``(error, violation)`` in the order the search meets them: the error
@@ -308,11 +358,7 @@ def collapse_by_names(t, side):
     """
     cat, base = t.total, t.projection.target
     over = dict(t.projection.mor_map)
-    if side.flip:
-        hom = lambda a, b: cat.hom(b, a)  # noqa: E731
-        after = lambda g, f: cat.comp_or_none(f, g)  # noqa: E731
-    else:
-        hom, after = cat.hom, cat.comp_or_none
+    hom, _ = _view_by_names(cat, side)
     failures = []
 
     def fail(error, rule, where, detail):
@@ -342,22 +388,9 @@ def collapse_by_names(t, side):
                 x,
                 f"{len(arrows)} in-fiber arrows {side.to} the {side.final} object",
             )
-    mor_map = {}
-    for u, m in cat.morphisms.items():
-        a, b = (m.dst, m.src) if side.flip else (m.src, m.dst)
-        if a not in units or b not in units:
-            continue
-        target_side = after(units[b], u)
-        lifts = [v for v in hom(obj_map[a], obj_map[b]) if after(v, units[a]) == target_side]
-        if len(lifts) == 1:
-            mor_map[u] = lifts[0]
-        else:
-            fail(
-                LiftError(u, len(lifts)),
-                f"{side.final}-lift",
-                u,
-                f"{len(lifts)} lifts between the fiber {side.top}s",
-            )
+    mor_map, lift_failures = lifts_by_names(cat, side, units)
+    for u, n in lift_failures:
+        fail(LiftError(u, n), f"{side.final}-lift", u, f"{n} lifts between the fiber {side.top}s")
     return obj_map, units, mor_map, failures
 
 
@@ -423,8 +456,10 @@ def functor_table_by_names(builder: str, F: Functor, scope: dict, refs: dict) ->
         return table(scope["d"].functor)  # the datum's own dict
     if builder == "build_total_category":
         return projection_by_names(scope["s"])
-    if builder == "_build":
-        return collapse_by_names(scope["t"], scope["side"])[2]
+    if builder == "from_units":
+        cat, eta = scope["cat"], scope["eta"]
+        units = {x: cat.names[u] for x, u in zip(cat.objects, eta) if u is not None}
+        return lifts_by_names(cat, scope["side"], units)[0]
     raise AssertionError(f"no name-level table for the functors {builder} builds")
 
 

@@ -15,6 +15,7 @@ from test_fibered import antichain_total, top_collapsing_c2
 
 from catmn import (
     Category,
+    ExtremumError,
     FiberedSpec,
     Functor,
     Mor,
@@ -126,6 +127,38 @@ def misprojected_total() -> TotalCategory:
     return TotalCategory(total, projection, {"b0|p": ("b0", "p"), "b1|r": ("b1", "r")})
 
 
+def split_total() -> TotalCategory:
+    """``top_collapsing_c2``'s total beside a third base object whose fiber
+    is the antichain {p, q}: that fiber has no extremum on either side, and
+    on the comonad side the three lifts of f fail as well."""
+    t = build_total_category(top_collapsing_c2())
+    c, p = t.total, t.projection
+    base = Category(
+        "c2-base-and-point",
+        [*p.target.objects, "b2"],
+        [*p.target.morphisms.values(), Mor("id_b2", "b2", "b2")],
+        {**p.target.identity, "b2": "id_b2"},
+        {**dict(p.target.compose), ("id_b2", "id_b2"): "id_b2"},
+    )
+    extra = {"b2|p": "id_b2|p|p", "b2|q": "id_b2|q|q"}
+    total = Category(
+        "split-total",
+        [*c.objects, *extra],
+        [*c.morphisms.values(), *(Mor(m, x, x) for x, m in extra.items())],
+        {**c.identity, **extra},
+        {**dict(c.compose), **{(m, m): m for m in extra.values()}},
+    )
+    projection = Functor(
+        total,
+        base,
+        {**p.obj_map, **dict.fromkeys(extra, "b2")},
+        {**dict(p.mor_map), **dict.fromkeys(extra.values(), "id_b2")},
+        name="project(split)",
+    )
+    decoding = {**t.object_decoding, "b2|p": ("b2", "p"), "b2|q": ("b2", "q")}
+    return TotalCategory(total, projection, decoding)
+
+
 def odd_totals():
     """Totals with odd tables.  On the standing example: a composite with a
     unit named as no morphism, which empties its slot and sends the search
@@ -135,7 +168,8 @@ def odd_totals():
     morphism's composite with a unit, but not of the type of the lift; and
     a unit whose composite with a morphism has the type of the lift,
     though the morphism has not.  On the parallel total: two morphisms with
-    one composite with the unit."""
+    one composite with the unit.  And :func:`split_total`, where a fiber
+    without an extremum sits beside lifts that fail."""
     t = build_total_category(canonical_c2())
     unit = "id_b0|bot0|top0"  # the unit at b0|bot0
     counit = "id_b1|bot1|top1"  # the counit at b1|top1, the unit at b1|bot1
@@ -152,6 +186,7 @@ def odd_totals():
             {("id_b0|top0|top0", unit): "f|bot0|top1", ("f|top0|top1", unit): "f|mid0|top1"},
         ),
         with_entries(parallel_total(), "one-composite", {("v|1|c", "id_s|0|1"): "u|0|c"}),
+        split_total(),
     ]
 
 
@@ -192,3 +227,19 @@ def test_the_odd_tables_reach_both_outcomes():
         bool(collapse_by_names(t, side)[3]) for t in odd_totals() for side in (MONAD, COMONAD)
     }
     assert outcomes == {True, False}
+
+
+def test_a_missing_extremum_is_raised_before_failing_lifts():
+    # the lifts of f come first in id order, and the fiber over b2 last in
+    # base order, but the walk scans every fiber before it lifts
+    t = split_total()
+    for side, build in BUILDERS:
+        with pytest.raises(ExtremumError, match=f"'b2' has no {side.final} object"):
+            build(t)
+    assert check_extension_property(t).render().splitlines() == [
+        "extension-initial-lift [f|bot0|top1]: 0 lifts between the fiber bottoms",
+        "extension-initial-lift [f|mid0|top1]: 0 lifts between the fiber bottoms",
+        "extension-initial-lift [f|top0|top1]: 0 lifts between the fiber bottoms",
+        "extension-no-final [b2]: fiber has no final object",
+        "extension-no-initial [b2]: fiber has no initial object",
+    ]

@@ -286,7 +286,6 @@ DUAL_WORDS = {
     "unit-after-functor": "counit-after-functor",
     "functor-of-unit": "functor-of-counit",
     "extension-no-final": "extension-no-initial",
-    "extension-unit-count": "extension-counit-count",
     "extension-final-lift": "extension-initial-lift",
 }
 DUAL_WORDS.update({v: k for k, v in DUAL_WORDS.items()})

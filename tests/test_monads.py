@@ -24,9 +24,11 @@ from catmn import (
     validate_nat,
     verify_reflection,
 )
+from catmn.monads import from_units
 from helpers import (
     idem_endo,
     identity_datum,
+    isomorphic_pair,
     orbit,
     orbit_op,
     parallel_pair,
@@ -353,3 +355,39 @@ def test_coreflection_data_rule():
     assert ("a",) in {
         v.subject for v in report.violations if v.rule == "coreflection-data"
     }
+
+
+def _units(c, side, units):
+    """``from_units`` on ``c`` with the unit named ``units[x]`` at each
+    object x, read on ``side``."""
+    eta = [c.mor_id[units[x]] if x in units else None for x in c.vertices]
+    return from_units(c, side, eta, "from-units", "its-unit")
+
+
+@pytest.mark.parametrize(
+    "side, units",
+    [(MONAD, {"a": "id_a", "b": "j"}), (COMONAD, {"a": "id_a", "b": "i"})],
+    ids=["monad", "comonad"],
+)
+def test_from_units_on_an_isomorphism(side, units):
+    # every unit is invertible, so every object is fixed, and the unit at b
+    # is the isomorphism itself, not an identity
+    c = isomorphic_pair()
+    d, failures = _units(c, side, units)
+    assert failures == [] and d.side == side
+    assert (d.name, d.functor.name, d.unit.name) == ("from-units", "from-units", "its-unit")
+    assert d.functor.obj_map == {"a": "a", "b": "a"}
+    assert dict(d.functor.mor_map) == dict.fromkeys(c.morphisms, "id_a")
+    assert d.unit.components == units
+    assert check_idempotent(d).ok
+    p = fixed_subcategory(d)
+    assert p.subcategory.objects == ("a", "b")
+    assert verify_reflection(p).ok
+
+
+def test_from_units_reports_a_morphism_without_a_lift():
+    # with the unit u at s, v would need some w: t -> t with w after u = v
+    c = parallel_pair()
+    d, failures = _units(c, MONAD, {"s": "u", "t": "id_t"})
+    assert d is None
+    assert failures == [(c.mor_id["v"], 0)]
