@@ -1,10 +1,10 @@
 """Hand-built gadget categories and (co)monads the test modules share, the
-name-level lift and collapse searches the builders are compared with, the
-rescanning linear extension that ``FiberPoset.linear_extension`` is, the
-name-level tables that each functor builder gave before functors held ids,
-and the slot-at-a-time completion, triple-at-a-time associativity check and
-line-at-a-time parser that the loader and validator did before they worked
-by rows.
+spec mutants whose actions break bottoms, the name-level lift and collapse
+searches the builders are compared with, the rescanning linear extension
+that ``FiberPoset.linear_extension`` is, the name-level tables that each
+functor builder gave before functors held ids, and the slot-at-a-time
+completion, triple-at-a-time associativity check and line-at-a-time parser
+that the loader and validator did before they worked by rows.
 
 Each is small enough to check by eye; the composition tables are written
 out in full so the tests do not depend on the loader's completion rules.
@@ -17,6 +17,7 @@ from catmn import (
     MONAD,
     Category,
     ExtremumError,
+    FiberedSpec,
     Functor,
     LiftError,
     MonadDatum,
@@ -310,6 +311,34 @@ def spy(monkeypatch, module, name, calls):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("catmn") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
+
+
+def isolated_arrows(spec) -> list[str]:
+    """The non-identity base arrows of ``spec`` that no composite of two
+    non-identities passes through, whose target fiber has more than one
+    element, in name order."""
+    base = spec.base
+    ident = set(base.identity.values())
+    touched = set()
+    for (g, f), h in base.compose.items():
+        if g not in ident and f not in ident:
+            touched.update((g, f, h))
+    return [
+        name
+        for name, m in sorted(base.morphisms.items())
+        if name not in ident and name not in touched and len(spec.fibers[m.dst].elements) > 1
+    ]
+
+
+def break_bottom(spec, arrow: str, k: str):
+    """``spec`` with the action of the isolated base arrow ``arrow`` made
+    constant at ``k``, an element of its target fiber other than the bottom.
+
+    The action stays monotone and functorial, but no longer keeps bottoms,
+    so the fiber-bottom comonad has no lift along ``arrow``."""
+    actions = {f: dict(a) for f, a in spec.actions.items()}
+    actions[arrow] = dict.fromkeys(actions[arrow], k)
+    return FiberedSpec(f"{spec.name}-mutant", spec.base, spec.fibers, actions)
 
 
 def _view_by_names(cat, side):

@@ -2,7 +2,8 @@
 
 ``fixtures/pipeline_goldens.json`` holds, per CLI run, the sha256 of the
 exit code and stdout of ``mn-check`` and ``transport`` on the 200
-acceptance seeds and on every file of the corrupted corpus, and of
+acceptance seeds, on a bottom-breaking mutant of each seed that has an
+isolated base arrow, and on every file of the corrupted corpus, and of
 ``demo``.  The goldens were written by the code that built the whiskered
 functors and swept them for naturality, before the whiskered checks were
 proved from their factors; any change to a pipeline's output shows here.
@@ -28,8 +29,9 @@ from pathlib import Path
 
 from test_acceptance import LIMITS, SEEDS
 
-from catmn import random_spec, render_spec
+from catmn import SizeLimits, random_spec, render_spec
 from catmn.cli import main
+from helpers import break_bottom, isolated_arrows
 
 CORPUS = Path(__file__).parent / "fixtures" / "corrupted"
 GOLDENS = Path(__file__).parent / "fixtures" / "pipeline_goldens.json"
@@ -67,6 +69,28 @@ def run(command: str, name: str, cwd) -> str:
         return digest([command, name, "--out", DOT], scratch)
 
 
+def mutants() -> dict[str, object]:
+    """Specs that fail ``build-comonad``, by key: for each seed with an
+    isolated base arrow, its first such arrow made constant at a non-bottom
+    element of the target fiber chosen by the seed; and, under ``cap``, one
+    whose diagnosis passes the cap of 100 violations per rule, with
+    ``b1>b0`` sent to the non-bottom element of its target with the most
+    elements above it."""
+    got = {}
+    for seed in SEEDS:
+        spec = random_spec(seed, LIMITS)
+        arrows = isolated_arrows(spec)
+        if arrows:
+            fiber = spec.fibers[spec.base.morphisms[arrows[0]].dst]
+            above = [k for k in fiber.elements if k != fiber.bottom]
+            got[f"{seed:03d}"] = break_bottom(spec, arrows[0], above[seed % len(above)])
+    spec = random_spec(3, SizeLimits(4, 6, 64))
+    fiber = spec.fibers["b0"]
+    widest = max((k for k in fiber.elements if k != fiber.bottom), key=lambda k: len(fiber.up[k]))
+    got["cap"] = break_bottom(spec, "b1>b0", widest)
+    return got
+
+
 def all_digests() -> dict[str, str]:
     got = {}
     with tempfile.TemporaryDirectory() as scratch:
@@ -75,6 +99,11 @@ def all_digests() -> dict[str, str]:
             Path(scratch, name).write_text(render_spec(random_spec(seed, LIMITS)), encoding="utf-8")
             for command in COMMANDS:
                 got[f"{command}:seed:{seed:03d}"] = run(command, name, scratch)
+        for key, spec in mutants().items():
+            name = f"mutant{key}.cm"
+            Path(scratch, name).write_text(render_spec(spec), encoding="utf-8")
+            for command in COMMANDS:
+                got[f"{command}:mutant:{key}"] = run(command, name, scratch)
     for path in sorted(CORPUS.iterdir()):
         for command in COMMANDS:
             got[f"{command}:corrupted:{path.name}"] = run(command, path.name, CORPUS)
@@ -93,7 +122,8 @@ def test_goldens_cover_the_seeds_the_corpus_and_demo():
     golden = json.loads(GOLDENS.read_text(encoding="utf-8"))
     files = {case.split(":")[2] for case in golden if ":corrupted:" in case}
     assert files == {p.name for p in CORPUS.iterdir()}
-    assert len(golden) == len(COMMANDS) * (len(SEEDS) + len(files)) + 1
+    assert {case.split(":")[2] for case in golden if ":mutant:" in case} == set(mutants())
+    assert len(golden) == len(COMMANDS) * (len(SEEDS) + len(mutants()) + len(files)) + 1
 
 
 if __name__ == "__main__":
