@@ -46,11 +46,10 @@ from .fibered import (
     SizeLimits,
     TotalCategory,
     build_final_monad,
-    build_initial_comonad,
     build_total_category,
     canonical_c2,
     chain_poset,
-    check_extension_property,
+    collapse,
     fiber_objects,
     poset_from_pairs,
     random_spec,

@@ -32,17 +32,16 @@ from .equivalence import (
 from .errors import EngineError, InvalidArtifactError, ParseError
 from .fibered import (
     SizeLimits,
-    build_final_monad,
-    build_initial_comonad,
     build_total_category,
     canonical_c2,
-    check_extension_property,
+    collapse,
     random_spec,
     terminal_spec,
     validate_spec,
 )
 from .functors import identity_functor, identity_nat
 from .monads import COMONAD, MONAD, MonadDatum, check_idempotent, verify_reflection
+from .report import ValidationReport
 from .textio import (
     LoadedArtifact,
     load_path,
@@ -95,18 +94,14 @@ class _Run:
         self._fail(label, report.render().splitlines())
         return False
 
-    def build(self, label: str, fn, diagnose=None):
-        """Run ``fn`` for a value; engine errors fail the stage, optionally
-        with a diagnostic report appended."""
+    def build(self, label: str, fn):
+        """Run ``fn`` for a value; engine errors fail the stage."""
         if not self.ok:
             return None
         try:
             value = fn()
         except EngineError as exc:
-            lines = list(str(exc).splitlines())
-            if diagnose is not None:
-                lines.extend(diagnose().render().splitlines())
-            self._fail(label, lines)
+            self._fail(label, str(exc).splitlines())
             return None
         self.out.write(f"stage {label}: ok\n")
         return value
@@ -144,17 +139,21 @@ def _load_first_spec(path):
 
 
 def _build_stages(run: _Run, spec):
-    """build-total, then both collapse builders; a failed build appends the
-    extension diagnosis.  Returns (total, monad, comonad)."""
+    """build-total, then one collapse walk per side, each walked inside a
+    build stage.  A failed build shows the walk's first error, then every
+    violation of both walks.  Returns (total, monad, comonad)."""
     t = run.build("build-total", lambda: build_total_category(spec))
+    walk = functools.cache(lambda side: collapse(t, side))
 
-    def collapse(label, build):
-        return run.build(
-            label, lambda: build(t), diagnose=lambda: check_extension_property(t)
-        )
+    def built(side):
+        datum, failures = walk(side)
+        if failures:
+            report = ValidationReport([v for s in (MONAD, COMONAD) for _, v in walk(s)[1]])
+            raise InvalidArtifactError(str(failures[0][0]), report)
+        return datum
 
-    monad = collapse("build-monad", build_final_monad)
-    comonad = collapse("build-comonad", build_initial_comonad)
+    monad = run.build("build-monad", lambda: built(MONAD))
+    comonad = run.build("build-comonad", lambda: built(COMONAD))
     return t, monad, comonad
 
 

@@ -12,14 +12,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import Category
-from .errors import EngineError
-from .fibered import (
-    FiberedSpec,
-    build_final_monad,
-    build_initial_comonad,
-    build_total_category,
-)
-from .monads import fixed_objects
+from .fibered import FiberedSpec, build_total_category, collapse
+from .monads import COMONAD, MONAD, fixed_objects
 
 
 def _quote(s: str) -> str:
@@ -67,17 +61,14 @@ def render_dot(
 
 
 def render_spec_dot(s: FiberedSpec) -> str:
-    """The total category of a spec with fixed-subcategory styling.
+    """The total category of a spec with fixed-subcategory styling, each
+    side styled from its :func:`~catmn.fibered.collapse` walk.
 
-    Falls back to an unstyled graph when a fiber lacks the extremal object
-    a builder needs; the graph is still worth looking at then.
+    A side is left unstyled when its walk gives no datum: a fiber lacks the
+    extremal object, or a morphism has no unique lift.  The graph is still
+    worth looking at then.
     """
     t = build_total_category(s)
-    styles: list[dict[str, str]] = []
-    for build in (build_final_monad, build_initial_comonad):
-        try:
-            styles.append(fixed_objects(build(t)))
-        except EngineError:
-            styles.append({})
-    rings, fills = styles
+    data = (collapse(t, side)[0] for side in (MONAD, COMONAD))
+    rings, fills = ({} if d is None else fixed_objects(d) for d in data)
     return render_dot(t.total, double_ring=rings, filled=fills)

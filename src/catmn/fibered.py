@@ -12,10 +12,13 @@ Collapsing every fiber onto its top gives an idempotent monad whose unit is
 the in-fiber morphism up to the top; collapsing onto bottoms gives the dual
 comonad, built by the same code reading the total category flipped.  This
 module only chooses those units; :func:`monads.from_units`, which takes
-units from any source, extends them to functors by unique lifts, and
-:func:`check_extension_property` reports every failure of the choice and
-the extension.  :func:`random_spec` produces seeded random instances inside
-configurable size limits, none of which may exceed the morphism limit.
+units from any source, extends them to functors by unique lifts.
+:func:`collapse` is the one walk of a side: it returns the datum, or None
+and every failure of the choice and the extension.  The CLI walks each
+side once per run, and its build stages, their diagnosis and the DOT
+styling all read that walk.  :func:`random_spec` produces seeded random
+instances inside configurable size limits, none of which may exceed the
+morphism limit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from itertools import chain
 
 from .config import morphism_limit
 from .errors import (
+    EngineError,
     ExtremumError,
     InvalidArtifactError,
     LiftError,
@@ -35,7 +39,7 @@ from .errors import (
 )
 from .core import Category, Mor, Rows, _gather, validate_category
 from .functors import Functor
-from .monads import COMONAD, MONAD, MonadDatum, Side, from_units
+from .monads import MONAD, MonadDatum, Side, from_units
 from .report import ValidationReport, Violation, remembered, report_field
 
 
@@ -505,17 +509,22 @@ def fiber_objects(t: TotalCategory, b: str) -> list[str]:
     return sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
 
 
-def _collapse(t: TotalCategory, side: Side):
-    """Collapse every fiber onto its ``side.final`` object, reading the total
-    category flipped for the comonad: each object's unit is the in-fiber
-    arrow the scan for that object counted, and :func:`monads.from_units`
-    extends the units by unique lifts.
+def collapse(
+    t: TotalCategory, side: Side
+) -> tuple[MonadDatum | None, list[tuple[EngineError, Violation]]]:
+    """The one walk that collapses every fiber onto its ``side.final``
+    object, reading the total category flipped for the comonad: each
+    object's unit is the in-fiber arrow the scan for that object counted,
+    and :func:`monads.from_units` extends the units by unique lifts.
 
-    Returns that datum, or None, and every failure of the one walk as
-    ``(error, violation)``: each fiber without the object, in base order,
-    then each morphism without exactly one lift, in id order.  A builder
-    raises the first error; :func:`check_extension_property` reports every
-    violation.
+    Returns that datum, or None, and every failure of the walk as
+    ``(error, violation)``: each fiber without the object
+    (``extension-no-{final,initial}``), in base order, then each morphism
+    without exactly one lift (``extension-{final,initial}-lift``), in id
+    order.  An extremal object is one each fiber object reaches by exactly
+    one in-fiber arrow, so every object of a fiber that has one has its
+    unit.  The CLI's build stages and the DOT styling read one walk per
+    side; a build raises the walk's first error.
     """
     cat, base = t.total, t.projection.target
     # the morphisms entering each vertex as the view reads them, and their starts
@@ -553,42 +562,19 @@ def _collapse(t: TotalCategory, side: Side):
     return datum, failures
 
 
-def _build(t: TotalCategory, side: Side) -> MonadDatum:
-    datum, failures = _collapse(t, side)
+def build_final_monad(t: TotalCategory) -> MonadDatum:
+    """The monad collapsing each fiber onto its final object: eta at (b, k)
+    is the unique in-fiber morphism up to the final object, and a morphism
+    u goes to the unique v between the collapsed objects making the
+    naturality square commute.  Raises the first failure of the
+    :func:`collapse` walk: :class:`ExtremumError` for a fiber with no final
+    object, before any :class:`LiftError` for a lift that is missing or
+    ambiguous.
+    """
+    datum, failures = collapse(t, MONAD)
     if failures:
         raise failures[0][0]
     return datum
-
-
-def build_final_monad(t: TotalCategory) -> MonadDatum:
-    """The monad collapsing each fiber onto its final object.
-
-    eta at (b, k) is the unique in-fiber morphism up to the final object;
-    the functor acts on a morphism u by the unique v between the collapsed
-    objects making the naturality square commute.  Raises the first failure
-    of the walk: :class:`ExtremumError` for a fiber with no final object,
-    before any :class:`LiftError` for a lift that is missing or ambiguous
-    (:func:`check_extension_property` lists them all).
-    """
-    return _build(t, MONAD)
-
-
-def build_initial_comonad(t: TotalCategory) -> MonadDatum:
-    """:func:`build_final_monad` on the flipped view of the total category:
-    collapse fibers onto their initial objects, counit the unique in-fiber
-    morphism from the initial object."""
-    return _build(t, COMONAD)
-
-
-def check_extension_property(t: TotalCategory) -> ValidationReport:
-    """Diagnostic behind the two builders: every failure of their walk on
-    both sides, which the builders raise the first of.  Reports every fiber
-    lacking an extremal object (``extension-no-{final,initial}``) and every
-    morphism whose lift is missing or ambiguous
-    (``extension-{final,initial}-lift``).  An extremal object is one each
-    fiber object reaches by exactly one in-fiber arrow, so every object of a
-    fiber that has one has its unit."""
-    return ValidationReport([v for side in (MONAD, COMONAD) for _, v in _collapse(t, side)[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from helpers import collapsed
+
 from catmn import (
+    COMONAD,
     build_final_monad,
-    build_initial_comonad,
     build_mn_equivalence,
     build_total_category,
     canonical_c2,
@@ -42,7 +44,7 @@ def c2_monad(c2_total):
 
 @pytest.fixture(scope="session")
 def c2_comonad(c2_total):
-    return build_initial_comonad(c2_total)
+    return collapsed(c2_total, COMONAD)
 
 
 @pytest.fixture(scope="session")

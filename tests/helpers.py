@@ -24,7 +24,9 @@ from catmn import (
     Mor,
     NaturalTransformation,
     ParseError,
+    ValidationReport,
     Violation,
+    collapse,
     compose_functors,
     identity_functor,
     identity_nat,
@@ -339,6 +341,22 @@ def break_bottom(spec, arrow: str, k: str):
     actions = {f: dict(a) for f, a in spec.actions.items()}
     actions[arrow] = dict.fromkeys(actions[arrow], k)
     return FiberedSpec(f"{spec.name}-mutant", spec.base, spec.fibers, actions)
+
+
+def collapsed(t, side) -> MonadDatum:
+    """The datum of the :func:`catmn.collapse` walk of ``side`` on the total
+    category ``t``, or the walk's first error raised, as a build stage
+    shows it."""
+    datum, failures = collapse(t, side)
+    if failures:
+        raise failures[0][0]
+    return datum
+
+
+def extension_report(t) -> ValidationReport:
+    """Every violation of the collapse walks of both sides of ``t``, the
+    monad side first: the diagnosis a failed build stage shows."""
+    return ValidationReport([v for side in (MONAD, COMONAD) for _, v in collapse(t, side)[1]])
 
 
 def _view_by_names(cat, side):

@@ -11,9 +11,9 @@ from test_corrupted import CORPUS as CORRUPTED_DIR
 from test_corrupted import MANIFEST
 
 from catmn import (
+    COMONAD,
     SizeLimits,
     build_final_monad,
-    build_initial_comonad,
     build_mn_equivalence,
     build_total_category,
     canonical_c2,
@@ -32,7 +32,7 @@ from catmn import (
     verify_transfer,
 )
 from catmn.cli import main
-from helpers import whisker_left, whisker_right
+from helpers import collapsed, whisker_left, whisker_right
 
 LIMITS = SizeLimits(max_base_objects=4, max_fiber_elements=5)
 SEEDS = range(200)
@@ -47,7 +47,7 @@ def built():
     if not _built:
         for seed in SEEDS:
             t = build_total_category(random_spec(seed, LIMITS))
-            _built[seed] = (t, build_final_monad(t), build_initial_comonad(t))
+            _built[seed] = (t, build_final_monad(t), collapsed(t, COMONAD))
     return _built
 
 
@@ -132,7 +132,7 @@ def test_criterion_4_whiskered_transformations_are_identities(
 ):
     term = build_total_category(terminal_spec())
     instances = list(built().values())
-    instances.append((term, build_final_monad(term), build_initial_comonad(term)))
+    instances.append((term, build_final_monad(term), collapsed(term, COMONAD)))
     instances.append((c2_total, c2_monad, c2_comonad))
     bad = []
     for t, m, c in instances:

@@ -1,18 +1,20 @@
 """The fiber collapses on ids against the name-level search.
 
 ``helpers.collapse_by_names`` finds every unit and lift with hom-sets by
-name and ``comp_or_none``; the builders and the extension check read the
-total category's rows instead.  Both must give the same object map, units,
-morphism map, first error and extension report: on valid totals, on totals
-whose collapses fail, on flipped totals, and on hand-built odd tables.
+name and ``comp_or_none``; the collapse walk reads the total category's
+rows instead.  Both must give the same object map, units, morphism map,
+first error and extension report: on valid totals, on totals whose
+collapses fail, on flipped totals, and on hand-built odd tables.  Each CLI
+run that builds the collapses walks each side once.
 """
 
 import pytest
-from helpers import collapse_by_names, parallel_pair
+from helpers import collapse_by_names, collapsed, extension_report, parallel_pair
 from test_acceptance import LIMITS, SEEDS
 from test_duality import _opposite_total, _oracle_specs
 from test_fibered import antichain_total, top_collapsing_c2
 
+import catmn.fibered
 from catmn import (
     Category,
     ExtremumError,
@@ -20,23 +22,19 @@ from catmn import (
     Functor,
     Mor,
     TotalCategory,
-    build_final_monad,
-    build_initial_comonad,
     build_total_category,
     canonical_c2,
     chain_poset,
-    check_extension_property,
     random_spec,
+    render_spec,
 )
+from catmn.cli import main
 from catmn.monads import COMONAD, MONAD
 from catmn.report import ValidationReport
 
-BUILDERS = ((MONAD, build_final_monad), (COMONAD, build_initial_comonad))
-
-
 def assert_matches_the_search(t: TotalCategory) -> None:
     found = []
-    for side, build in BUILDERS:
+    for side in (MONAD, COMONAD):
         obj_map, units, mor_map, failures = collapse_by_names(t, side)
         # the reference recounts each unit, and never finds other than one:
         # the scan for an extremal object accepts a candidate only when each
@@ -47,10 +45,10 @@ def assert_matches_the_search(t: TotalCategory) -> None:
         if failures:
             error = failures[0][0]
             with pytest.raises(type(error)) as exc:
-                build(t)
+                collapsed(t, side)
             assert str(exc.value) == str(error)
             continue
-        datum = build(t)
+        datum = collapsed(t, side)
         unit = datum.unit
         assert datum.functor.obj_map == obj_map
         assert unit.components == units
@@ -59,7 +57,7 @@ def assert_matches_the_search(t: TotalCategory) -> None:
         ids = t.total.mor_id
         assert datum.functor.images == tuple(ids.get(mor_map.get(u)) for u in t.total.names)
     want = ValidationReport(found)
-    got = check_extension_property(t)
+    got = extension_report(t)
     assert (got.render(), got.omitted) == (want.render(), want.omitted)
 
 
@@ -233,13 +231,35 @@ def test_a_missing_extremum_is_raised_before_failing_lifts():
     # the lifts of f come first in id order, and the fiber over b2 last in
     # base order, but the walk scans every fiber before it lifts
     t = split_total()
-    for side, build in BUILDERS:
+    for side in (MONAD, COMONAD):
         with pytest.raises(ExtremumError, match=f"'b2' has no {side.final} object"):
-            build(t)
-    assert check_extension_property(t).render().splitlines() == [
+            collapsed(t, side)
+    assert extension_report(t).render().splitlines() == [
         "extension-initial-lift [f|bot0|top1]: 0 lifts between the fiber bottoms",
         "extension-initial-lift [f|mid0|top1]: 0 lifts between the fiber bottoms",
         "extension-initial-lift [f|top0|top1]: 0 lifts between the fiber bottoms",
         "extension-no-final [b2]: fiber has no final object",
         "extension-no-initial [b2]: fiber has no initial object",
     ]
+
+
+@pytest.mark.parametrize("command", ["mn-check", "transport", "export-dot"])
+@pytest.mark.parametrize("spec", [canonical_c2, top_collapsing_c2])
+def test_each_run_walks_each_side_once(monkeypatch, tmp_path, capsys, spec, command):
+    """One lift extension per side per run, on a spec whose collapses both
+    build and on one whose comonad fails and is diagnosed."""
+    walks = []
+    from_units = catmn.fibered.from_units
+
+    def counted(cat, side, *rest):
+        walks.append(side.monad)
+        return from_units(cat, side, *rest)
+
+    monkeypatch.setattr(catmn.fibered, "from_units", counted)
+    path = tmp_path / "spec.cm"
+    path.write_text(render_spec(spec()))
+    dot = ["--out", str(tmp_path / "out.dot")] if command == "export-dot" else []
+    code = main([command, str(path), *dot])
+    broken = spec is top_collapsing_c2 and command != "export-dot"
+    assert (code, "build-comonad: FAIL" in capsys.readouterr().out) == (int(broken), broken)
+    assert sorted(walks) == ["comonad", "monad"]

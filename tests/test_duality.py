@@ -8,6 +8,7 @@ its monad-side twin run on the real opposite category, built by
 """
 
 import dataclasses
+from functools import partial
 
 import pytest
 from test_corrupted import CORPUS, check_coreflection
@@ -27,10 +28,8 @@ from catmn import (
     TotalCategory,
     TransportResult,
     build_final_monad,
-    build_initial_comonad,
     build_total_category,
     canonical_c2,
-    check_extension_property,
     check_idempotent,
     fixed_subcategory,
     full_subcategory,
@@ -48,6 +47,8 @@ from catmn import (
 )
 from catmn.cli import main
 from helpers import (
+    collapsed,
+    extension_report,
     idem_endo,
     identity_datum,
     orbit,
@@ -126,7 +127,7 @@ def _c2_transfer(monad_side: bool) -> str:
     if monad_side:
         m, w = build_final_monad(t), identity_datum(c, COMONAD)
     else:
-        m, w = identity_datum(c, MONAD), build_initial_comonad(t)
+        m, w = identity_datum(c, MONAD), collapsed(t, COMONAD)
     e = relabeled_opposite_equivalence(c)
     return verify_transfer(m, w, transport_pair(e, m, w)).render()
 
@@ -152,15 +153,15 @@ GOLDEN_CASES = {
     "coreflector_swapped.cm": lambda: check_coreflection(
         load_path(CORPUS / "coreflector_swapped.cm")
     ).render(),
-    "extension-initial-lift": lambda: check_extension_property(
+    "extension-initial-lift": lambda: extension_report(
         build_total_category(top_collapsing_c2())
     ).render(),
-    "extension-no-extrema": lambda: check_extension_property(antichain_total()).render(),
+    "extension-no-extrema": lambda: extension_report(antichain_total()).render(),
     "build-initial-comonad-lift": lambda: _raised(
-        lambda: build_initial_comonad(build_total_category(top_collapsing_c2()))
+        lambda: collapsed(build_total_category(top_collapsing_c2()), COMONAD)
     ),
     "build-initial-comonad-extremum": lambda: _raised(
-        lambda: build_initial_comonad(antichain_total())
+        lambda: collapsed(antichain_total(), COMONAD)
     ),
     "transfer-vacuous-comonad-of-unit": lambda: _c2_transfer(monad_side=True),
     "transfer-vacuous-monad-of-counit": lambda: _c2_transfer(monad_side=False),
@@ -394,7 +395,7 @@ def oracle_totals():
 
 
 def test_oracle_covers_mutants(oracle_totals):
-    broken = [t for t in oracle_totals if not check_extension_property(t).ok]
+    broken = [t for t in oracle_totals if not extension_report(t).ok]
     assert len(oracle_totals) > 51 and len(broken) >= 20
 
 
@@ -451,11 +452,9 @@ def _outcome(build, t):
 def test_fibered_comonad_is_the_monad_of_the_opposite_total(oracle_totals):
     for t in oracle_totals + [antichain_total()]:
         op = _opposite_total(t)
-        got = _outcome(build_initial_comonad, t)
+        got = _outcome(partial(collapsed, side=COMONAD), t)
         want = _outcome(build_final_monad, op)
         if isinstance(want[0], str):
             want = (want[0], want[1].replace("final", "initial").replace("unit at", "counit at"))
         assert got == want
-        assert _findings(check_extension_property(t)) == _dual_findings(
-            check_extension_property(op)
-        )
+        assert _findings(extension_report(t)) == _dual_findings(extension_report(op))

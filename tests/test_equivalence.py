@@ -18,7 +18,6 @@ from catmn import (
     NaturalTransformation,
     ReflectionPackage,
     build_final_monad,
-    build_initial_comonad,
     build_mn_equivalence,
     canonical_c2,
     check_idempotent,
@@ -35,7 +34,15 @@ from catmn import (
     verify_factorizations,
 )
 from catmn.cli import main
-from helpers import collapse_monad, idem_endo, identity_datum, orbit, spy, three_chain
+from helpers import (
+    collapse_monad,
+    collapsed,
+    idem_endo,
+    identity_datum,
+    orbit,
+    spy,
+    three_chain,
+)
 
 
 def rules_of(report):
@@ -101,7 +108,7 @@ def test_build_refuses_failing_hypotheses():
 
 
 def c2_pair_anew(c2_total):
-    return make_mn_pair(build_final_monad(c2_total), build_initial_comonad(c2_total))
+    return make_mn_pair(build_final_monad(c2_total), collapsed(c2_total, COMONAD))
 
 
 def collapse_pair(c2_total):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catmn import (
+    COMONAD,
     Category,
     ExtremumError,
     FiberPoset,
@@ -21,11 +22,9 @@ from catmn import (
     TotalCategory,
     ValidationReport,
     build_final_monad,
-    build_initial_comonad,
     build_total_category,
     canonical_c2,
     chain_poset,
-    check_extension_property,
     check_idempotent,
     fiber_objects,
     poset_from_pairs,
@@ -35,7 +34,7 @@ from catmn import (
     validate_functor,
     validate_spec,
 )
-from helpers import linear_extension_by_rescan, three_chain
+from helpers import collapsed, extension_report, linear_extension_by_rescan, three_chain
 
 
 def rules_of(report):
@@ -444,7 +443,7 @@ def test_c2_comonad_frozen_values(c2_comonad):
 
 
 def test_extension_property_clean_on_c2(c2_total):
-    assert check_extension_property(c2_total).ok
+    assert extension_report(c2_total).ok
 
 
 def top_collapsing_c2():
@@ -462,8 +461,8 @@ def test_non_bottom_preserving_action_breaks_only_the_comonad():
     monad = build_final_monad(t)
     assert check_idempotent(monad).ok
     with pytest.raises(LiftError, match="expected exactly one lift"):
-        build_initial_comonad(t)
-    report = check_extension_property(t)
+        collapsed(t, COMONAD)
+    report = extension_report(t)
     assert rules_of(report) == {"extension-initial-lift"}
     assert subjects_of(report, "extension-initial-lift") == {
         ("f|bot0|top1",),
@@ -510,8 +509,8 @@ def test_extremum_error_from_builders():
     with pytest.raises(ExtremumError, match="no final object"):
         build_final_monad(t)
     with pytest.raises(ExtremumError, match="no initial object"):
-        build_initial_comonad(t)
-    ext = check_extension_property(t)
+        collapsed(t, COMONAD)
+    ext = extension_report(t)
     assert rules_of(ext) == {"extension-no-final", "extension-no-initial"}
     assert subjects_of(ext, "extension-no-final") == {("b0",)}
 
@@ -551,8 +550,8 @@ def test_random_spec_respects_limits_and_validates(seed):
 def test_random_specs_build_and_extend():
     for seed in range(12):
         t = build_total_category(random_spec(seed))
-        assert check_extension_property(t).ok
+        assert extension_report(t).ok
         monad = build_final_monad(t)
-        comonad = build_initial_comonad(t)
+        comonad = collapsed(t, COMONAD)
         assert check_idempotent(monad).ok
         assert check_idempotent(comonad).ok

@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from helpers import idem_endo, orbit, parallel_pair
+from helpers import collapsed, idem_endo, orbit, parallel_pair
 
 from catmn import (
     COMONAD,
@@ -30,8 +30,6 @@ from catmn import (
     Mor,
     NaturalTransformation,
     ReflectionPackage,
-    build_final_monad,
-    build_initial_comonad,
     build_total_category,
     canonical_c2,
     fixed_subcategory,
@@ -283,8 +281,8 @@ def test_inverse_search_matches_the_brute_force(categories):
 def test_reflection_sweeps_match_on_fixed_subcategories(totals):
     swept = 0
     for t in totals:
-        for side, build in ((MONAD, build_final_monad), (COMONAD, build_initial_comonad)):
-            p = fixed_subcategory(build(t))
+        for side in (MONAD, COMONAD):
+            p = fixed_subcategory(collapsed(t, side))
             assert p.side is side
             got, want = verify_reflection(p), reflection_by_names(p)
             assert got.ok and want.ok, t.total.name
@@ -315,8 +313,8 @@ def test_reflection_sweeps_match_where_a_name_is_no_ambient_vertex(totals):
     sending an object to a name that is no vertex, which then has no
     mediators, and a subcategory holding an object the ambient lacks, which
     then has no arrows."""
-    for build in (build_final_monad, build_initial_comonad):
-        p = fixed_subcategory(build(totals[0]))
+    for side in (MONAD, COMONAD):
+        p = fixed_subcategory(collapsed(totals[0], side))
         x = p.ambient.objects[0]
         stray_image = replace(
             p,

@@ -17,12 +17,14 @@ import tracemalloc
 
 import pytest
 
+from helpers import collapsed
+
 from catmn import (
+    COMONAD,
+    MONAD,
     Category,
     Functor,
     SizeLimits,
-    build_final_monad,
-    build_initial_comonad,
     build_total_category,
     fixed_subcategory,
     random_spec,
@@ -80,8 +82,8 @@ def test_reflectors_share_their_datum_tables(rung):
     the datum's read in the subcategory's ids: through the inclusion each
     entry is the datum's entry, the same int."""
     t = build_total_category(rung)
-    for build in (build_final_monad, build_initial_comonad):
-        d = build(t)
+    for side in (MONAD, COMONAD):
+        d = collapsed(t, side)
         p = fixed_subcategory(d)
         assert p.reflector.obj_map is d.functor.obj_map
         back, table = p.inclusion.images, p.reflector.images

@@ -23,7 +23,6 @@ from catmn import (
     MonadDatum,
     NaturalTransformation,
     build_final_monad,
-    build_initial_comonad,
     build_total_category,
     check_idempotent,
     identity_functor,
@@ -34,7 +33,7 @@ from catmn import (
     validate_functor,
     validate_nat,
 )
-from helpers import idem_endo, identity_datum, orbit, whisker_left, whisker_right
+from helpers import collapsed, idem_endo, identity_datum, orbit, whisker_left, whisker_right
 
 CORPUS = Path(__file__).parent / "fixtures" / "corrupted"
 
@@ -97,7 +96,7 @@ def idem_endo_coreflection() -> MonadDatum:
 def instances():
     """``(name, monad, comonad)`` for every family of instances."""
     term = build_total_category(terminal_spec())
-    yield "terminal", build_final_monad(term), build_initial_comonad(term)
+    yield "terminal", build_final_monad(term), collapsed(term, COMONAD)
     for seed, (t, m, c) in built().items():
         yield f"seed {seed}", m, c
     for seed in TRANSPORT_SEEDS:
