@@ -50,7 +50,6 @@ from .fibered import (
     canonical_c2,
     chain_poset,
     collapse,
-    fiber_objects,
     poset_from_pairs,
     random_spec,
     terminal_spec,

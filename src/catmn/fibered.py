@@ -11,8 +11,9 @@ thin category of its poset.
 Collapsing every fiber onto its top gives an idempotent monad whose unit is
 the in-fiber morphism up to the top; collapsing onto bottoms gives the dual
 comonad, built by the same code reading the total category flipped.  This
-module only chooses those units; :func:`monads.from_units`, which takes
-units from any source, extends them to functors by unique lifts.
+module only chooses those units, one fiber at a time after one pass over
+the objects; :func:`monads.from_units`, which takes units from any
+source, extends them to functors by unique lifts.
 :func:`collapse` is the one walk of a side: it returns the datum, or None
 and every failure of the choice and the extension.  The CLI walks each
 side once per run, and its build stages, their diagnosis and the DOT
@@ -505,17 +506,14 @@ def _hole(total: Category, rows: Rows, blocks, block_ids, base: Category, missin
     raise AssertionError("no hole found")
 
 
-def fiber_objects(t: TotalCategory, b: str) -> list[str]:
-    return sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
-
-
 def collapse(
     t: TotalCategory, side: Side
 ) -> tuple[MonadDatum | None, list[tuple[EngineError, Violation]]]:
     """The one walk that collapses every fiber onto its ``side.final``
-    object, reading the total category flipped for the comonad: each
-    object's unit is the in-fiber arrow the scan for that object counted,
-    and :func:`monads.from_units` extends the units by unique lifts.
+    object, reading the total category flipped for the comonad: one pass
+    groups the objects by fiber, each object's unit is the in-fiber arrow
+    the scan for that object counted, and :func:`monads.from_units`
+    extends the units by unique lifts.
 
     Returns that datum, or None, and every failure of the walk as
     ``(error, violation)``: each fiber without the object
@@ -534,8 +532,10 @@ def collapse(
     # per vertex id: the unit there, set at the objects alone (the first
     # vertices), as the object map covers only those
     eta = [None] * len(cat.vertices)
-    for b in base.objects:
-        objs = [vid[x] for x in fiber_objects(t, b)]
+    fibers = {b: [] for b in base.objects}  # object ids, in name order
+    for x in cat.objects:
+        fibers[t.object_decoding[x][0]].append(vid[x])
+    for b, objs in fibers.items():
         idb, inside = base.ident[base.vid[b]], set(objs)
         # the extremum is the first object that each of objs reaches by
         # exactly one in-fiber arrow, and those arrows are the units
@@ -549,9 +549,8 @@ def collapse(
                 (ExtremumError(b, side.final), Violation(f"extension-no-{side.final}", (b,), detail))
             )
             continue
-        for u in arrows:
-            if src[u] < len(cat.objects):
-                eta[src[u]] = u
+        for u in arrows:  # each starts at an object of the fiber
+            eta[src[u]] = u
     name = f"fiber-{side.top}-{side.monad}"
     datum, lifts = from_units(cat, side, eta, name, f"{side.unit}-{side.to}-{side.top}")
     for u, n in lifts:

@@ -124,23 +124,17 @@ def from_units(
     names, rows, pos = cat.names, cat.rows, cat.pos
     # per vertex a with a unit: the morphisms v leaving dst[eta_a], keyed by
     # v after eta_a read off the unit's row (flipped: off the column of the
-    # unit in the rows of the v).  When those are distinct entries of the
-    # type of their v, the one lift of a morphism u from a is the v keyed
-    # by eta_b after u, if that is an entry of its type; otherwise the index
-    # is None and the search below settles it with after()
+    # unit in the rows of the v).  When those keys are distinct and no slot
+    # is empty, a morphism u from a has at most one lift, the v keyed by
+    # eta_b after u, and it is one when it ends where eta_b ends; otherwise
+    # the index is None and the search below settles it with after()
     index = [None] * len(cat.vertices)
     for a, e in enumerate(eta):
         if e is None:
             continue
         cands = leaving[dst[e]]
-        comps = [rows[v][pos[e]] for v in cands] if flip else rows[e]
-        try:
-            if list(map(dst.__getitem__, comps)) != list(map(dst.__getitem__, cands)):
-                continue
-        except TypeError:  # an empty slot
-            continue
-        by_comp = dict(zip(comps, cands))
-        if len(by_comp) == len(cands):
+        by_comp = dict(zip([rows[v][pos[e]] for v in cands] if flip else rows[e], cands))
+        if len(by_comp) == len(cands) and None not in by_comp:
             index[a] = by_comp
 
     images = [None] * len(names)
@@ -150,10 +144,9 @@ def from_units(
         if eta_a is None or eta_b is None:
             continue
         by_comp = index[a]
-        target_side = rows[eta_b][pos[u]] if flip else rows[u][pos[eta_b]]
-        if by_comp is not None and target_side is not None and dst[target_side] == dst[eta_b]:
-            v = by_comp.get(target_side)
-            lifts = () if v is None else (v,)
+        if by_comp is not None:
+            v = by_comp.get(rows[eta_b][pos[u]] if flip else rows[u][pos[eta_b]])
+            lifts = (v,) if v is not None and dst[v] == dst[eta_b] else ()
         else:
             target_side = after(eta_b, u)
             lifts = [v for v in hom(dst[eta_a], dst[eta_b]) if after(v, eta_a) == target_side]

@@ -485,13 +485,13 @@ def _parse_spec_tail(cur: _Cursor) -> tuple[dict, dict]:
     fibers: dict[str, dict] = {}
     actions: dict[str, dict[str, str]] = {}
     while True:
+        # a line whose first word is in _SPEC_PARTS: each part's reader
+        # stops at no other, and next() raises at the end of the file
         lineno, line = cur.next()
         tokens = line.split()
         head = tokens[0]
         if head == "END":
             return fibers, actions
-        if head not in ("FIBER", "ACTION"):
-            raise cur.error(f"expected FIBER, ACTION, or END, got {line!r}", lineno)
         x = _one_name(tokens, lineno, cur)
         if x in (fibers if head == "FIBER" else actions):
             raise cur.error(f"duplicate {head} block for {x!r}", lineno)

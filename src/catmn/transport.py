@@ -64,17 +64,20 @@ class ContravariantEquivalence:
 
 @remembered
 def validate_equivalence(e: ContravariantEquivalence) -> ValidationReport:
-    """Functor laws for both directions (on flipped views), shape and
-    naturality of both comparison transformations, and that every
+    """Functor laws for both directions (on flipped views), that the
+    backward functor goes from the forward one's target to its source, shape
+    and naturality of both comparison transformations, and that every
     comparison component is invertible.  Computed once per equivalence."""
-    report = validate_contravariant(e.forward).merged(
-        validate_contravariant(e.backward)
-    )
-    violations: list[Violation] = []
+    report = validate_contravariant(e.forward).merged(validate_contravariant(e.backward))
+    C, D = e.source, e.dual
+    if (e.backward.source, e.backward.target) != (D, C):
+        detail = "must go from the forward functor's target to its source"
+        meet = Violation("equivalence-functors-meet", ("backward",), detail)
+        report = report.merged(ValidationReport([meet]))
     if not report.ok:
         return report
 
-    C, D = e.source, e.dual
+    violations: list[Violation] = []
     fg = compose_functors(e.forward, e.backward)
     gf = compose_functors(e.backward, e.forward)
 

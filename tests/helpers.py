@@ -1,10 +1,11 @@
 """Hand-built gadget categories and (co)monads the test modules share, the
-spec mutants whose actions break bottoms, the name-level lift and collapse
-searches the builders are compared with, the rescanning linear extension
-that ``FiberPoset.linear_extension`` is, the name-level tables that each
-functor builder gave before functors held ids, and the slot-at-a-time
-completion, triple-at-a-time associativity check and line-at-a-time parser
-that the loader and validator did before they worked by rows.
+spec mutants whose actions break bottoms, the objects of a fiber, the
+name-level lift and collapse searches the builders are compared with, the
+rescanning linear extension that ``FiberPoset.linear_extension`` is, the
+name-level tables that each functor builder gave before functors held
+ids, and the slot-at-a-time completion, triple-at-a-time associativity
+check and line-at-a-time parser that the loader and validator did before
+they worked by rows.
 
 Each is small enough to check by eye; the composition tables are written
 out in full so the tests do not depend on the loader's completion rules.
@@ -393,6 +394,12 @@ def lifts_by_names(cat, side, units):
     return mor_map, failures
 
 
+def fiber_objects(t, b: str) -> list[str]:
+    """The names of the objects of the total category ``t`` over the base
+    object ``b``, sorted."""
+    return sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
+
+
 def collapse_by_names(t, side):
     """The collapse of every fiber of the total category ``t`` onto its
     ``side.final`` object, found by the name-level search: hom-sets by name
@@ -414,7 +421,7 @@ def collapse_by_names(t, side):
     finals = {}
     for b in base.objects:
         idb = base.identity.get(b)
-        objs = sorted(x for x, (bb, _) in t.object_decoding.items() if bb == b)
+        objs = fiber_objects(t, b)
         for cand in objs:
             if all([over.get(u) for u in hom(y, cand)].count(idb) == 1 for y in objs):
                 finals[b] = cand

@@ -487,6 +487,39 @@ def test_module_entry_point(capsys, monkeypatch, tmp_path, c2_file):
             assert (proc.returncode, proc.stdout, proc.stderr) == expected, (module, argv)
 
 
+# every command through ``main`` in one process: the demo, then each file
+# given, with the DOT text each export writes to the first argument
+EVERY_COMMAND = """
+import sys
+from pathlib import Path
+from catmn.cli import main
+
+out, files = Path(sys.argv[1]), sys.argv[2:]
+print("demo", main(["demo"]))
+for path in files:
+    for command in ("validate", "mn-check", "transport"):
+        print(command, path, main([command, path]))
+    print("export-dot", path, main(["export-dot", path, "--out", str(out)]))
+    if out.exists():
+        print(out.read_text(encoding="utf-8"), end="")
+        out.unlink()
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    corrupted = sorted(map(str, (Path(__file__).parent / "fixtures" / "corrupted").glob("*.cm")))
+    shipped = str(Path(catmn.__file__).parent / "data" / "canonical_c2.spec")
+    argv = [*MODULE[:1], "-c", EVERY_COMMAND, str(tmp_path / "out.dot"), *corrupted, shipped]
+    runs = [
+        subprocess.run(argv, capture_output=True, env={**MODULE_ENV, "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    ]
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, b"")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    # a DOT text follows each file that exports, the shipped spec among them
+    assert runs[0].stdout.count(b"digraph") == runs[0].stdout.count(b"\nwrote ") > 1
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -574,6 +607,93 @@ def test_empty_json_artifact_list_is_a_parse_error(capsys, tmp_path, command):
     code, out = run_cli(capsys, *file_argv(command, path))
     assert code == 2
     assert out == f'error: {path}:1:1: empty "artifacts" list: no artifacts\n'
+    assert not path.with_suffix(".dot").exists()
+
+
+# distinct total objects, but the lift of g from a|b to c and the lift of
+# g|a from b to c are both named 'g|a|b|c'
+COLLIDING_MORPHISMS = """\
+SPEC colliding
+  BASE
+    OBJECTS
+      b0 b1
+    MORPHISMS
+      g: b0 -> b1
+      g|a: b0 -> b1
+      id_b0: b0 -> b0
+      id_b1: b1 -> b1
+    IDENTITIES
+      b0: id_b0
+      b1: id_b1
+    COMPOSE
+  FIBER b0
+    ELEMENTS a|b b
+    BOTTOM a|b
+    TOP b
+    LEQ a|b b
+  FIBER b1
+    ELEMENTS c
+    BOTTOM c
+    TOP c
+  ACTION g
+    a|b -> c
+    b -> c
+  ACTION g|a
+    a|b -> c
+    b -> c
+END
+"""
+
+
+def test_colliding_total_morphism_names_fail_the_build(capsys, tmp_path):
+    path = tmp_path / "colliding.cm"
+    path.write_text(COLLIDING_MORPHISMS)
+    assert run_cli(capsys, "validate", str(path)) == (0, "spec colliding: ok\n")
+    failed = (
+        "stage validate-spec: ok\n"
+        "stage build-total: FAIL\n"
+        "  total morphism name collision at 'g|a|b|c'\n"
+        "result: FAIL (stage build-total)\n"
+    )
+    assert run_cli(capsys, "mn-check", str(path)) == (1, "spec colliding\n" + failed)
+    assert run_cli(capsys, "transport", str(path)) == (
+        1,
+        "spec colliding\nmode relabel-opposite\n" + failed,
+    )
+    assert run_cli(capsys, *file_argv("export-dot", path)) == (
+        2,
+        "error: total morphism name collision at 'g|a|b|c'\n",
+    )
+    assert not path.with_suffix(".dot").exists()
+
+
+CATEGORY_DOC = {"kind": "category", "name": "x", "objects": [], "morphisms": [],
+                "identities": {}, "compose": []}
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"artifacts": {}}, 'expected an object with an "artifacts" list'),
+        ({"artifacts": [{"kind": "category"}]}, "every artifact needs a kind and a name"),
+        ({"artifacts": [{"kind": "monoid", "name": "m"}]}, "unknown artifact kind 'monoid'"),
+        (
+            {"artifacts": [{**CATEGORY_DOC, "objects": [1]}]},
+            "artifact 0: field objects[0] must be a string",
+        ),
+        (
+            {"artifacts": [{**CATEGORY_DOC, "identities": []}]},
+            "artifact 0: field identities must be an object",
+        ),
+    ],
+)
+def test_malformed_json_document_is_a_parse_error(capsys, tmp_path, command, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, *file_argv(command, path))
+    assert code == 2
+    assert out == f"error: {path}:1:1: {message}\n"
     assert not path.with_suffix(".dot").exists()
 
 

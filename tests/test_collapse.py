@@ -227,6 +227,19 @@ def test_the_odd_tables_reach_both_outcomes():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("ghosts", [("ghost", "ghost"), ("ghost", "phantom")])
+def test_empty_slots_on_both_sides_of_a_lift(ghosts):
+    # the unit at b0|bot0 composed with f|top0|top1, and the unit at b1|top1
+    # composed with f|bot0|top1, are both stray: the search settles the lift
+    # of f|bot0|top1 on the stray names, one lift when they agree and none
+    # when they differ, so an empty slot may key no index
+    unit = "id_b0|bot0|top0"
+    entries = {("f|top0|top1", unit): ghosts[0], ("id_b1|top1|top1", "f|bot0|top1"): ghosts[1]}
+    t = with_entries(build_total_category(canonical_c2()), "ghosts", entries)
+    assert len(t.total.stray) == 2
+    assert_matches_the_search(t)
+
+
 def test_a_missing_extremum_is_raised_before_failing_lifts():
     # the lifts of f come first in id order, and the fiber over b2 last in
     # base order, but the walk scans every fiber before it lifts

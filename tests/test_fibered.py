@@ -26,7 +26,6 @@ from catmn import (
     canonical_c2,
     chain_poset,
     check_idempotent,
-    fiber_objects,
     poset_from_pairs,
     random_spec,
     terminal_spec,
@@ -34,7 +33,13 @@ from catmn import (
     validate_functor,
     validate_spec,
 )
-from helpers import collapsed, extension_report, linear_extension_by_rescan, three_chain
+from helpers import (
+    collapsed,
+    extension_report,
+    fiber_objects,
+    linear_extension_by_rescan,
+    three_chain,
+)
 
 
 def rules_of(report):

@@ -19,7 +19,15 @@ from catmn import (
     validate_nat,
 )
 from catmn.functors import iso_report
-from helpers import orbit, parallel_pair, spy, walking_arrow, whisker_left, whisker_right
+from helpers import (
+    idem_endo,
+    orbit,
+    parallel_pair,
+    spy,
+    walking_arrow,
+    whisker_left,
+    whisker_right,
+)
 
 
 def rules_of(report):
@@ -76,6 +84,37 @@ def test_orbit_automorphism_is_a_functor_and_an_involution():
 def test_compose_functors_requires_matching_middle():
     with pytest.raises(MismatchError):
         compose_functors(identity_functor(orbit()), identity_functor(walking_arrow()))
+
+
+@pytest.mark.parametrize(
+    "obj_map, mor_map, error, message",
+    [
+        (
+            {"a": "a", "b": "b"},
+            {"id_a": "id_a", "id_b": "id_b", "f": "f"},
+            UnknownMorphismError,
+            "functor 'partial' is undefined on morphism 'e'",
+        ),
+        (
+            {"a": "a"},
+            {"id_a": "id_a", "id_b": "id_b", "f": "f", "e": "e"},
+            UnknownObjectError,
+            "functor 'partial' is undefined on object 'b'",
+        ),
+    ],
+)
+def test_composing_through_a_missing_image_raises_what_one_call_would(
+    obj_map, mor_map, error, message
+):
+    # the composite is first gathered on whole tables; a miss there is
+    # redone call by call, so the error names the functor that misses,
+    # whichever side of the composite it is on
+    c = idem_endo()
+    partial = Functor(c, c, obj_map, mor_map, name="partial")
+    for G, F in ((partial, identity_functor(c)), (identity_functor(c), partial)):
+        with pytest.raises(error) as exc:
+            compose_functors(G, F)
+        assert str(exc.value) == message
 
 
 def test_functor_totality_rules():

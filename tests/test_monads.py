@@ -1,6 +1,8 @@
 """Idempotent (co)monads, their fixed subcategories, and the exhaustive
 universal-property sweeps for reflections and coreflections."""
 
+import dataclasses
+
 import pytest
 
 from catmn import (
@@ -11,6 +13,7 @@ from catmn import (
     MonadDatum,
     NaturalTransformation,
     ReflectionPackage,
+    ValidationReport,
     check_idempotent,
     compose_functors,
     fixed_objects,
@@ -210,6 +213,21 @@ def test_fixed_subcategory_requires_idempotence():
         fixed_subcategory(successor_monad())
     with pytest.raises(InvalidArtifactError, match="idempotent comonad"):
         fixed_subcategory(predecessor_comonad())
+
+
+def test_fixed_subcategory_refuses_a_functor_leaving_it():
+    # the identity on idem_endo with the unit e at b is natural but no
+    # monad, and b is not fixed; a stored empty report skips
+    # check_idempotent, which would reject the datum first
+    F = identity_functor(idem_endo())
+    d = MonadDatum(F, NaturalTransformation(F, F, {"a": "id_a", "b": "e"}), MONAD)
+    assert not check_idempotent(d).ok
+    d = dataclasses.replace(d)
+    object.__setattr__(d, "_report", ValidationReport())
+    with pytest.raises(
+        InvalidArtifactError, match="^monad functor sends 'b' outside its fixed subcategory$"
+    ):
+        fixed_subcategory(d)
 
 
 def test_c2_universal_property_sweeps(c2_monad, c2_comonad):

@@ -97,6 +97,25 @@ def test_functor_and_nat_round_trip():
     assert render_artifacts(back) == text
 
 
+@pytest.mark.parametrize("arrow", ["->", " ->"])
+def test_map_entries_need_no_spaces_around_the_arrow(arrow):
+    # an OBJMAP, MORMAP or ACTION entry 'a -> b' reads the same as 'a->b'
+    # or 'a ->b', which are split at the arrow instead of read as tokens
+    arts = [
+        LoadedArtifact("category", "orbit", orbit()),
+        LoadedArtifact("functor", "twist", twist()),
+        LoadedArtifact("spec", "canonical_c2", canonical_c2()),
+    ]
+    lines = render_artifacts(arts).splitlines(keepends=True)
+    # those entries are the lines with an arrow and no colon
+    entries = [i for i, line in enumerate(lines) if "->" in line and ":" not in line]
+    assert len(entries) == 2 + 5 + 3  # objects and morphisms of orbit, f's action
+    for i in entries:
+        lines[i] = lines[i].replace(" -> ", arrow)
+    back = load_text("".join(lines))
+    assert [(a.kind, a.name, a.value) for a in back] == [(a.kind, a.name, a.value) for a in arts]
+
+
 def test_json_mirror_round_trip():
     arts = [LoadedArtifact("spec", "canonical_c2", canonical_c2())]
     blob = render_json(arts)

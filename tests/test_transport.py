@@ -17,6 +17,7 @@ from catmn import (
     MismatchError,
     Mor,
     NaturalTransformation,
+    build_total_category,
     canonical_c2,
     check_idempotent,
     check_mn_hypotheses,
@@ -97,6 +98,24 @@ def test_comparison_shape_rule():
     report = validate_equivalence(crooked)
     assert rules_of(report) == {"equivalence-comparison-shape"}
     assert {v.subject for v in report.violations} == {("theta",)}
+
+
+def test_functors_that_do_not_meet_are_reported():
+    # the relabeling of one category paired with the unrelabeling of
+    # another: the round trips cannot be composed, which is a violation
+    # of the equivalence, not an error of the validator
+    total = build_total_category(canonical_c2()).total
+    e = relabeled_opposite_equivalence(total)
+    other = relabeled_opposite_equivalence(canonical_c2().base)
+    crooked = dataclasses.replace(e, backward=other.backward)
+    report = validate_equivalence(crooked)
+    assert report.render().splitlines() == [
+        "equivalence-functors-meet [backward]: "
+        "must go from the forward functor's target to its source"
+    ]
+    d = identity_datum(total, MONAD)
+    with pytest.raises(InvalidArtifactError, match="invalid contravariant equivalence"):
+        induce(crooked, d)
 
 
 def test_comparison_iso_rule():
